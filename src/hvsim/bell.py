@@ -19,39 +19,51 @@ from .linalg import (
     COMMUTE_TOL,
     MEET_TOL,
     SpectralDecomposition,
+    _commutes,
+    _ensure_projectors,
+    _join,
+    _meet,
     _readonly,
-    commutes,
-    ensure_projector,
-    ensure_same_dim,
     max_abs,
     eigh,
-    projector_join,
-    projector_meet,
 )
 from .quantum import SNAP_TOL, PureState, spectral_projector
-from .hidden import Proposition
+from .hidden import Proposition, _check_cuts, _fiber_partition
 
 SECTOR_SNAP_TOL = 1e-6
 HOMOMORPHISM_TOL = 1e-8
 
 
+def _correlation(e: np.ndarray, f: np.ndarray, meet_tol: float = MEET_TOL) -> np.ndarray:
+    eye = np.eye(e.shape[0])
+    both = _meet(e, f, meet_tol)
+    neither = _meet(eye - e, eye - f, meet_tol)
+    only_f = _meet(eye - e, f, meet_tol)
+    only_e = _meet(e, eye - f, meet_tol)
+    return _readonly(both + neither - only_f - only_e)
+
+
 def correlation_operator(e, f, meet_tol: float = MEET_TOL) -> np.ndarray:
     """Sector-signed sum of the four meets of a projector pair and its complements:
-    (e and f) + (not-e and not-f) - (not-e and f) - (e and not-f)."""
-    e = ensure_projector(e)
-    f = ensure_projector(f)
-    n = ensure_same_dim(e, f)
-    eye = np.eye(n)
-    both = projector_meet(e, f, meet_tol)
-    neither = projector_meet(eye - e, eye - f, meet_tol)
-    only_f = projector_meet(eye - e, f, meet_tol)
-    only_e = projector_meet(e, eye - f, meet_tol)
-    return _readonly(both + neither - only_f - only_e)
+    (e and f) + (not-e and not-f) - (not-e and f) - (e and not-f). Validates e and f."""
+    return _correlation(*_ensure_projectors(e, f), meet_tol)
+
+
+def _chsh_terms(es, fs, vector: np.ndarray, meet_tol: float) -> np.ndarray:
+    return np.array([
+        [float(np.vdot(vector, _correlation(e, f, meet_tol) @ vector).real) for f in fs]
+        for e in es
+    ])
+
+
+def _chsh_combination(t: np.ndarray) -> float:
+    """|t00 - t01| + |t10 + t11|, the CHSH combination of a 2x2 array of terms."""
+    return float(abs(t[0, 0] - t[0, 1]) + abs(t[1, 0] + t[1, 1]))
 
 
 @dataclass(frozen=True)
 class ChshConfig:
-    """Two couples of projectors plus the state to evaluate at."""
+    """Two couples of projectors, validated on construction, plus the state to evaluate at."""
 
     e1: np.ndarray
     e2: np.ndarray
@@ -60,9 +72,11 @@ class ChshConfig:
     state: PureState
 
     def __post_init__(self):
-        for name in ("e1", "e2", "f1", "f2"):
-            object.__setattr__(self, name, ensure_projector(getattr(self, name)))
-        n = ensure_same_dim(self.e1, self.e2, self.f1, self.f2)
+        names = ("e1", "e2", "f1", "f2")
+        ps = _ensure_projectors(*(getattr(self, name) for name in names))
+        for name, p in zip(names, ps):
+            object.__setattr__(self, name, p)
+        n = ps[0].shape[0]
         if n != self.state.dim:
             raise DimensionMismatch(f"projector dim {n} vs state dim {self.state.dim}")
 
@@ -72,20 +86,12 @@ class ChshConfig:
 
 def chsh_terms(cfg: ChshConfig, meet_tol: float = MEET_TOL) -> np.ndarray:
     """2x2 array of correlation expectations, indexed by (couple one, couple two)."""
-    es, fs = cfg.couples()
-    h = cfg.state.vector
-    out = np.empty((2, 2))
-    for i, e in enumerate(es):
-        for j, f in enumerate(fs):
-            t = correlation_operator(e, f, meet_tol)
-            out[i, j] = float(np.vdot(h, t @ h).real)
-    return out
+    return _chsh_terms(*cfg.couples(), cfg.state.vector, meet_tol)
 
 
 def chsh_value(cfg: ChshConfig, meet_tol: float = MEET_TOL) -> float:
     """|<T11> - <T12>| + |<T21> + <T22>| at the configured state."""
-    t = chsh_terms(cfg, meet_tol)
-    return float(abs(t[0, 0] - t[0, 1]) + abs(t[1, 0] + t[1, 1]))
+    return _chsh_combination(chsh_terms(cfg, meet_tol))
 
 
 def _same_backing(a: SpectralDecomposition, b: SpectralDecomposition) -> bool:
@@ -146,6 +152,7 @@ class FiberChshFunctions:
         signs = np.array(self.signs, dtype=np.int8)
         if signs.shape != (2, 2, len(cuts) - 1):
             raise ValueError("signs must be (2, 2, cells)")
+        _check_cuts(cuts)
         object.__setattr__(self, "cuts", _readonly(cuts))
         object.__setattr__(self, "signs", _readonly(signs))
 
@@ -169,8 +176,7 @@ class FiberChshFunctions:
         return (self.signs.astype(np.float64) * self.lengths()).sum(axis=2)
 
     def chsh_value(self) -> float:
-        t = self.integrals()
-        return float(abs(t[0, 0] - t[0, 1]) + abs(t[1, 0] + t[1, 1]))
+        return _chsh_combination(self.integrals())
 
 
 def fiber_chsh_functions(
@@ -178,29 +184,15 @@ def fiber_chsh_functions(
 ) -> FiberChshFunctions:
     """Restrict the quadruple's four correlation functions to the fiber of a state."""
     dec = quad.backing
-    if dec.dim != state.dim:
-        raise DimensionMismatch(f"backing dim {dec.dim} vs state dim {state.dim}")
-    w = dec.weights(state.vector)
-    raw_cuts = np.concatenate(([0.0], np.cumsum(w)))
-    raw_cuts[-1] = 1.0
-    keep = np.diff(raw_cuts) > 0
-    lambdas = dec.eigenvalues[keep]
-    cuts = np.concatenate(([0.0], np.cumsum(np.diff(raw_cuts)[keep])))
-    cuts[-1] = 1.0
+    kept, cuts = _fiber_partition(dec.weights(state.vector))
+    lambdas = dec.eigenvalues[kept]
 
     def side(p: Proposition) -> np.ndarray:
-        return np.array(
-            [1 if p.borel.contains(float(lam), snap_tol) else -1 for lam in lambdas],
-            dtype=np.int8,
-        )
+        return np.array([1 if p.borel.contains(float(lam), snap_tol) else -1 for lam in lambdas])
 
     sa = (side(quad.a1), side(quad.a2))
     sb = (side(quad.b1), side(quad.b2))
-    signs = np.empty((2, 2, len(lambdas)), dtype=np.int8)
-    for i in range(2):
-        for j in range(2):
-            signs[i, j] = sa[i] * sb[j]
-    return FiberChshFunctions(cuts, signs)
+    return FiberChshFunctions(cuts, [[s * t for t in sb] for s in sa])
 
 
 def _sector_decomposition(
@@ -223,6 +215,17 @@ def _sector_decomposition(
     return SpectralDecomposition(np.array(keys), np.array([grouped[k] for k in keys]))
 
 
+def _joint_propositions(
+    e, f, commute_tol: float, sector_snap_tol: float
+) -> tuple[Proposition, Proposition]:
+    if not _commutes(e, f, commute_tol):
+        raise NotCommuting(f"commutator exceeds {commute_tol:.1e}")
+    dec = _sector_decomposition(e + 2.0 * f, 4, sector_snap_tol)
+    prop_e = Proposition(dec, BorelSet.points((1.0, 3.0)))
+    prop_f = Proposition(dec, BorelSet.points((2.0, 3.0)))
+    return prop_e, prop_f
+
+
 def joint_propositions(
     e,
     f,
@@ -234,17 +237,24 @@ def joint_propositions(
     The operator e + 2f labels the four joint sectors with integers 0..3
     (binary encoding); the propositions select the sectors where each
     projector acts as the identity, so every boolean combination maps to the
-    corresponding meet.
+    corresponding meet. Validates e and f.
     """
-    e = ensure_projector(e)
-    f = ensure_projector(f)
-    ensure_same_dim(e, f)
-    if not commutes(e, f, commute_tol):
-        raise NotCommuting(f"commutator exceeds {commute_tol:.1e}")
-    dec = _sector_decomposition(e + 2.0 * f, 4, sector_snap_tol)
-    prop_e = Proposition(dec, BorelSet.points((1.0, 3.0)))
-    prop_f = Proposition(dec, BorelSet.points((2.0, 3.0)))
-    return prop_e, prop_f
+    return _joint_propositions(*_ensure_projectors(e, f), commute_tol, sector_snap_tol)
+
+
+def _common_refinement(ps, commute_tol: float, sector_snap_tol: float) -> PropositionQuadruple:
+    names = ("e1", "e2", "f1", "f2")
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if not _commutes(ps[i], ps[j], commute_tol):
+                raise NotCommuting(f"{names[i]} and {names[j]} do not commute")
+    joint = sum((2.0**k) * p for k, p in enumerate(ps))
+    dec = _sector_decomposition(joint, 16, sector_snap_tol)
+    props = [
+        Proposition(dec, BorelSet.points([float(m) for m in range(16) if m & (1 << k)]))
+        for k in range(4)
+    ]
+    return PropositionQuadruple(*props)
 
 
 def common_refinement_quadruple(
@@ -259,22 +269,9 @@ def common_refinement_quadruple(
 
     Requires the whole family to commute pairwise; the backing is the joint
     sector operator sum(2^k P_k) with integer labels 0..15, and each
-    proposition selects the labels where its bit is set.
+    proposition selects the labels where its bit is set. Validates all four.
     """
-    ps = [ensure_projector(p) for p in (e1, e2, f1, f2)]
-    ensure_same_dim(*ps)
-    names = ("e1", "e2", "f1", "f2")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if not commutes(ps[i], ps[j], commute_tol):
-                raise NotCommuting(f"{names[i]} and {names[j]} do not commute")
-    joint = sum((2.0**k) * p for k, p in enumerate(ps))
-    dec = _sector_decomposition(joint, 16, sector_snap_tol)
-    props = [
-        Proposition(dec, BorelSet.points([float(m) for m in range(16) if m & (1 << k)]))
-        for k in range(4)
-    ]
-    return PropositionQuadruple(props[0], props[1], props[2], props[3])
+    return _common_refinement(_ensure_projectors(e1, e2, f1, f2), commute_tol, sector_snap_tol)
 
 
 def check_boolean_homomorphism(
@@ -289,6 +286,8 @@ def check_boolean_homomorphism(
     mapped projectors, every pairwise union to the join, and complements to
     orthocomplements. When the check passes, the two projectors commute;
     this conclusion is re-verified and a failure would be a genuine defect.
+    The projectors come from the validated backing and are not re-checked;
+    meets, joins and the commutation test run at their default tolerances.
     """
     if not _same_backing(a.backing, b.backing):
         raise BackingMismatch("propositions do not share a backing")
@@ -304,17 +303,14 @@ def check_boolean_homomorphism(
     sides_a = ((a.borel, ea), (a.borel.complement(), eye - ea))
     sides_b = ((b.borel, eb), (b.borel.complement(), eye - eb))
 
-    ok = True
+    residuals = []
     for set_a, proj_a in sides_a:
         for set_b, proj_b in sides_b:
-            if max_abs(eps(set_a & set_b) - projector_meet(proj_a, proj_b)) > tol:
-                ok = False
-            if max_abs(eps(set_a | set_b) - projector_join(proj_a, proj_b)) > tol:
-                ok = False
-    if max_abs(eps(a.borel.complement()) - (eye - ea)) > tol:
-        ok = False
-    if max_abs(eps(b.borel.complement()) - (eye - eb)) > tol:
-        ok = False
-    if ok and not commutes(ea, eb):
+            residuals.append(max_abs(eps(set_a & set_b) - _meet(proj_a, proj_b)))
+            residuals.append(max_abs(eps(set_a | set_b) - _join(proj_a, proj_b)))
+    residuals.append(max_abs(eps(a.borel.complement()) - (eye - ea)))
+    residuals.append(max_abs(eps(b.borel.complement()) - (eye - eb)))
+    ok = max(residuals) <= tol
+    if ok and not _commutes(ea, eb):
         raise AssertionError("boolean homomorphism held but projectors do not commute")
     return ok

@@ -55,13 +55,6 @@ class Interval:
         below = x < self.hi or (x == self.hi and self.hi_closed)
         return above and below
 
-    def _snap_hit(self, x: float, snap_tol: float) -> bool | None:
-        if not math.isinf(self.lo) and abs(x - self.lo) <= snap_tol:
-            return self.lo_closed
-        if not math.isinf(self.hi) and abs(x - self.hi) <= snap_tol:
-            return self.hi_closed
-        return None
-
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
@@ -154,17 +147,9 @@ class BorelSet:
         return sum(iv.measure() for iv in self.intervals) if self.intervals else 0.0
 
     def contains(self, x: float, snap_tol: float = 0.0) -> bool:
-        if snap_tol > 0.0:
-            hit = None
-            for iv in self.intervals:
-                flag = iv._snap_hit(x, snap_tol)
-                if flag:
-                    return True
-                if flag is not None:
-                    hit = False
-            if hit is not None:
-                return False
-        return any(iv.contains(x) for iv in self.intervals)
+        """Point membership, snapping as Interval.contains does; the intervals
+        are disjoint, so a point snapped out of one lies in no other."""
+        return any(iv.contains(x, snap_tol) for iv in self.intervals)
 
     def complement(self) -> "BorelSet":
         if not self.intervals:

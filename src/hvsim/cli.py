@@ -25,18 +25,38 @@ import numpy as np
 
 from . import __version__
 from .bell import (
-    ChshConfig,
+    HOMOMORPHISM_TOL,
+    SECTOR_SNAP_TOL,
+    _chsh_combination,
+    _chsh_terms,
+    _common_refinement,
+    _joint_propositions,
     check_boolean_homomorphism,
-    chsh_terms,
-    common_refinement_quadruple,
     fiber_chsh_functions,
-    joint_propositions,
 )
 from .borel import BorelSet, Interval, PiecewiseAffineFunction
 from .errors import HvError, LoadError, NotCommuting
-from .hidden import ClassicalObservable, compose, quantile_function, reduced_operator, sample
-from .linalg import commutes, eigh, ensure_hermitian, ensure_projector, max_abs
-from .quantum import PureState, functional_calculus, prob
+from .hidden import (
+    WEIGHT_FLOOR,
+    ClassicalObservable,
+    compose,
+    quantile_function,
+    reduced_operator,
+    sample,
+)
+from .linalg import (
+    CLUSTER_TOL,
+    COMMUTE_TOL,
+    HERMITIAN_TOL,
+    MEET_TOL,
+    PROJECTOR_TOL,
+    _commutes,
+    eigh,
+    ensure_hermitian,
+    ensure_projector,
+    max_abs,
+)
+from .quantum import SNAP_TOL, PureState, functional_calculus, prob
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 0
@@ -45,20 +65,21 @@ CHSH_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Overridable numeric tolerances; defaults match the library operations."""
+    """Overridable numeric tolerances; defaults are the library constants, except
+    for the three checks only the harness makes (reconstruction, roundtrip, pushforward)."""
 
-    hermitian_tol: float = 1e-10
-    projector_tol: float = 1e-9
-    cluster_tol: float = 1e-8
-    meet_tol: float = 1e-8
-    commute_tol: float = 1e-9
-    snap_tol: float = 1e-9
-    weight_floor: float = 1e-12
+    hermitian_tol: float = HERMITIAN_TOL
+    projector_tol: float = PROJECTOR_TOL
+    cluster_tol: float = CLUSTER_TOL
+    meet_tol: float = MEET_TOL
+    commute_tol: float = COMMUTE_TOL
+    snap_tol: float = SNAP_TOL
+    weight_floor: float = WEIGHT_FLOOR
     reconstruction_tol: float = 1e-8
     roundtrip_tol: float = 1e-8
     pushforward_tol: float = 1e-10
-    homomorphism_tol: float = 1e-8
-    sector_snap_tol: float = 1e-6
+    homomorphism_tol: float = HOMOMORPHISM_TOL
+    sector_snap_tol: float = SECTOR_SNAP_TOL
 
 
 @dataclass(frozen=True)
@@ -371,6 +392,7 @@ def run_roundtrip(problem: ProblemFile, operator: str, function: str | None) -> 
 
 
 def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: str) -> dict:
+    """CHSH report; the four projectors are validated here, once, at the file's projector_tol."""
     tol = problem.tolerances
     names = {"e1": e1, "e2": e2, "f1": f1, "f2": f2}
     try:
@@ -381,13 +403,13 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
     except ValueError as exc:
         raise LoadError(str(exc)) from exc
     h = _named(problem, "states", state)
-    cfg = ChshConfig(projectors["e1"], projectors["e2"], projectors["f1"], projectors["f2"], h)
-    terms = chsh_terms(cfg, meet_tol=tol.meet_tol)
-    value = float(abs(terms[0, 0] - terms[0, 1]) + abs(terms[1, 0] + terms[1, 1]))
+    ps = tuple(projectors.values())
+    terms = _chsh_terms(ps[:2], ps[2:], h.vector, tol.meet_tol)
+    value = _chsh_combination(terms)
 
     pair_names = [("e1", "f1"), ("e1", "f2"), ("e2", "f1"), ("e2", "f2")]
     cross_commuting = {
-        f"{a}{b}": commutes(projectors[a], projectors[b], tol.commute_tol)
+        f"{a}{b}": _commutes(projectors[a], projectors[b], tol.commute_tol)
         for a, b in pair_names
     }
     result = {
@@ -403,27 +425,16 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
     if all(cross_commuting.values()):
         consistent = True
         for a, b in pair_names:
-            prop_a, prop_b = joint_propositions(
-                projectors[a],
-                projectors[b],
-                commute_tol=tol.commute_tol,
-                sector_snap_tol=tol.sector_snap_tol,
+            prop_a, prop_b = _joint_propositions(
+                projectors[a], projectors[b], tol.commute_tol, tol.sector_snap_tol
             )
             consistent &= check_boolean_homomorphism(
                 prop_a, prop_b, tol=tol.homomorphism_tol, snap_tol=tol.snap_tol
             )
-            consistent &= commutes(projectors[a], projectors[b], tol.commute_tol)
         result["checks"]["joint_propositions_consistent"] = bool(consistent)
 
     try:
-        quad = common_refinement_quadruple(
-            cfg.e1,
-            cfg.e2,
-            cfg.f1,
-            cfg.f2,
-            commute_tol=tol.commute_tol,
-            sector_snap_tol=tol.sector_snap_tol,
-        )
+        quad = _common_refinement(ps, tol.commute_tol, tol.sector_snap_tol)
     except NotCommuting as exc:
         result["proposition_intersections_admitted"] = False
         result["admission_failure"] = str(exc)

@@ -17,9 +17,33 @@ import numpy as np
 from .borel import BorelSet, Interval, PiecewiseAffineFunction, compose_functions, preimage
 from .errors import DimensionMismatch, OutOfDomain
 from .linalg import SpectralDecomposition, _readonly, max_abs
-from .quantum import SNAP_TOL, PureState, spectral_projector
+from .quantum import RAY_TOL, SNAP_TOL, PureState, spectral_projector
 
 WEIGHT_FLOOR = 1e-12
+
+
+def _check_cuts(cuts: np.ndarray) -> None:
+    """Raise ValueError unless cuts run from exactly 0 to exactly 1, strictly increasing."""
+    if cuts[0] != 0.0 or cuts[-1] != 1.0:
+        raise ValueError("cuts must start at 0 and end at 1")
+    if not np.all(np.diff(cuts) > 0):
+        raise ValueError("cuts must be strictly increasing")
+
+
+def _fiber_partition(weights, weight_floor: float = WEIGHT_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the weights above weight_floor and the cuts of their cells on (0, 1).
+
+    The kept weights are renormalized, so the cuts start at exactly 0, end at
+    exactly 1 and strictly increase; a cell rounding leaves empty is dropped.
+    """
+    kept = np.flatnonzero(weights > weight_floor)
+    if not kept.size:
+        raise ValueError(f"no weight exceeds weight_floor {weight_floor:.1e}")
+    running = np.cumsum(weights[kept])
+    # dividing by the last running sum keeps every cut in [0, 1] and ends at 1
+    cuts = np.concatenate(([0.0], running / running[-1]))
+    cell = np.diff(cuts) > 0
+    return kept[cell], np.concatenate(([0.0], cuts[1:][cell]))
 
 
 @dataclass(frozen=True)
@@ -40,10 +64,7 @@ class QuantileStep:
         values = np.array(self.values, dtype=np.float64)
         if len(cuts) != len(values) + 1 or len(values) == 0:
             raise ValueError("need one more cut than values, at least one value")
-        if cuts[0] != 0.0 or cuts[-1] != 1.0:
-            raise ValueError("cuts must start at 0 and end at 1")
-        if not np.all(np.diff(cuts) > 0):
-            raise ValueError("cuts must be strictly increasing")
+        _check_cuts(cuts)
         if not np.all(np.diff(values) > 0):
             raise ValueError("values must be strictly increasing")
         object.__setattr__(self, "cuts", _readonly(cuts))
@@ -70,14 +91,8 @@ def quantile_function(
     eigenvalues weighing at most weight_floor (default 1e-12) are dropped
     so every step has positive length.
     """
-    if dec.dim != state.dim:
-        raise DimensionMismatch(f"operator dim {dec.dim} vs state dim {state.dim}")
-    w = dec.weights(state.vector)
-    keep = w > weight_floor
-    kept = w[keep]
-    cuts = np.concatenate(([0.0], np.cumsum(kept)))
-    cuts[-1] = 1.0
-    return QuantileStep(cuts, dec.eigenvalues[keep])
+    kept, cuts = _fiber_partition(dec.weights(state.vector), weight_floor)
+    return QuantileStep(cuts, dec.eigenvalues[kept])
 
 
 @dataclass(frozen=True)
@@ -111,12 +126,9 @@ class ClassicalObservable:
         for v, length in zip(base.values, base.lengths()):
             img = self.post(float(v))
             totals[img] = totals.get(img, 0.0) + float(length)
-        values = sorted(totals)
-        cuts = [0.0]
-        for v in values:
-            cuts.append(cuts[-1] + totals[v])
-        cuts[-1] = 1.0
-        return QuantileStep(np.array(cuts), np.array(values))
+        values = np.array(sorted(totals))
+        kept, cuts = _fiber_partition(np.array([totals[v] for v in values]), 0.0)
+        return QuantileStep(cuts, values[kept])
 
     def evaluate(self, state: PureState, t: float) -> float:
         """Pointwise value on the fiber of the state: post applied after the quantile."""
@@ -155,19 +167,13 @@ def fiber_subset(
 ) -> BorelSet:
     """The proposition's trace on one fiber, a finite union of subintervals of (0, 1).
 
-    Each eigenvalue in the event set contributes its quantile cell; the total
-    length equals the event probability at the state.
+    Each eigenvalue in the event set contributes its quantile cell (cells of
+    weight at most 1e-12 are dropped); the total length is the event probability.
     """
-    if prop.backing.dim != state.dim:
-        raise DimensionMismatch(
-            f"operator dim {prop.backing.dim} vs state dim {state.dim}"
-        )
-    w = prop.backing.weights(state.vector)
-    cuts = np.concatenate(([0.0], np.cumsum(w)))
-    cuts[-1] = 1.0
+    kept, cuts = _fiber_partition(prop.backing.weights(state.vector))
     parts = []
-    for k, lam in enumerate(prop.backing.eigenvalues):
-        if cuts[k + 1] > cuts[k] and prop.borel.contains(float(lam), snap_tol):
+    for k, lam in enumerate(prop.backing.eigenvalues[kept]):
+        if prop.borel.contains(float(lam), snap_tol):
             top = float(cuts[k + 1])
             parts.append(Interval(float(cuts[k]), top, False, top != 1.0))
     return BorelSet(tuple(parts))
@@ -266,7 +272,7 @@ def sample(
     )
 
 
-def states_confusion_equivalent(h: PureState, k: PureState, tol: float = 1e-9) -> bool:
+def states_confusion_equivalent(h: PureState, k: PureState, tol: float = RAY_TOL) -> bool:
     """True iff every proposition has the same fiber measure at both states,
     which happens exactly when the states are the same ray."""
     return h.same_ray(k, tol)

@@ -43,13 +43,6 @@ def as_complex_matrix(entries) -> np.ndarray:
     return m
 
 
-def ensure_same_dim(*matrices: np.ndarray) -> int:
-    dims = {m.shape[0] for m in matrices}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"operands have mixed dimensions {sorted(dims)}")
-    return dims.pop()
-
-
 def ensure_hermitian(matrix, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Check M = M* within tol (max norm, default 1e-10); return (M + M*)/2."""
     m = as_complex_matrix(matrix)
@@ -69,6 +62,14 @@ def ensure_projector(matrix, tol: float = PROJECTOR_TOL) -> np.ndarray:
     if abs(trace - round(trace)) > 1e-6:
         raise ValueError(f"projector trace {trace!r} is not near an integer")
     return p
+
+
+def _ensure_projectors(*matrices, tol: float = PROJECTOR_TOL) -> tuple[np.ndarray, ...]:
+    ps = tuple(ensure_projector(m, tol) for m in matrices)
+    dims = {p.shape[0] for p in ps}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"operands have mixed dimensions {sorted(dims)}")
+    return ps
 
 
 def projector_rank(p: np.ndarray) -> int:
@@ -121,6 +122,8 @@ class SpectralDecomposition:
 
     def weights(self, vector: np.ndarray) -> np.ndarray:
         """Per-eigenvalue probabilities <v, P_k v> / <v, v>, clipped at 0."""
+        if len(vector) != self.dim:
+            raise DimensionMismatch(f"operator dim {self.dim} vs state dim {len(vector)}")
         w = np.einsum("i,kij,j->k", vector.conj(), self.projectors, vector).real
         return np.clip(w / float(np.vdot(vector, vector).real), 0.0, None)
 
@@ -217,37 +220,39 @@ def eigh(
     return SpectralDecomposition(values, projectors)
 
 
+# Private forms trust projectors checked where they entered; public names validate once.
+
+
+def _meet(e: np.ndarray, f: np.ndarray, meet_tol: float = MEET_TOL) -> np.ndarray:
+    eye = np.eye(e.shape[0])
+    dec = eigh((eye - e) + (eye - f))
+    return _readonly(dec.projectors[dec.eigenvalues < meet_tol].sum(axis=0))
+
+
+def _join(e: np.ndarray, f: np.ndarray, meet_tol: float = MEET_TOL) -> np.ndarray:
+    eye = np.eye(e.shape[0])
+    return _readonly(eye - _meet(eye - e, eye - f, meet_tol))
+
+
+def _commutes(e: np.ndarray, f: np.ndarray, tol: float = COMMUTE_TOL) -> bool:
+    return max_abs(e @ f - f @ e) <= tol
+
+
 def projector_meet(e, f, meet_tol: float = MEET_TOL) -> np.ndarray:
     """Orthogonal projector onto range(e) intersected with range(f).
 
     The null space of the positive semidefinite operator (I-e) + (I-f) is
     exactly the common range, so the meet is the sum of its spectral
-    projectors with eigenvalue below meet_tol (default 1e-8).
+    projectors with eigenvalue below meet_tol (default 1e-8). Validates e and f.
     """
-    e = ensure_projector(e)
-    f = ensure_projector(f)
-    n = ensure_same_dim(e, f)
-    eye = np.eye(n)
-    dec = eigh((eye - e) + (eye - f))
-    meet = np.zeros((n, n), dtype=np.complex128)
-    for lam, proj in zip(dec.eigenvalues, dec.projectors):
-        if lam < meet_tol:
-            meet += proj
-    return _readonly(meet)
+    return _meet(*_ensure_projectors(e, f), meet_tol)
 
 
 def projector_join(e, f, meet_tol: float = MEET_TOL) -> np.ndarray:
-    """Orthogonal projector onto span(range(e) union range(f)), as I - meet(I-e, I-f)."""
-    e = ensure_projector(e)
-    f = ensure_projector(f)
-    n = ensure_same_dim(e, f)
-    eye = np.eye(n)
-    return _readonly(eye - projector_meet(eye - e, eye - f, meet_tol))
+    """Projector onto span(range(e) union range(f)), as I - meet(I-e, I-f). Validates e and f."""
+    return _join(*_ensure_projectors(e, f), meet_tol)
 
 
 def commutes(e, f, tol: float = COMMUTE_TOL) -> bool:
-    """True iff the commutator ef - fe vanishes within tol (max norm, default 1e-9)."""
-    e = ensure_projector(e)
-    f = ensure_projector(f)
-    ensure_same_dim(e, f)
-    return max_abs(e @ f - f @ e) <= tol
+    """True iff ef - fe vanishes within tol (max norm, default 1e-9). Validates e and f."""
+    return _commutes(*_ensure_projectors(e, f), tol)

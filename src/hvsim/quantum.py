@@ -8,6 +8,7 @@ by applying a piecewise-affine function to the spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ class PureState:
 
     def __post_init__(self):
         v = np.array(self.vector, dtype=np.complex128).reshape(-1)
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(float(np.vdot(v, v).real))
         if norm == 0.0:
             raise ValueError("state vector must be nonzero")
         object.__setattr__(self, "vector", _readonly(v / norm))
@@ -45,11 +46,6 @@ class PureState:
 
     def same_ray(self, other: "PureState", tol: float = RAY_TOL) -> bool:
         return abs(self.overlap(other) - 1.0) <= tol
-
-
-def _check_dims(dec: SpectralDecomposition, state: PureState) -> None:
-    if dec.dim != state.dim:
-        raise DimensionMismatch(f"operator dim {dec.dim} vs state dim {state.dim}")
 
 
 def spectral_projector(
@@ -75,7 +71,8 @@ def prob(
 ) -> float:
     """Probability that a measurement outcome lands in the event set:
     <h, E h> / <h, h> for the event's spectral projector E."""
-    _check_dims(dec, state)
+    if dec.dim != state.dim:
+        raise DimensionMismatch(f"operator dim {dec.dim} vs state dim {state.dim}")
     e = spectral_projector(dec, events, snap_tol)
     h = state.vector
     value = float(np.vdot(h, e @ h).real / np.vdot(h, h).real)
@@ -88,7 +85,6 @@ def prob(
 
 def expectation(dec: SpectralDecomposition, state: PureState) -> float:
     """Mean outcome, the eigenvalue-weighted sum of projector probabilities."""
-    _check_dims(dec, state)
     return float(np.dot(dec.eigenvalues, dec.weights(state.vector)))
 
 

@@ -10,6 +10,7 @@ from conftest import (
     rand_noncommuting_projectors,
     rand_projector,
     rand_state,
+    rand_unitary,
 )
 from hvsim import (
     BackingMismatch,
@@ -238,3 +239,28 @@ def test_common_refinement_reproduces_family():
         quad = common_refinement_quadruple(*ps)
         for got, want in zip(quad.projectors(), ps):
             assert max_abs(got - want) < 1e-8
+
+
+@pytest.mark.parametrize("seed", [2, 4, 5])
+def test_fiber_functions_cells_at_near_eigenstates(seed):
+    # a joint eigenvector of the lowest sector leaking 1e-8..4e-8 into another
+    # sector: that sector weighs a few ulp, where cells of negative length arose
+    rng = np.random.default_rng(seed)
+    for n in (4, 8):
+        u = rand_unitary(rng, n)
+        bits = rng.integers(0, 2, size=(4, n))
+        projectors = [(u * b) @ u.conj().T for b in bits]
+        quad = common_refinement_quadruple(*projectors)
+        labels = (bits * (2 ** np.arange(4))[:, None]).sum(axis=0)
+        low = int(np.argmin(labels))
+        others = np.flatnonzero(labels != labels[low])
+        if not others.size:
+            continue
+        for leak in (1e-8, 2e-8, 4e-8):
+            h = PureState(u[:, low] + leak * u[:, int(rng.choice(others))])
+            functions = fiber_chsh_functions(quad, h)
+            assert functions.cuts[0] == 0.0 and functions.cuts[-1] == 1.0
+            assert np.all(functions.lengths() > 0)
+            assert functions.pointwise_identity_holds()
+            terms = chsh_terms(ChshConfig(*projectors, h))
+            assert max_abs(functions.integrals() - terms) < 1e-9

@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hvsim
 from hvsim.cli import load_problem, main, run_chsh, run_verify
 
 FIXTURES = ("pauli", "singlet_chsh", "commuting_chsh")
@@ -182,6 +184,29 @@ def test_chsh_commuting_fixture_passes(capsys):
     assert checks["joint_propositions_consistent"]
     assert checks["pointwise_identity_ok"]
     assert checks["fiber_integrals_match"]
+
+
+def test_chsh_honors_loosened_projector_tol(tmp_path, capsys):
+    # first_half scaled by 1 + 1e-8 has an idempotence defect of about 1e-8:
+    # refused at the default projector_tol 1e-9, accepted at the file's 1e-6
+    doc = json.loads(
+        (Path(hvsim.__file__).parent / "fixtures" / "commuting_chsh.json").read_text()
+    )
+    doc["operators"]["first_half"] = [
+        [[(1.0 + 1e-8) * re, (1.0 + 1e-8) * im] for re, im in row]
+        for row in doc["operators"]["first_half"]
+    ]
+    path = tmp_path / "defect.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(["chsh", "--input", str(path)], capsys)
+    assert code == 2
+    doc["tolerances"] = {"projector_tol": 1e-6}
+    path.write_text(json.dumps(doc))
+    code, out = run(["chsh", "--input", str(path)], capsys)
+    assert code in (0, 1)
+    section = json.loads(out)["results"][0]
+    assert section["chsh_value"] <= 2.0 + 1e-9
+    assert section["proposition_intersections_admitted"] is True
 
 
 def test_experiment_blocks_run_when_no_names_given(capsys):

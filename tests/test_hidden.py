@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rand_borel, rand_hermitian, rand_piecewise_affine, rand_state
+from conftest import rand_borel, rand_hermitian, rand_piecewise_affine, rand_state, rand_unitary
 from hvsim import (
     BorelSet,
     ClassicalObservable,
@@ -285,3 +285,24 @@ def test_dimension_mismatch_paths():
         observables_confusion_equivalent(
             ClassicalObservable(dec), ClassicalObservable(eigh(np.eye(3, dtype=complex)))
         )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fiber_cells_stay_in_unit_interval_at_near_eigenstates(seed):
+    # an eigenvector plus leakage 1e-11..1e-7: one weight rounds to within a
+    # few ulp of 1, where running sums of the weights can overshoot 1
+    rng = np.random.default_rng(seed)
+    for n in range(2, 7):
+        u = rand_unitary(rng, n)
+        dec = eigh((u * np.sort(rng.uniform(-3.0, 3.0, n))) @ u.conj().T)
+        for leak in (1e-11, 1e-9, 1e-7):
+            k = int(rng.integers(0, n))
+            h = PureState(u[:, k] + leak * rand_state(rng, n).vector)
+            q = quantile_function(dec, h)
+            assert q.cuts[0] == 0.0 and q.cuts[-1] == 1.0
+            for events in (BorelSet.reals(), BorelSet.at_most(float(dec.eigenvalues[k]))):
+                cells = fiber_subset(proposition_from(dec, events), h).intervals
+                assert all(0.0 <= iv.lo < iv.hi <= 1.0 for iv in cells)
+                assert sum(iv.measure() for iv in cells) == pytest.approx(
+                    prob(dec, h, events), abs=1e-11
+                )

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,14 +10,20 @@ from conftest import (
     rand_hermitian,
     rand_projector,
 )
+import hvsim
 from hvsim import (
+    ChshConfig,
     ConvergenceFailure,
     DimensionMismatch,
     NotHermitian,
+    PureState,
     SpectralDecomposition,
+    common_refinement_quadruple,
     commutes,
+    correlation_operator,
     eigh,
     ensure_projector,
+    joint_propositions,
     max_abs,
     projector_join,
     projector_meet,
@@ -170,6 +179,50 @@ def test_dimension_mismatch_raises():
         commutes(np.eye(2), np.eye(3))
 
 
-def test_ensure_projector_rejects_non_idempotent():
-    with pytest.raises(ValueError):
-        ensure_projector(np.diag([0.5, 0.5]).astype(complex))
+def _chsh_config(e1, e2, f1, f2):
+    return ChshConfig(e1, e2, f1, f2, PureState([1.0, 0.0]))
+
+
+# every public function that takes raw projectors, with how many it takes
+PROJECTOR_ENTRY_POINTS = {
+    "ensure_projector": (ensure_projector, 1),
+    "projector_meet": (projector_meet, 2),
+    "projector_join": (projector_join, 2),
+    "commutes": (commutes, 2),
+    "correlation_operator": (correlation_operator, 2),
+    "joint_propositions": (joint_propositions, 2),
+    "common_refinement_quadruple": (common_refinement_quadruple, 4),
+    "ChshConfig": (_chsh_config, 4),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PROJECTOR_ENTRY_POINTS))
+def test_ensure_projector_rejects_non_idempotent(entry):
+    # each raw argument is checked where it enters, at the default 1e-9:
+    # a mixed state and a projector scaled by 1 + 1e-8 are both refused
+    fn, arity = PROJECTOR_ENTRY_POINTS[entry]
+    ok = np.diag([1.0, 0.0]).astype(complex)
+    for bad in (np.diag([0.5, 0.5]), np.diag([1.0 + 1e-8, 0.0])):
+        for position in range(arity):
+            args = [ok] * arity
+            args[position] = bad.astype(complex)
+            with pytest.raises(ValueError):
+                fn(*args)
+
+
+def test_package_never_uses_numpy_linalg():
+    # numpy.linalg is the suite's independent oracle; the package must not lean on it
+    uses = []
+    for path in sorted(Path(hvsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [f"{node.value.id}.{node.attr}"] if isinstance(node.value, ast.Name) else []
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name.startswith(("np.linalg", "numpy.linalg")) for name in names):
+                uses.append(f"{path.name}:{node.lineno}")
+    assert uses == []
