@@ -10,6 +10,7 @@ projectors admit such propositions constructively via a joint relabeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -195,16 +196,20 @@ def fiber_chsh_functions(
     return FiberChshFunctions(cuts, [[s * t for t in sb] for s in sa])
 
 
-def _sector_decomposition(
-    operator: np.ndarray, n_labels: int, sector_snap_tol: float
-) -> SpectralDecomposition:
-    dec = eigh(operator)
+def _joint_sectors(
+    projectors: dict[str, np.ndarray], commute_tol: float, sector_snap_tol: float
+) -> list[Proposition]:
+    """Propositions over the joint sectors sum(2^k P_k) of named, pairwise-commuting
+    projectors; proposition k selects the labels 0..2^K - 1 with bit k set."""
+    for (a, p), (b, q) in combinations(projectors.items(), 2):
+        if not _commutes(p, q, commute_tol):
+            raise NotCommuting(f"{a} and {b} do not commute")
+    n_labels = 2 ** len(projectors)
+    dec = eigh(sum((2.0**k) * p for k, p in enumerate(projectors.values())))
     labels = np.rint(dec.eigenvalues)
     drift = float(np.max(np.abs(dec.eigenvalues - labels)))
     if drift > sector_snap_tol:
-        raise DegenerateLabeling(
-            f"joint eigenvalue {drift:.3e} away from integer sector label"
-        )
+        raise DegenerateLabeling(f"joint eigenvalue {drift:.3e} away from integer sector label")
     if labels.min() < 0 or labels.max() > n_labels - 1:
         raise DegenerateLabeling(f"sector labels outside 0..{n_labels - 1}")
     grouped: dict[float, np.ndarray] = {}
@@ -212,18 +217,11 @@ def _sector_decomposition(
         key = float(label)
         grouped[key] = grouped.get(key, 0) + proj
     keys = sorted(grouped)
-    return SpectralDecomposition(np.array(keys), np.array([grouped[k] for k in keys]))
-
-
-def _joint_propositions(
-    e, f, commute_tol: float, sector_snap_tol: float
-) -> tuple[Proposition, Proposition]:
-    if not _commutes(e, f, commute_tol):
-        raise NotCommuting(f"commutator exceeds {commute_tol:.1e}")
-    dec = _sector_decomposition(e + 2.0 * f, 4, sector_snap_tol)
-    prop_e = Proposition(dec, BorelSet.points((1.0, 3.0)))
-    prop_f = Proposition(dec, BorelSet.points((2.0, 3.0)))
-    return prop_e, prop_f
+    sectors = SpectralDecomposition(np.array(keys), np.array([grouped[k] for k in keys]))
+    return [
+        Proposition(sectors, BorelSet.points([float(m) for m in range(n_labels) if m & (1 << k)]))
+        for k in range(len(projectors))
+    ]
 
 
 def joint_propositions(
@@ -239,22 +237,8 @@ def joint_propositions(
     projector acts as the identity, so every boolean combination maps to the
     corresponding meet. Validates e and f.
     """
-    return _joint_propositions(*_ensure_projectors(e, f), commute_tol, sector_snap_tol)
-
-
-def _common_refinement(ps, commute_tol: float, sector_snap_tol: float) -> PropositionQuadruple:
-    names = ("e1", "e2", "f1", "f2")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if not _commutes(ps[i], ps[j], commute_tol):
-                raise NotCommuting(f"{names[i]} and {names[j]} do not commute")
-    joint = sum((2.0**k) * p for k, p in enumerate(ps))
-    dec = _sector_decomposition(joint, 16, sector_snap_tol)
-    props = [
-        Proposition(dec, BorelSet.points([float(m) for m in range(16) if m & (1 << k)]))
-        for k in range(4)
-    ]
-    return PropositionQuadruple(*props)
+    pair = dict(zip("ef", _ensure_projectors(e, f)))
+    return tuple(_joint_sectors(pair, commute_tol, sector_snap_tol))
 
 
 def common_refinement_quadruple(
@@ -271,7 +255,8 @@ def common_refinement_quadruple(
     sector operator sum(2^k P_k) with integer labels 0..15, and each
     proposition selects the labels where its bit is set. Validates all four.
     """
-    return _common_refinement(_ensure_projectors(e1, e2, f1, f2), commute_tol, sector_snap_tol)
+    named = dict(zip(("e1", "e2", "f1", "f2"), _ensure_projectors(e1, e2, f1, f2)))
+    return PropositionQuadruple(*_joint_sectors(named, commute_tol, sector_snap_tol))
 
 
 def check_boolean_homomorphism(

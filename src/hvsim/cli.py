@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -27,10 +28,10 @@ from . import __version__
 from .bell import (
     HOMOMORPHISM_TOL,
     SECTOR_SNAP_TOL,
+    PropositionQuadruple,
     _chsh_combination,
     _chsh_terms,
-    _common_refinement,
-    _joint_propositions,
+    _joint_sectors,
     check_boolean_homomorphism,
     fiber_chsh_functions,
 )
@@ -58,6 +59,8 @@ from .linalg import (
 )
 from .quantum import SNAP_TOL, PureState, functional_calculus, prob
 
+# the ProblemFile table a name key refers to; the other keys (operator, e1..f2) name operators
+_TABLES = {"state": "states", "borel": "borel_sets", "function": "functions"}
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 0
 CHSH_SLACK = 1e-9
@@ -187,6 +190,13 @@ def _read_source(source: str) -> tuple[bytes, str]:
     raise LoadError(f"no such file or bundled fixture: {source}")
 
 
+def _section(doc: dict, key: str, display: str, kind: type = dict):
+    section = doc.get(key, kind())
+    if not isinstance(section, kind):
+        raise LoadError(f"{display}: {key!r} must be {'a list' if kind is list else 'an object'}")
+    return section
+
+
 def load_problem(source: str) -> ProblemFile:
     """Read and validate a problem file (path or bundled fixture name)."""
     raw, display = _read_source(source)
@@ -203,53 +213,37 @@ def load_problem(source: str) -> ProblemFile:
     if dim < 1:
         raise LoadError(f"{display}: dimension must be positive")
 
-    tol_doc = doc.get("tolerances", {})
+    tol_doc = _section(doc, "tolerances", display)
     known = {f.name for f in fields(Tolerances)}
     unknown = set(tol_doc) - known
     if unknown:
         raise LoadError(f"{display}: unknown tolerance keys {sorted(unknown)}")
-    tolerances = replace(Tolerances(), **{k: float(v) for k, v in tol_doc.items()})
+    overrides = {}
+    for key, value in tol_doc.items():
+        try:
+            overrides[key] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise LoadError(f"{display}: tolerance {key!r} is not a number: {value!r}") from exc
+    tolerances = replace(Tolerances(), **overrides)
 
     operators = {}
-    for name, rows in doc.get("operators", {}).items():
+    for name, rows in _section(doc, "operators", display).items():
         matrix = _parse_matrix(rows, dim, f"{display}: operator {name!r}")
         operators[name] = ensure_hermitian(matrix, tolerances.hermitian_tol)
     states = {
         name: _parse_state(vec, dim, f"{display}: state {name!r}")
-        for name, vec in doc.get("states", {}).items()
+        for name, vec in _section(doc, "states", display).items()
     }
     borel_sets = {
         name: _parse_borel(spec, f"{display}: borel set {name!r}")
-        for name, spec in doc.get("borel_sets", {}).items()
+        for name, spec in _section(doc, "borel_sets", display).items()
     }
     functions = {
         name: _parse_function(spec, f"{display}: function {name!r}")
-        for name, spec in doc.get("functions", {}).items()
+        for name, spec in _section(doc, "functions", display).items()
     }
-
-    experiments = doc.get("experiments", [])
-    if not isinstance(experiments, list):
-        raise LoadError(f"{display}: 'experiments' must be a list")
-    lookup = {
-        "operator": operators,
-        "state": states,
-        "borel": borel_sets,
-        "function": functions,
-        "e1": operators,
-        "e2": operators,
-        "f1": operators,
-        "f2": operators,
-    }
-    for i, block in enumerate(experiments):
-        if not isinstance(block, dict) or "kind" not in block:
-            raise LoadError(f"{display}: experiment {i} needs a 'kind'")
-        for key, table in lookup.items():
-            if key in block and block[key] not in table:
-                raise LoadError(
-                    f"{display}: experiment {i} references unknown {key} {block[key]!r}"
-                )
-
-    return ProblemFile(
+    experiments = _section(doc, "experiments", display, list)
+    problem = ProblemFile(
         dimension=dim,
         tolerances=tolerances,
         operators=operators,
@@ -260,13 +254,30 @@ def load_problem(source: str) -> ProblemFile:
         source=display,
         digest=hashlib.sha256(raw).hexdigest(),
     )
+    for i, block in enumerate(experiments):
+        if not isinstance(block, dict) or "kind" not in block:
+            raise LoadError(f"{display}: experiment {i} needs a 'kind'")
+        for key in (k for k in _NAME_KEYS if k in block):
+            name = block[key]
+            if not isinstance(name, str):
+                raise LoadError(f"{display}: experiment {i} {key} must be a name, got {name!r}")
+            if name not in getattr(problem, _TABLES.get(key, "operators")):
+                raise LoadError(f"{display}: experiment {i} references unknown {key} {name!r}")
+    return problem
 
 
-def _named(problem: ProblemFile, table: str, name: str):
+def _named(problem: ProblemFile, key: str, name: str):
+    table = _TABLES.get(key, "operators")
     store = getattr(problem, table)
     if name not in store:
         raise LoadError(f"unknown {table[:-1]} {name!r}")
     return store[name]
+
+
+def _decompose(problem: ProblemFile, operator: str):
+    tol = problem.tolerances
+    matrix = _named(problem, "operator", operator)
+    return eigh(matrix, cluster_tol=tol.cluster_tol, hermitian_tol=tol.hermitian_tol)
 
 
 def _floats(a) -> list[float]:
@@ -288,9 +299,8 @@ def _borel_json(b: BorelSet) -> list:
 
 def run_spectra(problem: ProblemFile, operator: str) -> dict:
     tol = problem.tolerances
-    matrix = _named(problem, "operators", operator)
-    dec = eigh(matrix, cluster_tol=tol.cluster_tol, hermitian_tol=tol.hermitian_tol)
-    residual = max_abs(dec.operator() - matrix)
+    dec = _decompose(problem, operator)
+    residual = max_abs(dec.operator() - problem.operators[operator])
     return {
         "kind": "spectra",
         "operator": operator,
@@ -304,9 +314,9 @@ def run_spectra(problem: ProblemFile, operator: str) -> dict:
 
 def run_prob(problem: ProblemFile, operator: str, state: str, borel: str) -> dict:
     tol = problem.tolerances
-    dec = eigh(_named(problem, "operators", operator), cluster_tol=tol.cluster_tol)
-    h = _named(problem, "states", state)
-    events = _named(problem, "borel_sets", borel)
+    dec = _decompose(problem, operator)
+    h = _named(problem, "state", state)
+    events = _named(problem, "borel", borel)
     value = prob(dec, h, events, snap_tol=tol.snap_tol)
     return {
         "kind": "prob",
@@ -321,8 +331,8 @@ def run_prob(problem: ProblemFile, operator: str, state: str, borel: str) -> dic
 
 def run_quantile(problem: ProblemFile, operator: str, state: str) -> dict:
     tol = problem.tolerances
-    dec = eigh(_named(problem, "operators", operator), cluster_tol=tol.cluster_tol)
-    h = _named(problem, "states", state)
+    dec = _decompose(problem, operator)
+    h = _named(problem, "state", state)
     q = quantile_function(dec, h, weight_floor=tol.weight_floor)
     atom_probs = [
         prob(dec, h, BorelSet.point(float(v)), snap_tol=tol.snap_tol) for v in q.values
@@ -343,9 +353,8 @@ def run_quantile(problem: ProblemFile, operator: str, state: str) -> dict:
 
 
 def run_verify(problem: ProblemFile, operator: str, state: str, samples: int, seed: int) -> dict:
-    tol = problem.tolerances
-    dec = eigh(_named(problem, "operators", operator), cluster_tol=tol.cluster_tol)
-    h = _named(problem, "states", state)
+    dec = _decompose(problem, operator)
+    h = _named(problem, "state", state)
     report = sample(ClassicalObservable(dec), h, samples, seed, observable_id=operator)
     budgets = 4.0 * np.sqrt(report.predicted * (1.0 - report.predicted) / float(samples))
     deviations = np.abs(report.empirical - report.predicted)
@@ -369,10 +378,11 @@ def run_verify(problem: ProblemFile, operator: str, state: str, samples: int, se
 
 def run_roundtrip(problem: ProblemFile, operator: str, function: str | None) -> dict:
     tol = problem.tolerances
-    matrix = _named(problem, "operators", operator)
-    dec = eigh(matrix, cluster_tol=tol.cluster_tol)
+    dec = _decompose(problem, operator)
     obs = ClassicalObservable(dec)
-    identity_residual = max_abs(reduced_operator(obs, snap_tol=tol.snap_tol) - matrix)
+    identity_residual = max_abs(
+        reduced_operator(obs, snap_tol=tol.snap_tol) - problem.operators[operator]
+    )
     result = {
         "kind": "roundtrip",
         "operator": operator,
@@ -381,7 +391,7 @@ def run_roundtrip(problem: ProblemFile, operator: str, function: str | None) -> 
         "checks": {"identity_roundtrip_ok": identity_residual <= tol.roundtrip_tol},
     }
     if function is not None:
-        g = _named(problem, "functions", function)
+        g = _named(problem, "function", function)
         target = functional_calculus(dec, g)
         post_residual = max_abs(
             reduced_operator(compose(g, obs), snap_tol=tol.snap_tol) - target
@@ -397,12 +407,12 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
     names = {"e1": e1, "e2": e2, "f1": f1, "f2": f2}
     try:
         projectors = {
-            key: ensure_projector(_named(problem, "operators", name), tol.projector_tol)
+            key: ensure_projector(_named(problem, "operator", name), tol.projector_tol)
             for key, name in names.items()
         }
     except ValueError as exc:
         raise LoadError(str(exc)) from exc
-    h = _named(problem, "states", state)
+    h = _named(problem, "state", state)
     ps = tuple(projectors.values())
     terms = _chsh_terms(ps[:2], ps[2:], h.vector, tol.meet_tol)
     value = _chsh_combination(terms)
@@ -425,8 +435,8 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
     if all(cross_commuting.values()):
         consistent = True
         for a, b in pair_names:
-            prop_a, prop_b = _joint_propositions(
-                projectors[a], projectors[b], tol.commute_tol, tol.sector_snap_tol
+            prop_a, prop_b = _joint_sectors(
+                {a: projectors[a], b: projectors[b]}, tol.commute_tol, tol.sector_snap_tol
             )
             consistent &= check_boolean_homomorphism(
                 prop_a, prop_b, tol=tol.homomorphism_tol, snap_tol=tol.snap_tol
@@ -434,13 +444,13 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
         result["checks"]["joint_propositions_consistent"] = bool(consistent)
 
     try:
-        quad = _common_refinement(ps, tol.commute_tol, tol.sector_snap_tol)
+        props = _joint_sectors(projectors, tol.commute_tol, tol.sector_snap_tol)
     except NotCommuting as exc:
         result["proposition_intersections_admitted"] = False
         result["admission_failure"] = str(exc)
     else:
         result["proposition_intersections_admitted"] = True
-        functions = fiber_chsh_functions(quad, h, snap_tol=tol.snap_tol)
+        functions = fiber_chsh_functions(PropositionQuadruple(*props), h, snap_tol=tol.snap_tol)
         integral_value = functions.chsh_value()
         result["fiber_chsh_value"] = integral_value
         result["checks"]["pointwise_identity_ok"] = functions.pointwise_identity_holds()
@@ -453,60 +463,67 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
 # ---------------------------------------------------------------------------
 # dispatch and output
 
-_REQUIRED = {
-    "spectra": ("operator",),
-    "prob": ("operator", "state", "borel"),
-    "quantile": ("operator", "state"),
-    "verify": ("operator", "state"),
-    "roundtrip": ("operator",),
-    "chsh": ("e1", "e2", "f1", "f2", "state"),
+@dataclass(frozen=True)
+class Command:
+    """One `hv` command: its runner, its help line and the block keys it reads. Each
+    name key is also its `--<key>` flag; `names` are required, `optional` are not.
+    Each of `settings` is an integer from its flag, else the block, else its default."""
+
+    run: Callable[..., dict]
+    help: str
+    names: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    settings: tuple[str, ...] = ()
+
+
+COMMANDS = {
+    "spectra": Command(run_spectra, "eigenvalues, multiplicities, reconstruction residual",
+                       ("operator",)),
+    "prob": Command(run_prob, "probability of a Borel event at a state",
+                    ("operator", "state", "borel")),
+    "quantile": Command(run_quantile, "fiber quantile step of an observable at a state",
+                        ("operator", "state")),
+    "verify": Command(run_verify, "Monte Carlo check that sampling matches the quantum law",
+                      ("operator", "state"), settings=("samples", "seed")),
+    "roundtrip": Command(run_roundtrip, "reduce the fiber observable back to its operator",
+                         ("operator",), optional=("function",)),
+    "chsh": Command(run_chsh, "meet-based CHSH value and boolean-algebra diagnostics",
+                    ("e1", "e2", "f1", "f2", "state")),
 }
+_NAME_KEYS = tuple(dict.fromkeys(k for c in COMMANDS.values() for k in c.names + c.optional))
 
 
 def _experiment_blocks(problem: ProblemFile, command: str, args: argparse.Namespace) -> list[dict]:
     """Experiments to run: the flag-specified one, else the file's matching blocks."""
-    required = _REQUIRED[command]
-    given = {key: getattr(args, key, None) for key in required}
-    if all(v is not None for v in given.values()):
-        block = dict(given)
-        block["kind"] = command
-        if command == "verify":
-            block["samples"] = args.samples
-        if command == "roundtrip":
-            block["function"] = args.function
-        return [block]
+    spec = COMMANDS[command]
+    given = {key: getattr(args, key) for key in spec.names + spec.optional}
     if any(v is not None for v in given.values()):
-        missing = sorted(k for k, v in given.items() if v is None)
-        raise LoadError(f"{command}: missing {', '.join('--' + m for m in missing)}")
-    blocks = [dict(b) for b in problem.experiments if b.get("kind") == command]
+        missing = sorted(k for k in spec.names if given[k] is None)
+        if missing:
+            raise LoadError(f"{command}: missing {', '.join('--' + m for m in missing)}")
+        return [{"kind": command, **given}]
+    blocks = [b for b in problem.experiments if b.get("kind") == command]
     if not blocks:
         raise LoadError(f"no {command!r} experiment in {problem.source} and no names given")
     for block in blocks:
-        absent = sorted(k for k in required if k not in block)
+        absent = sorted(k for k in spec.names if k not in block)
         if absent:
             raise LoadError(f"{command} experiment block lacks {', '.join(absent)}")
     return blocks
 
 
 def _run_block(problem: ProblemFile, block: dict, args: argparse.Namespace, seed: int) -> dict:
-    kind = block["kind"]
-    if kind == "spectra":
-        return run_spectra(problem, block["operator"])
-    if kind == "prob":
-        return run_prob(problem, block["operator"], block["state"], block["borel"])
-    if kind == "quantile":
-        return run_quantile(problem, block["operator"], block["state"])
-    if kind == "verify":
-        samples = args.samples or block.get("samples") or DEFAULT_SAMPLES
-        block_seed = seed if args.seed is not None else block.get("seed", seed)
-        return run_verify(problem, block["operator"], block["state"], int(samples), int(block_seed))
-    if kind == "roundtrip":
-        return run_roundtrip(problem, block["operator"], block.get("function"))
-    if kind == "chsh":
-        return run_chsh(
-            problem, block["e1"], block["e2"], block["f1"], block["f2"], block["state"]
-        )
-    raise LoadError(f"unknown experiment kind {kind!r}")
+    spec = COMMANDS[block["kind"]]
+    kwargs = {key: block.get(key) for key in spec.names + spec.optional}
+    defaults = {"samples": DEFAULT_SAMPLES, "seed": seed}
+    for key in spec.settings:
+        candidates = (getattr(args, key), block.get(key), defaults[key])
+        value = next(v for v in candidates if v is not None)
+        try:
+            kwargs[key] = int(value)
+        except (TypeError, ValueError) as exc:
+            raise LoadError(f"{block['kind']} {key} must be an integer, got {value!r}") from exc
+    return spec.run(problem, **kwargs)
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -568,47 +585,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run hidden-variable model experiments from a problem file.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, spec in COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
         p.add_argument("--input", required=True, help="problem file path or bundled fixture name")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: HV_SEED, then 0)")
         p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("spectra", help="eigenvalues, multiplicities, reconstruction residual")
-    common(p)
-    p.add_argument("--operator")
-
-    p = sub.add_parser("prob", help="probability of a Borel event at a state")
-    common(p)
-    p.add_argument("--operator")
-    p.add_argument("--state")
-    p.add_argument("--borel")
-
-    p = sub.add_parser("quantile", help="fiber quantile step of an observable at a state")
-    common(p)
-    p.add_argument("--operator")
-    p.add_argument("--state")
-
-    p = sub.add_parser("verify", help="Monte Carlo check that sampling matches the quantum law")
-    common(p)
-    p.add_argument("--operator")
-    p.add_argument("--state")
-
-    p = sub.add_parser("roundtrip", help="reduce the fiber observable back to its operator")
-    common(p)
-    p.add_argument("--operator")
-    p.add_argument("--function", default=None)
-
-    p = sub.add_parser("chsh", help="meet-based CHSH value and boolean-algebra diagnostics")
-    common(p)
-    p.add_argument("--e1")
-    p.add_argument("--e2")
-    p.add_argument("--f1")
-    p.add_argument("--f2")
-    p.add_argument("--state")
-
+        for key in spec.names + spec.optional:
+            p.add_argument("--" + key)
     return parser
 
 

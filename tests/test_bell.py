@@ -192,8 +192,13 @@ def test_joint_propositions_tensor_pair():
 def test_joint_propositions_rejects_noncommuting():
     rng = np.random.default_rng(139)
     e, f = rand_noncommuting_projectors(rng, 4)
-    with pytest.raises(NotCommuting):
+    with pytest.raises(NotCommuting, match="^e and f do not commute$"):
         joint_propositions(e, f)
+    # the family names its first non-commuting pair, in e1, e2, f1, f2 order
+    with pytest.raises(NotCommuting, match="^e1 and f1 do not commute$"):
+        common_refinement_quadruple(e, e, f, e)
+    with pytest.raises(NotCommuting, match="^e1 and f2 do not commute$"):
+        common_refinement_quadruple(e, e, e, f)
 
 
 def test_boolean_homomorphism_trivial_and_constructed():

@@ -13,8 +13,17 @@ FIXTURES = ("pauli", "singlet_chsh", "commuting_chsh")
 
 def run(args, capsys):
     code = main(args)
-    out = capsys.readouterr().out
-    return code, out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_bad_input(code, err, *fragments):
+    """Exit 2 with one `hv: error:` line naming each fragment, and no traceback."""
+    assert code == 2
+    assert err.startswith("hv: error: ")
+    assert err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
 
 
 def test_bundled_fixtures_load_and_validate():
@@ -26,9 +35,8 @@ def test_bundled_fixtures_load_and_validate():
 
 
 def test_missing_input_is_exit_2(capsys):
-    code, _ = run(["spectra", "--input", "/no/such/file.json"], capsys)
-    assert code == 2
-    assert "error" in capsys.readouterr().err or True
+    code, _, err = run(["spectra", "--input", "/no/such/file.json"], capsys)
+    assert_bad_input(code, err, "/no/such/file.json")
 
 
 def test_non_hermitian_operator_is_exit_2(tmp_path, capsys):
@@ -39,17 +47,17 @@ def test_non_hermitian_operator_is_exit_2(tmp_path, capsys):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, _ = run(["spectra", "--input", str(path)], capsys)
-    assert code == 2
+    code, _, err = run(["spectra", "--input", str(path)], capsys)
+    assert_bad_input(code, err, "self-adjointness defect")
 
 
 def test_unknown_name_is_exit_2(capsys):
-    code, _ = run(["spectra", "--input", "pauli", "--operator", "nope"], capsys)
-    assert code == 2
+    code, _, err = run(["spectra", "--input", "pauli", "--operator", "nope"], capsys)
+    assert_bad_input(code, err, "unknown operator 'nope'")
 
 
 def test_spectra_z(capsys):
-    code, out = run(["spectra", "--input", "pauli", "--operator", "z"], capsys)
+    code, out, _ = run(["spectra", "--input", "pauli", "--operator", "z"], capsys)
     assert code == 0
     report = json.loads(out)
     section = report["results"][0]
@@ -71,7 +79,7 @@ def test_spectra_degenerate_multiplicities(tmp_path, capsys):
     }
     path = tmp_path / "deg.json"
     path.write_text(json.dumps(doc))
-    code, out = run(["spectra", "--input", str(path), "--operator", "flat"], capsys)
+    code, out, _ = run(["spectra", "--input", str(path), "--operator", "flat"], capsys)
     assert code == 0
     section = json.loads(out)["results"][0]
     assert section["eigenvalues"] == [2.0, 5.0]
@@ -79,7 +87,7 @@ def test_spectra_degenerate_multiplicities(tmp_path, capsys):
 
 
 def test_prob_command(capsys):
-    code, out = run(
+    code, out, _ = run(
         ["prob", "--input", "pauli", "--operator", "z", "--state", "plus", "--borel", "nonpositive"],
         capsys,
     )
@@ -88,7 +96,7 @@ def test_prob_command(capsys):
 
 
 def test_quantile_command(capsys):
-    code, out = run(
+    code, out, _ = run(
         ["quantile", "--input", "pauli", "--operator", "z", "--state", "plus"], capsys
     )
     assert code == 0
@@ -99,7 +107,7 @@ def test_quantile_command(capsys):
 
 
 def test_verify_command_eigenstate_exact(capsys):
-    code, out = run(
+    code, out, _ = run(
         ["verify", "--input", "pauli", "--operator", "z", "--state", "up", "--samples", "500"],
         capsys,
     )
@@ -110,7 +118,7 @@ def test_verify_command_eigenstate_exact(capsys):
 
 
 def test_verify_command_budget(capsys):
-    code, out = run(
+    code, out, _ = run(
         ["verify", "--input", "pauli", "--operator", "z", "--state", "plus", "--seed", "42"],
         capsys,
     )
@@ -132,27 +140,27 @@ def test_verify_tiny_sample_count_may_fail_statistically():
 
 def test_hv_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HV_SEED", "123")
-    code, out = run(
+    code, out, _ = run(
         ["verify", "--input", "pauli", "--operator", "z", "--state", "plus", "--samples", "1000"],
         capsys,
     )
     assert code == 0
     assert json.loads(out)["seed"] == 123
     monkeypatch.setenv("HV_SEED", "not-a-number")
-    code, _ = run(
+    code, _, err = run(
         ["verify", "--input", "pauli", "--operator", "z", "--state", "plus", "--samples", "10"],
         capsys,
     )
-    assert code == 2
+    assert_bad_input(code, err, "HV_SEED")
 
 
 def test_roundtrip_command_with_and_without_function(capsys):
-    code, out = run(["roundtrip", "--input", "pauli", "--operator", "x"], capsys)
+    code, out, _ = run(["roundtrip", "--input", "pauli", "--operator", "x"], capsys)
     assert code == 0
     section = json.loads(out)["results"][0]
     assert section["identity_residual"] < 1e-10
 
-    code, out = run(
+    code, out, _ = run(
         ["roundtrip", "--input", "pauli", "--operator", "z", "--function", "absolute"],
         capsys,
     )
@@ -163,18 +171,19 @@ def test_roundtrip_command_with_and_without_function(capsys):
 
 
 def test_chsh_singlet_violates_and_exits_1(capsys):
-    code, out = run(["chsh", "--input", "singlet_chsh"], capsys)
+    code, out, _ = run(["chsh", "--input", "singlet_chsh"], capsys)
     assert code == 1
     section = json.loads(out)["results"][0]
     assert section["chsh_value"] == pytest.approx(2 * math.sqrt(2), abs=1e-6)
     assert section["checks"]["classical_bound_respected"] is False
     assert section["checks"]["joint_propositions_consistent"] is True
     assert section["proposition_intersections_admitted"] is False
+    assert section["admission_failure"] == "e1 and e2 do not commute"
     assert all(section["cross_pairs_commute"].values())
 
 
 def test_chsh_commuting_fixture_passes(capsys):
-    code, out = run(["chsh", "--input", "commuting_chsh"], capsys)
+    code, out, _ = run(["chsh", "--input", "commuting_chsh"], capsys)
     assert code == 0
     section = json.loads(out)["results"][0]
     assert section["chsh_value"] <= 2.0 + 1e-9
@@ -198,11 +207,11 @@ def test_chsh_honors_loosened_projector_tol(tmp_path, capsys):
     ]
     path = tmp_path / "defect.json"
     path.write_text(json.dumps(doc))
-    code, _ = run(["chsh", "--input", str(path)], capsys)
-    assert code == 2
+    code, _, err = run(["chsh", "--input", str(path)], capsys)
+    assert_bad_input(code, err, "idempotence defect")
     doc["tolerances"] = {"projector_tol": 1e-6}
     path.write_text(json.dumps(doc))
-    code, out = run(["chsh", "--input", str(path)], capsys)
+    code, out, _ = run(["chsh", "--input", str(path)], capsys)
     assert code in (0, 1)
     section = json.loads(out)["results"][0]
     assert section["chsh_value"] <= 2.0 + 1e-9
@@ -210,7 +219,7 @@ def test_chsh_honors_loosened_projector_tol(tmp_path, capsys):
 
 
 def test_experiment_blocks_run_when_no_names_given(capsys):
-    code, out = run(["roundtrip", "--input", "pauli"], capsys)
+    code, out, _ = run(["roundtrip", "--input", "pauli"], capsys)
     assert code == 0
     report = json.loads(out)
     kinds = [r["kind"] for r in report["results"]]
@@ -239,8 +248,58 @@ def test_out_file_and_csv_format(tmp_path, capsys):
 
 
 def test_partial_name_flags_are_an_error(capsys):
-    code, _ = run(["prob", "--input", "pauli", "--operator", "z"], capsys)
-    assert code == 2
+    code, _, err = run(["prob", "--input", "pauli", "--operator", "z"], capsys)
+    assert_bad_input(code, err, "prob: missing --borel, --state")
+    # --function is roundtrip's optional name: alone, it still needs --operator
+    code, _, err = run(["roundtrip", "--input", "pauli", "--function", "absolute"], capsys)
+    assert_bad_input(code, err, "roundtrip: missing --operator")
+
+
+def test_zero_samples_is_exit_2_not_the_default(tmp_path, capsys):
+    argv = ["verify", "--input", "pauli", "--operator", "z", "--state", "plus", "--samples", "0"]
+    code, _, err = run(argv, capsys)
+    assert_bad_input(code, err, "need at least one sample")
+    doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())
+    doc["experiments"] = [
+        {"kind": "verify", "operator": "z", "state": "plus", "samples": 0, "seed": 42}
+    ]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["verify", "--input", str(path)], capsys)
+    assert_bad_input(code, err, "need at least one sample")
+    doc["experiments"][0]["samples"] = [1000]
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["verify", "--input", str(path)], capsys)
+    assert_bad_input(code, err, "verify samples must be an integer, got [1000]")
+
+
+@pytest.mark.parametrize(
+    "patch, fragments",
+    [
+        ({"operators": [1]}, ["'operators' must be an object"]),
+        ({"states": "up"}, ["'states' must be an object"]),
+        ({"tolerances": []}, ["'tolerances' must be an object"]),
+        ({"tolerances": {"snap_tol": "x"}}, ["tolerance 'snap_tol' is not a number: 'x'"]),
+        ({"tolerances": {"snap_tol": None}}, ["tolerance 'snap_tol' is not a number: None"]),
+        (
+            {"experiments": [{"kind": "spectra", "operator": ["z"]}]},
+            ["experiment 0 operator must be a name", "['z']"],
+        ),
+        (
+            {"experiments": [{"kind": "chsh", "e1": {"z": 1}}]},
+            ["experiment 0 e1 must be a name"],
+        ),
+    ],
+    ids=["operators-list", "states-string", "tolerances-list", "tolerance-string",
+         "tolerance-null", "operator-list", "e1-object"],
+)
+def test_malformed_problem_file_is_exit_2(tmp_path, capsys, patch, fragments):
+    doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())
+    doc.update(patch)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["spectra", "--input", str(path), "--operator", "z"], capsys)
+    assert_bad_input(code, err, str(path), *fragments)
 
 
 def _complex_rows(matrix):
@@ -253,7 +312,7 @@ def test_spectra_random_dim8_fixture_file(tmp_path, capsys):
     doc = {"dimension": 8, "operators": {"dense": _complex_rows((a + a.conj().T) / 2)}}
     path = tmp_path / "dense8.json"
     path.write_text(json.dumps(doc))
-    code, out = run(["spectra", "--input", str(path), "--operator", "dense"], capsys)
+    code, out, _ = run(["spectra", "--input", str(path), "--operator", "dense"], capsys)
     assert code == 0
     section = json.loads(out)["results"][0]
     assert section["reconstruction_residual"] < 1e-8
@@ -269,7 +328,7 @@ def test_roundtrip_affine_on_three_levels(tmp_path, capsys):
     }
     path = tmp_path / "ladder.json"
     path.write_text(json.dumps(doc))
-    code, out = run(
+    code, out, _ = run(
         ["roundtrip", "--input", str(path), "--operator", "ladder", "--function", "shift_scale"],
         capsys,
     )
@@ -290,7 +349,7 @@ def test_chsh_all_identity_projectors_scores_two(tmp_path, capsys):
     }
     path = tmp_path / "identity.json"
     path.write_text(json.dumps(doc))
-    code, out = run(["chsh", "--input", str(path)], capsys)
+    code, out, _ = run(["chsh", "--input", str(path)], capsys)
     assert code == 0
     section = json.loads(out)["results"][0]
     assert section["chsh_value"] == pytest.approx(2.0, abs=1e-9)
