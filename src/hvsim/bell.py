@@ -1,10 +1,10 @@
 """Meet-based correlation operators, the CHSH functional, and the boolean side.
 
-Two couples of projectors define four correlation operators built from
-projector meets; the CHSH combination of their expectations is bounded by 2
-whenever the couples come from propositions over one shared backing, because
-the corresponding fiber functions satisfy a pointwise identity. Commuting
-projectors admit such propositions constructively via a joint relabeling.
+Two couples of projectors define four correlation operators, each from the four meets
+of a cross pair, which one eigensolve of e - f gives; the CHSH combination of their
+expectations is bounded by 2 whenever the couples come from propositions over one
+shared backing, because the corresponding fiber functions satisfy a pointwise
+identity. Commuting projectors admit such propositions constructively via a joint relabeling.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .linalg import (
     SpectralDecomposition,
     _commutes,
     _ensure_projectors,
-    _join,
-    _meet,
+    _pair_meets,
     _readonly,
     max_abs,
     eigh,
@@ -36,17 +35,14 @@ HOMOMORPHISM_TOL = 1e-8
 
 
 def _correlation(e: np.ndarray, f: np.ndarray, meet_tol: float = MEET_TOL) -> np.ndarray:
-    eye = np.eye(e.shape[0])
-    both = _meet(e, f, meet_tol)
-    neither = _meet(eye - e, eye - f, meet_tol)
-    only_f = _meet(eye - e, f, meet_tol)
-    only_e = _meet(e, eye - f, meet_tol)
-    return _readonly(both + neither - only_f - only_e)
+    m = _pair_meets(e, f, meet_tol)
+    return _readonly(m[0, 0] + m[1, 1] - m[0, 1] - m[1, 0])
 
 
 def correlation_operator(e, f, meet_tol: float = MEET_TOL) -> np.ndarray:
-    """Sector-signed sum of the four meets of a projector pair and its complements:
-    (e and f) + (not-e and not-f) - (not-e and f) - (e and not-f). Validates e and f."""
+    """Sector-signed sum of the four meets of a projector pair and its complements,
+    (e and f) + (not-e and not-f) - (not-e and f) - (e and not-f): P0 - P(+1) - P(-1)
+    in the spectrum of e - f. Validates e and f."""
     return _correlation(*_ensure_projectors(e, f), meet_tol)
 
 
@@ -269,7 +265,8 @@ def check_boolean_homomorphism(
 
     Checks, within tol: every atom intersection maps to the meet of the
     mapped projectors, every pairwise union to the join, and complements to
-    orthocomplements. When the check passes, the two projectors commute;
+    orthocomplements; all four meets, and the joins as I minus meets, come
+    from one eigensolve. When the check passes, the two projectors commute;
     this conclusion is re-verified and a failure would be a genuine defect.
     The projectors come from the validated backing and are not re-checked;
     meets, joins and the commutation test run at their default tolerances.
@@ -277,24 +274,24 @@ def check_boolean_homomorphism(
     if not _same_backing(a.backing, b.backing):
         raise BackingMismatch("propositions do not share a backing")
     dec = a.backing
-    n = dec.dim
-    eye = np.eye(n)
+    eye = np.eye(dec.dim)
 
     def eps(events: BorelSet) -> np.ndarray:
         return spectral_projector(dec, events, snap_tol)
 
     ea = eps(a.borel)
     eb = eps(b.borel)
-    sides_a = ((a.borel, ea), (a.borel.complement(), eye - ea))
-    sides_b = ((b.borel, eb), (b.borel.complement(), eye - eb))
+    meets = _pair_meets(ea, eb)
+    sets_a = (a.borel, a.borel.complement())
+    sets_b = (b.borel, b.borel.complement())
 
     residuals = []
-    for set_a, proj_a in sides_a:
-        for set_b, proj_b in sides_b:
-            residuals.append(max_abs(eps(set_a & set_b) - _meet(proj_a, proj_b)))
-            residuals.append(max_abs(eps(set_a | set_b) - _join(proj_a, proj_b)))
-    residuals.append(max_abs(eps(a.borel.complement()) - (eye - ea)))
-    residuals.append(max_abs(eps(b.borel.complement()) - (eye - eb)))
+    for i, set_a in enumerate(sets_a):
+        for j, set_b in enumerate(sets_b):
+            residuals.append(max_abs(eps(set_a & set_b) - meets[i, j]))
+            residuals.append(max_abs(eps(set_a | set_b) - (eye - meets[1 - i, 1 - j])))
+    residuals.append(max_abs(eps(sets_a[1]) - (eye - ea)))
+    residuals.append(max_abs(eps(sets_b[1]) - (eye - eb)))
     ok = max(residuals) <= tol
     if ok and not _commutes(ea, eb):
         raise AssertionError("boolean homomorphism held but projectors do not commute")

@@ -589,7 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=spec.help)
         p.add_argument("--input", required=True, help="problem file path or bundled fixture name")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: HV_SEED, then 0)")
-        p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
+        if "samples" in spec.settings:
+            p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         for key in spec.names + spec.optional:

@@ -223,15 +223,18 @@ def eigh(
 # Private forms trust projectors checked where they entered; public names validate once.
 
 
-def _meet(e: np.ndarray, f: np.ndarray, meet_tol: float = MEET_TOL) -> np.ndarray:
-    eye = np.eye(e.shape[0])
-    dec = eigh((eye - e) + (eye - f))
-    return _readonly(dec.projectors[dec.eigenvalues < meet_tol].sum(axis=0))
+def _pair_meets(e: np.ndarray, f: np.ndarray, meet_tol: float = MEET_TOL) -> np.ndarray:
+    """m[i, j] = e_i meet f_j, with e_0 = e, e_1 = I - e (f likewise), from one eigh(e - f).
 
-
-def _join(e: np.ndarray, f: np.ndarray, meet_tol: float = MEET_TOL) -> np.ndarray:
-    eye = np.eye(e.shape[0])
-    return _readonly(eye - _meet(eye - e, eye - f, meet_tol))
+    Halmos: ker(e - f) = (e meet f) + (e' meet f'), +-1 hold e meet f' and e' meet f; an angle
+    t gives +-sin t, so 1 - cos t < meet_tol reads lambda**2 < meet_tol * (2 - meet_tol)."""
+    dec = eigh(e - f)
+    lam = dec.eigenvalues
+    zero = dec.projectors[lam * lam < meet_tol * (2.0 - meet_tol)].sum(axis=0)
+    both = (e @ zero + zero @ e) / 2.0
+    only_e = dec.projectors[1.0 - lam < meet_tol].sum(axis=0)
+    only_f = dec.projectors[1.0 + lam < meet_tol].sum(axis=0)
+    return _readonly(np.array([[both, only_e], [only_f, zero - both]]))
 
 
 def _commutes(e: np.ndarray, f: np.ndarray, tol: float = COMMUTE_TOL) -> bool:
@@ -241,16 +244,15 @@ def _commutes(e: np.ndarray, f: np.ndarray, tol: float = COMMUTE_TOL) -> bool:
 def projector_meet(e, f, meet_tol: float = MEET_TOL) -> np.ndarray:
     """Orthogonal projector onto range(e) intersected with range(f).
 
-    The null space of the positive semidefinite operator (I-e) + (I-f) is
-    exactly the common range, so the meet is the sum of its spectral
-    projectors with eigenvalue below meet_tol (default 1e-8). Validates e and f.
-    """
-    return _meet(*_ensure_projectors(e, f), meet_tol)
+    e cut down to the null space (e meet f) + (e' meet f') of e - f, where a principal
+    angle t counts as null when 1 - cos t < meet_tol (default 1e-8). Validates e and f."""
+    return _pair_meets(*_ensure_projectors(e, f), meet_tol)[0, 0]
 
 
 def projector_join(e, f, meet_tol: float = MEET_TOL) -> np.ndarray:
     """Projector onto span(range(e) union range(f)), as I - meet(I-e, I-f). Validates e and f."""
-    return _join(*_ensure_projectors(e, f), meet_tol)
+    e, f = _ensure_projectors(e, f)
+    return _readonly(np.eye(len(e)) - _pair_meets(e, f, meet_tol)[1, 1])
 
 
 def commutes(e, f, tol: float = COMMUTE_TOL) -> bool:

@@ -54,6 +54,37 @@ def rand_noncommuting_projectors(rng: np.random.Generator, n: int) -> tuple[np.n
             return e, f
 
 
+def rand_pair_sharing(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Projector pair whose ranges share a random subspace of dimension 1..n-1;
+    random ranks inside its complement may force further shared subspaces."""
+    u = rand_unitary(rng, n)
+    k = int(rng.integers(1, n))
+    shared, rest = u[:, :k], u[:, k:]
+
+    def widen(rank: int) -> np.ndarray:
+        cols = rest @ rand_unitary(rng, n - k)[:, :rank]
+        p = shared @ shared.conj().T + cols @ cols.conj().T
+        return (p + p.conj().T) / 2.0
+
+    return widen(int(rng.integers(0, n - k + 1))), widen(int(rng.integers(0, n - k + 1)))
+
+
+def oracle_meet(e: np.ndarray, f: np.ndarray, meet_tol: float = 1e-8) -> np.ndarray:
+    """Projector onto range(e) intersected with range(f): the eigenvectors of the
+    positive semidefinite (I-e) + (I-f) with eigenvalue below meet_tol."""
+    eye = np.eye(len(e))
+    w, v = np.linalg.eigh((eye - e) + (eye - f))
+    null = v[:, w < meet_tol]
+    return null @ null.conj().T
+
+
+def oracle_correlation(e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(e meet f) + (e' meet f') - (e' meet f) - (e meet f'), from four oracle meets."""
+    eye = np.eye(len(e))
+    return (oracle_meet(e, f) + oracle_meet(eye - e, eye - f)
+            - oracle_meet(eye - e, f) - oracle_meet(e, eye - f))
+
+
 def rand_degenerate_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     """Hermitian with at least one repeated eigenvalue."""
     u = rand_unitary(rng, n)

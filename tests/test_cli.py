@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hvsim
-from hvsim.cli import load_problem, main, run_chsh, run_verify
+from hvsim.cli import COMMANDS, load_problem, main, run_chsh, run_verify
 
 FIXTURES = ("pauli", "singlet_chsh", "commuting_chsh")
 
@@ -195,9 +195,12 @@ def test_chsh_commuting_fixture_passes(capsys):
     assert checks["fiber_integrals_match"]
 
 
-def test_chsh_honors_loosened_projector_tol(tmp_path, capsys):
-    # first_half scaled by 1 + 1e-8 has an idempotence defect of about 1e-8:
-    # refused at the default projector_tol 1e-9, accepted at the file's 1e-6
+def _complex_rows(matrix):
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, dtype=complex)]
+
+
+def _scaled_first_half():
+    # first_half scaled by 1 + 1e-8 has an idempotence defect of about 1e-8
     doc = json.loads(
         (Path(hvsim.__file__).parent / "fixtures" / "commuting_chsh.json").read_text()
     )
@@ -205,17 +208,76 @@ def test_chsh_honors_loosened_projector_tol(tmp_path, capsys):
         [[(1.0 + 1e-8) * re, (1.0 + 1e-8) * im] for re, im in row]
         for row in doc["operators"]["first_half"]
     ]
-    path = tmp_path / "defect.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = run(["chsh", "--input", str(path)], capsys)
-    assert_bad_input(code, err, "idempotence defect")
-    doc["tolerances"] = {"projector_tol": 1e-6}
-    path.write_text(json.dumps(doc))
-    code, out, _ = run(["chsh", "--input", str(path)], capsys)
-    assert code in (0, 1)
-    section = json.loads(out)["results"][0]
-    assert section["chsh_value"] <= 2.0 + 1e-9
-    assert section["proposition_intersections_admitted"] is True
+    return doc
+
+
+def _near_equal_line_pair():
+    # e = line(0) x I and f = line(t) x I with 1 - cos t = 1e-7: their meet is
+    # empty at the default meet_tol 1e-8, and all of e at 1e-6
+    t = math.acos(1.0 - 1e-7)
+    v = np.array([math.cos(t), math.sin(t)])
+    return {
+        "dimension": 4,
+        "operators": {"e": _complex_rows(np.kron(np.diag([1.0, 0.0]), np.eye(2))),
+                      "f": _complex_rows(np.kron(np.outer(v, v), np.eye(2)))},
+        "states": {"h": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+        "experiments": [{"kind": "chsh", "e1": "e", "e2": "e", "f1": "f", "f2": "f", "state": "h"}],
+    }
+
+
+def _z_doc(z_entries, state, **extra):
+    return {"dimension": 2, "operators": {"z": _complex_rows(np.array(z_entries))},
+            "states": {"s": [[c, 0] for c in state]}, **extra}
+
+
+# each tolerance key, loosened in the file, with what the default gives (a str: the
+# exit-2 message) and what the loosened value gives
+LOOSENED_TOLERANCES = {
+    "projector_tol": (
+        1e-6, _scaled_first_half(), ["chsh"],
+        lambda r: (r["checks"]["classical_bound_respected"],
+                   r["proposition_intersections_admitted"]),
+        "idempotence defect", (True, True),
+    ),
+    "hermitian_tol": (
+        1e-8, _z_doc([[1.0, 1e-9], [0.0, -1.0]], [1, 0]), ["spectra", "--operator", "z"],
+        lambda r: r["eigenvalues"], "self-adjointness defect", [-1.0, 1.0],
+    ),
+    "cluster_tol": (
+        1e-6, _z_doc(np.diag([1.0, 1.0 + 1e-7]), [1, 0]), ["spectra", "--operator", "z"],
+        lambda r: r["multiplicities"], [1, 1], [2],
+    ),
+    "snap_tol": (
+        1e-6,
+        _z_doc(np.diag([1.0, -1.0]), [1, 0],
+               borel_sets={"low": [{"hi": 1 - 1e-8, "hi_closed": True}]}),
+        ["prob", "--operator", "z", "--state", "s", "--borel", "low"],
+        lambda r: r["probability"], 0.0, 1.0,
+    ),
+    "weight_floor": (
+        0.05, _z_doc(np.diag([1.0, -1.0]), [1, 0.1]),
+        ["quantile", "--operator", "z", "--state", "s"],
+        lambda r: r["values"], [-1.0, 1.0], [1.0],
+    ),
+    "meet_tol": (
+        1e-6, _near_equal_line_pair(), ["chsh"],
+        lambda r: [x for row in r["expectations"] for x in row], [0.0] * 4, [1.0] * 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(LOOSENED_TOLERANCES))
+def test_loosened_tolerance_takes_effect(tmp_path, capsys, key):
+    value, doc, argv, read, at_default, loosened = LOOSENED_TOLERANCES[key]
+    path = tmp_path / "problem.json"
+    for tolerances, want in (({}, at_default), ({key: value}, loosened)):
+        path.write_text(json.dumps({**doc, "tolerances": tolerances}))
+        code, out, err = run([argv[0], "--input", str(path), *argv[1:]], capsys)
+        if isinstance(want, str):
+            assert_bad_input(code, err, want)
+        else:
+            assert code in (0, 1), err
+            assert read(json.loads(out)["results"][0]) == pytest.approx(want, abs=1e-12)
 
 
 def test_experiment_blocks_run_when_no_names_given(capsys):
@@ -273,6 +335,20 @@ def test_zero_samples_is_exit_2_not_the_default(tmp_path, capsys):
     assert_bad_input(code, err, "verify samples must be an integer, got [1000]")
 
 
+def test_samples_flag_only_on_commands_that_read_it(capsys):
+    # --samples is a verify setting; elsewhere it would be ignored without a word
+    with pytest.raises(SystemExit) as exc:
+        main(["spectra", "--input", "pauli", "--samples", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
+    for command, spec in COMMANDS.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = capsys.readouterr().out
+        assert ("--samples" in help_text) == ("samples" in spec.settings)
+        assert "--seed" in help_text
+
+
 @pytest.mark.parametrize(
     "patch, fragments",
     [
@@ -300,10 +376,6 @@ def test_malformed_problem_file_is_exit_2(tmp_path, capsys, patch, fragments):
     path.write_text(json.dumps(doc))
     code, _, err = run(["spectra", "--input", str(path), "--operator", "z"], capsys)
     assert_bad_input(code, err, str(path), *fragments)
-
-
-def _complex_rows(matrix):
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, dtype=complex)]
 
 
 def test_spectra_random_dim8_fixture_file(tmp_path, capsys):

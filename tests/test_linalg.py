@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    oracle_correlation,
+    oracle_meet,
     rand_commuting_projectors,
     rand_degenerate_hermitian,
     rand_hermitian,
+    rand_pair_sharing,
     rand_projector,
 )
 import hvsim
@@ -27,7 +30,9 @@ from hvsim import (
     max_abs,
     projector_join,
     projector_meet,
+    projector_rank,
 )
+from hvsim.linalg import MEET_TOL
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -157,6 +162,47 @@ def test_meet_equals_product_for_commuting_pairs():
         n = int(rng.integers(2, 7))
         e, f = rand_commuting_projectors(rng, n)
         assert max_abs(projector_meet(e, f) - e @ f) < 1e-8
+
+
+def test_pair_meets_match_four_meet_oracle():
+    # oracle: each meet from the null space of (I-e) + (I-f), by numpy.linalg.eigh
+    rng = np.random.default_rng(37)
+    for k in range(200):
+        n = int(rng.integers(2, 7))
+        if k % 2:
+            e, f = rand_pair_sharing(rng, n)
+        else:
+            e, f = rand_projector(rng, n), rand_projector(rng, n)
+        eye = np.eye(n)
+        assert max_abs(projector_meet(e, f) - oracle_meet(e, f)) < 1e-10
+        assert max_abs(projector_join(e, f) - (eye - oracle_meet(eye - e, eye - f))) < 1e-10
+        assert max_abs(correlation_operator(e, f) - oracle_correlation(e, f)) < 1e-10
+
+
+def _line(t: float) -> np.ndarray:
+    v = np.array([np.cos(t), np.sin(t)])
+    return np.outer(v, v).astype(complex)
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_meet_tol_boundary_near_equal_lines(scale):
+    # lines at principal angle t share a meet iff 1 - cos t < meet_tol
+    e, f = _line(0.0), _line(np.arccos(1.0 - scale * MEET_TOL))
+    inside = scale < 1.0
+    assert projector_rank(projector_meet(e, f)) == (1 if inside else 0)
+    assert projector_rank(projector_join(e, f)) == (1 if inside else 2)
+    assert max_abs(correlation_operator(e, f) - (np.eye(2) if inside else 0.0)) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_meet_tol_boundary_near_orthogonal_lines(scale):
+    # e meets f' iff 1 - sin t < meet_tol, and then e' meets f too
+    e, f = _line(0.0), _line(np.arcsin(1.0 - scale * MEET_TOL))
+    inside = scale < 1.0
+    assert projector_rank(projector_meet(e, f)) == 0
+    assert projector_rank(projector_join(e, f)) == 2
+    assert projector_rank(projector_meet(e, np.eye(2) - f)) == (1 if inside else 0)
+    assert max_abs(correlation_operator(e, f) + (np.eye(2) if inside else 0.0)) < 1e-9
 
 
 def test_commutes_examples():
