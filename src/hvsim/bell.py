@@ -1,7 +1,7 @@
 """Meet-based correlation operators, the CHSH functional, and the boolean side.
 
-Two couples of projectors define four correlation operators, each from the four meets
-of a cross pair, which one eigensolve of e - f gives; the CHSH combination of their
+Two couples of projectors define four correlation operators, each from the meets of
+a cross pair, which one eigensolve of e + f - I gives; the CHSH combination of their
 expectations is bounded by 2 whenever the couples come from propositions over one
 shared backing, because the corresponding fiber functions satisfy a pointwise
 identity. Commuting projectors admit such propositions constructively via a joint relabeling.
@@ -35,14 +35,14 @@ HOMOMORPHISM_TOL = 1e-8
 
 
 def _correlation(e: np.ndarray, f: np.ndarray, meet_tol: float = MEET_TOL) -> np.ndarray:
-    m = _pair_meets(e, f, meet_tol)
-    return _readonly(m[0, 0] + m[1, 1] - m[0, 1] - m[1, 0])
+    both, neither, cross = _pair_meets(e, f, meet_tol)
+    return _readonly(both + neither - cross)
 
 
 def correlation_operator(e, f, meet_tol: float = MEET_TOL) -> np.ndarray:
     """Sector-signed sum of the four meets of a projector pair and its complements,
-    (e and f) + (not-e and not-f) - (not-e and f) - (e and not-f): P0 - P(+1) - P(-1)
-    in the spectrum of e - f. Validates e and f."""
+    (e and f) + (not-e and not-f) - (not-e and f) - (e and not-f): P(+1) + P(-1) - P0
+    in the spectrum of e + f - I. Validates e and f."""
     return _correlation(*_ensure_projectors(e, f), meet_tol)
 
 
@@ -265,11 +265,11 @@ def check_boolean_homomorphism(
 
     Checks, within tol: every atom intersection maps to the meet of the
     mapped projectors, every pairwise union to the join, and complements to
-    orthocomplements; all four meets, and the joins as I minus meets, come
-    from one eigensolve. When the check passes, the two projectors commute;
-    this conclusion is re-verified and a failure would be a genuine defect.
-    The projectors come from the validated backing and are not re-checked;
-    meets, joins and the commutation test run at their default tolerances.
+    orthocomplements. The projectors come from one validated backing, so they
+    commute and their meets are products, and the joins I minus products of
+    complements. When the check passes, the two projectors commute; this
+    conclusion is re-verified at the default commute_tol, and a failure would
+    be a genuine defect.
     """
     if not _same_backing(a.backing, b.backing):
         raise BackingMismatch("propositions do not share a backing")
@@ -281,17 +281,18 @@ def check_boolean_homomorphism(
 
     ea = eps(a.borel)
     eb = eps(b.borel)
-    meets = _pair_meets(ea, eb)
+    es = (ea, eye - ea)
+    fs = (eb, eye - eb)
     sets_a = (a.borel, a.borel.complement())
     sets_b = (b.borel, b.borel.complement())
 
     residuals = []
     for i, set_a in enumerate(sets_a):
         for j, set_b in enumerate(sets_b):
-            residuals.append(max_abs(eps(set_a & set_b) - meets[i, j]))
-            residuals.append(max_abs(eps(set_a | set_b) - (eye - meets[1 - i, 1 - j])))
-    residuals.append(max_abs(eps(sets_a[1]) - (eye - ea)))
-    residuals.append(max_abs(eps(sets_b[1]) - (eye - eb)))
+            residuals.append(max_abs(eps(set_a & set_b) - es[i] @ fs[j]))
+            residuals.append(max_abs(eps(set_a | set_b) - (eye - es[1 - i] @ fs[1 - j])))
+    residuals.append(max_abs(eps(sets_a[1]) - es[1]))
+    residuals.append(max_abs(eps(sets_b[1]) - fs[1]))
     ok = max(residuals) <= tol
     if ok and not _commutes(ea, eb):
         raise AssertionError("boolean homomorphism held but projectors do not commute")

@@ -223,18 +223,17 @@ def eigh(
 # Private forms trust projectors checked where they entered; public names validate once.
 
 
-def _pair_meets(e: np.ndarray, f: np.ndarray, meet_tol: float = MEET_TOL) -> np.ndarray:
-    """m[i, j] = e_i meet f_j, with e_0 = e, e_1 = I - e (f likewise), from one eigh(e - f).
+def _pair_meets(e: np.ndarray, f: np.ndarray, meet_tol: float = MEET_TOL) -> tuple[np.ndarray, ...]:
+    """(e meet f, e' meet f', (e meet f') + (e' meet f)), e' = I - e, from one eigh(e + f - I).
 
-    Halmos: ker(e - f) = (e meet f) + (e' meet f'), +-1 hold e meet f' and e' meet f; an angle
-    t gives +-sin t, so 1 - cos t < meet_tol reads lambda**2 < meet_tol * (2 - meet_tol)."""
-    dec = eigh(e - f)
-    lam = dec.eigenvalues
-    zero = dec.projectors[lam * lam < meet_tol * (2.0 - meet_tol)].sum(axis=0)
-    both = (e @ zero + zero @ e) / 2.0
-    only_e = dec.projectors[1.0 - lam < meet_tol].sum(axis=0)
-    only_f = dec.projectors[1.0 + lam < meet_tol].sum(axis=0)
-    return _readonly(np.array([[both, only_e], [only_f, zero - both]]))
+    Halmos: e + f - I is +1 on e meet f, -1 on e' meet f', 0 on the two cross meets, and
+    +-cos t on a pair at principal angle t; 1 - cos t < meet_tol shares the line at +-1, and
+    1 - sin t < meet_tol reads mu**2 < meet_tol * (2 - meet_tol) at 0. Clustering only at the
+    solver's accuracy keeps single-linkage chains near +-1 from bridging meet_tol."""
+    dec = eigh(e + f - np.eye(len(e)), cluster_tol=JACOBI_OFF_TOL)
+    mu = dec.eigenvalues
+    masks = (1.0 - mu < meet_tol, 1.0 + mu < meet_tol, mu * mu < meet_tol * (2.0 - meet_tol))
+    return tuple(_readonly(dec.projectors[m].sum(axis=0)) for m in masks)
 
 
 def _commutes(e: np.ndarray, f: np.ndarray, tol: float = COMMUTE_TOL) -> bool:
@@ -244,15 +243,15 @@ def _commutes(e: np.ndarray, f: np.ndarray, tol: float = COMMUTE_TOL) -> bool:
 def projector_meet(e, f, meet_tol: float = MEET_TOL) -> np.ndarray:
     """Orthogonal projector onto range(e) intersected with range(f).
 
-    e cut down to the null space (e meet f) + (e' meet f') of e - f, where a principal
-    angle t counts as null when 1 - cos t < meet_tol (default 1e-8). Validates e and f."""
-    return _pair_meets(*_ensure_projectors(e, f), meet_tol)[0, 0]
+    The +1 eigenspace of e + f - I, where a principal angle t counts as shared when
+    1 - cos t < meet_tol (default 1e-8); symmetric in e and f. Validates e and f."""
+    return _pair_meets(*_ensure_projectors(e, f), meet_tol)[0]
 
 
 def projector_join(e, f, meet_tol: float = MEET_TOL) -> np.ndarray:
     """Projector onto span(range(e) union range(f)), as I - meet(I-e, I-f). Validates e and f."""
     e, f = _ensure_projectors(e, f)
-    return _readonly(np.eye(len(e)) - _pair_meets(e, f, meet_tol)[1, 1])
+    return _readonly(np.eye(len(e)) - _pair_meets(e, f, meet_tol)[1])
 
 
 def commutes(e, f, tol: float = COMMUTE_TOL) -> bool:

@@ -221,6 +221,16 @@ def test_boolean_homomorphism_disjoint_events():
     assert max_abs(proposition_projector(Proposition(dec, a.borel & b.borel))) == 0.0
 
 
+def test_boolean_homomorphism_fails_when_snapping_puts_an_eigenvalue_in_both_sets():
+    # 1 + 7e-10 snaps into [0, 1] and into [1 + 1.5e-9, 2], whose intersection is empty,
+    # so the product of the two projectors is not the projector of the intersection
+    dec = eigh(np.diag([1.0 + 7e-10, 5.0]).astype(complex))
+    a = proposition_from(dec, BorelSet.interval(0.0, 1.0, True, True))
+    b = proposition_from(dec, BorelSet.interval(1.0 + 1.5e-9, 2.0, True, True))
+    assert (a.borel & b.borel).is_empty
+    assert not check_boolean_homomorphism(a, b)
+
+
 def test_boolean_homomorphism_requires_shared_backing():
     a = proposition_from(eigh(PAULI_Z), BorelSet.at_most(0.0))
     b = proposition_from(eigh(PAULI_X), BorelSet.at_most(0.0))

@@ -211,10 +211,10 @@ def _scaled_first_half():
     return doc
 
 
-def _near_equal_line_pair():
-    # e = line(0) x I and f = line(t) x I with 1 - cos t = 1e-7: their meet is
-    # empty at the default meet_tol 1e-8, and all of e at 1e-6
-    t = math.acos(1.0 - 1e-7)
+def _line_pair(t):
+    # e = line(0) x I and f = line(t) x I: with 1 - cos t = 1e-7 their meet is empty
+    # at the default meet_tol 1e-8 and all of e at 1e-6; with t = 1e-8 their
+    # commutator, about 1e-8, fails the default commute_tol 1e-9 and passes 1e-6
     v = np.array([math.cos(t), math.sin(t)])
     return {
         "dimension": 4,
@@ -260,8 +260,13 @@ LOOSENED_TOLERANCES = {
         lambda r: r["values"], [-1.0, 1.0], [1.0],
     ),
     "meet_tol": (
-        1e-6, _near_equal_line_pair(), ["chsh"],
+        1e-6, _line_pair(math.acos(1.0 - 1e-7)), ["chsh"],
         lambda r: [x for row in r["expectations"] for x in row], [0.0] * 4, [1.0] * 4,
+    ),
+    "commute_tol": (
+        1e-6, _line_pair(1e-8), ["chsh"],
+        lambda r: (*r["cross_pairs_commute"].values(), r["proposition_intersections_admitted"]),
+        (False,) * 5, (True,) * 5,
     ),
 }
 

@@ -192,6 +192,13 @@ def test_meet_tol_boundary_near_equal_lines(scale):
     assert projector_rank(projector_meet(e, f)) == (1 if inside else 0)
     assert projector_rank(projector_join(e, f)) == (1 if inside else 2)
     assert max_abs(correlation_operator(e, f) - (np.eye(2) if inside else 0.0)) < 1e-9
+    # inside, both orders give the oracle's bisector
+    assert np.array_equal(projector_meet(e, f), projector_meet(f, e))
+    assert np.array_equal(projector_join(e, f), projector_join(f, e))
+    eye = np.eye(2)
+    for x, y in ((e, f), (f, e)):
+        assert max_abs(projector_meet(x, y) - oracle_meet(x, y)) < 1e-10
+        assert max_abs(projector_join(x, y) - (eye - oracle_meet(eye - x, eye - y))) < 1e-10
 
 
 @pytest.mark.parametrize("scale", [0.9, 1.1])
@@ -203,6 +210,21 @@ def test_meet_tol_boundary_near_orthogonal_lines(scale):
     assert projector_rank(projector_join(e, f)) == 2
     assert projector_rank(projector_meet(e, np.eye(2) - f)) == (1 if inside else 0)
     assert max_abs(correlation_operator(e, f) + (np.eye(2) if inside else 0.0)) < 1e-9
+    g = np.eye(2) - f
+    for x, y in ((e, g), (g, e)):
+        assert max_abs(projector_meet(x, y) - oracle_meet(x, y)) < 1e-10
+
+
+@pytest.mark.parametrize("angle", [np.arccos, np.arcsin])
+def test_meet_tol_is_not_bridged_by_eigenvalue_clusters(angle):
+    # three line pairs at 1 - cos t (or 1 - sin t) = 0, 0.9 and 1.8 x meet_tol: the third
+    # lies outside meet_tol, though its eigenvalue at +-1 is within cluster_tol of the next
+    e = np.kron(np.eye(3), _line(0.0))
+    f = np.zeros((6, 6), dtype=complex)
+    for k, scale in enumerate((0.0, 0.9, 1.8)):
+        f[2 * k:2 * k + 2, 2 * k:2 * k + 2] = _line(angle(1.0 - scale * MEET_TOL))
+    assert max_abs(projector_meet(e, f) - oracle_meet(e, f)) < 1e-10
+    assert max_abs(correlation_operator(e, f) - oracle_correlation(e, f)) < 1e-10
 
 
 def test_commutes_examples():
