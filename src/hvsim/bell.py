@@ -22,10 +22,11 @@ from .linalg import (
     SpectralDecomposition,
     _commutes,
     _ensure_projectors,
+    _jacobi,
     _pair_meets,
     _readonly,
+    _span_projector,
     max_abs,
-    eigh,
 )
 from .quantum import SNAP_TOL, PureState, spectral_projector
 from .hidden import Proposition, _check_cuts, _fiber_partition
@@ -192,28 +193,30 @@ def fiber_chsh_functions(
     return FiberChshFunctions(cuts, [[s * t for t in sb] for s in sa])
 
 
+def _commutation(projectors: dict[str, np.ndarray], tol: float) -> dict[tuple[str, str], bool]:
+    """Whether each pair of named projectors commutes, keyed by name pair in input order."""
+    return {(a, b): _commutes(p, q, tol) for (a, p), (b, q) in combinations(projectors.items(), 2)}
+
+
 def _joint_sectors(
-    projectors: dict[str, np.ndarray], commute_tol: float, sector_snap_tol: float
+    projectors: dict[str, np.ndarray], commuting: dict, sector_snap_tol: float
 ) -> list[Proposition]:
-    """Propositions over the joint sectors sum(2^k P_k) of named, pairwise-commuting
-    projectors; proposition k selects the labels 0..2^K - 1 with bit k set."""
-    for (a, p), (b, q) in combinations(projectors.items(), 2):
-        if not _commutes(p, q, commute_tol):
+    """Propositions over the joint sectors sum(2^k P_k) of named projectors, proposition k
+    selecting the labels 0..2^K - 1 with bit k set; the first name pair commuting marks False
+    raises NotCommuting. The raw eigenvalues of the sum round to integer sector labels."""
+    for (a, b), ok in commuting.items():
+        if not ok:
             raise NotCommuting(f"{a} and {b} do not commute")
     n_labels = 2 ** len(projectors)
-    dec = eigh(sum((2.0**k) * p for k, p in enumerate(projectors.values())))
-    labels = np.rint(dec.eigenvalues)
-    drift = float(np.max(np.abs(dec.eigenvalues - labels)))
+    raw, vecs = _jacobi(sum((2.0**k) * p for k, p in enumerate(projectors.values())))
+    labels = np.rint(raw)
+    drift = float(np.max(np.abs(raw - labels)))
     if drift > sector_snap_tol:
         raise DegenerateLabeling(f"joint eigenvalue {drift:.3e} away from integer sector label")
     if labels.min() < 0 or labels.max() > n_labels - 1:
         raise DegenerateLabeling(f"sector labels outside 0..{n_labels - 1}")
-    grouped: dict[float, np.ndarray] = {}
-    for label, proj in zip(labels, dec.projectors):
-        key = float(label)
-        grouped[key] = grouped.get(key, 0) + proj
-    keys = sorted(grouped)
-    sectors = SpectralDecomposition(np.array(keys), np.array([grouped[k] for k in keys]))
+    keys = np.unique(labels)
+    sectors = SpectralDecomposition(keys, [_span_projector(vecs[:, labels == k]) for k in keys])
     return [
         Proposition(sectors, BorelSet.points([float(m) for m in range(n_labels) if m & (1 << k)]))
         for k in range(len(projectors))
@@ -234,7 +237,7 @@ def joint_propositions(
     corresponding meet. Validates e and f.
     """
     pair = dict(zip("ef", _ensure_projectors(e, f)))
-    return tuple(_joint_sectors(pair, commute_tol, sector_snap_tol))
+    return tuple(_joint_sectors(pair, _commutation(pair, commute_tol), sector_snap_tol))
 
 
 def common_refinement_quadruple(
@@ -252,7 +255,8 @@ def common_refinement_quadruple(
     proposition selects the labels where its bit is set. Validates all four.
     """
     named = dict(zip(("e1", "e2", "f1", "f2"), _ensure_projectors(e1, e2, f1, f2)))
-    return PropositionQuadruple(*_joint_sectors(named, commute_tol, sector_snap_tol))
+    commuting = _commutation(named, commute_tol)
+    return PropositionQuadruple(*_joint_sectors(named, commuting, sector_snap_tol))
 
 
 def check_boolean_homomorphism(

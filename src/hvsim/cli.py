@@ -31,12 +31,13 @@ from .bell import (
     PropositionQuadruple,
     _chsh_combination,
     _chsh_terms,
+    _commutation,
     _joint_sectors,
     check_boolean_homomorphism,
     fiber_chsh_functions,
 )
 from .borel import BorelSet, Interval, PiecewiseAffineFunction
-from .errors import HvError, LoadError, NotCommuting
+from .errors import HvError, LoadError, NotCommuting, NotHermitian
 from .hidden import (
     WEIGHT_FLOOR,
     ClassicalObservable,
@@ -51,7 +52,6 @@ from .linalg import (
     HERMITIAN_TOL,
     MEET_TOL,
     PROJECTOR_TOL,
-    _commutes,
     eigh,
     ensure_hermitian,
     ensure_projector,
@@ -108,7 +108,7 @@ def _parse_complex_entry(entry, where: str) -> complex:
         raise LoadError(f"{where}: non-numeric complex entry {entry!r}") from exc
 
 
-def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
+def _parse_operator(rows, dim: int, hermitian_tol: float, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != dim:
         raise LoadError(f"{where}: expected {dim} rows")
     out = np.empty((dim, dim), dtype=np.complex128)
@@ -117,7 +117,10 @@ def _parse_matrix(rows, dim: int, where: str) -> np.ndarray:
             raise LoadError(f"{where}: row {i} must have {dim} entries")
         for j, entry in enumerate(row):
             out[i, j] = _parse_complex_entry(entry, where)
-    return out
+    try:
+        return ensure_hermitian(out, hermitian_tol)
+    except (NotHermitian, ValueError) as exc:
+        raise LoadError(f"{where}: {exc}") from exc
 
 
 def _parse_state(components, dim: int, where: str) -> PureState:
@@ -226,10 +229,10 @@ def load_problem(source: str) -> ProblemFile:
             raise LoadError(f"{display}: tolerance {key!r} is not a number: {value!r}") from exc
     tolerances = replace(Tolerances(), **overrides)
 
-    operators = {}
-    for name, rows in _section(doc, "operators", display).items():
-        matrix = _parse_matrix(rows, dim, f"{display}: operator {name!r}")
-        operators[name] = ensure_hermitian(matrix, tolerances.hermitian_tol)
+    operators = {
+        name: _parse_operator(rows, dim, tolerances.hermitian_tol, f"{display}: operator {name!r}")
+        for name, rows in _section(doc, "operators", display).items()
+    }
     states = {
         name: _parse_state(vec, dim, f"{display}: state {name!r}")
         for name, vec in _section(doc, "states", display).items()
@@ -418,10 +421,8 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
     value = _chsh_combination(terms)
 
     pair_names = [("e1", "f1"), ("e1", "f2"), ("e2", "f1"), ("e2", "f2")]
-    cross_commuting = {
-        f"{a}{b}": _commutes(projectors[a], projectors[b], tol.commute_tol)
-        for a, b in pair_names
-    }
+    commuting = _commutation(projectors, tol.commute_tol)
+    cross_commuting = {f"{a}{b}": commuting[a, b] for a, b in pair_names}
     result = {
         "kind": "chsh",
         "projectors": names,
@@ -435,16 +436,15 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
     if all(cross_commuting.values()):
         consistent = True
         for a, b in pair_names:
-            prop_a, prop_b = _joint_sectors(
-                {a: projectors[a], b: projectors[b]}, tol.commute_tol, tol.sector_snap_tol
-            )
+            pair = {a: projectors[a], b: projectors[b]}
+            prop_a, prop_b = _joint_sectors(pair, {(a, b): commuting[a, b]}, tol.sector_snap_tol)
             consistent &= check_boolean_homomorphism(
                 prop_a, prop_b, tol=tol.homomorphism_tol, snap_tol=tol.snap_tol
             )
         result["checks"]["joint_propositions_consistent"] = bool(consistent)
 
     try:
-        props = _joint_sectors(projectors, tol.commute_tol, tol.sector_snap_tol)
+        props = _joint_sectors(projectors, commuting, tol.sector_snap_tol)
     except NotCommuting as exc:
         result["proposition_intersections_admitted"] = False
         result["admission_failure"] = str(exc)

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-Hermitian eigendecomposition via cyclic complex Jacobi rotations, spectral
-projectors grouped by eigenvalue cluster, and the projector lattice
-operations (meet, join, commutation test) the rest of the package builds on.
-All values are immutable after construction; every operation is pure.
+Hermitian eigenpairs via cyclic complex Jacobi rotations. Only the public eigh
+clusters them into a SpectralDecomposition; the projector lattice operations
+(meet, join, commutation test) and bell's joint sectors classify raw eigenpairs.
+All values are immutable after construction; every public operation is pure.
 """
 
 from __future__ import annotations
@@ -36,10 +36,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def as_complex_matrix(entries) -> np.ndarray:
-    """Coerce to a square complex128 array."""
+    """Coerce to a square complex128 array of finite entries."""
     m = np.array(entries, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
     return m
 
 
@@ -163,25 +165,8 @@ def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     v[:, q] = s * vp + c * vq
 
 
-def eigh(
-    matrix,
-    cluster_tol: float = CLUSTER_TOL,
-    hermitian_tol: float = HERMITIAN_TOL,
-    off_tol: float = JACOBI_OFF_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> SpectralDecomposition:
-    """Spectral decomposition of a self-adjoint matrix.
-
-    Cyclic complex Jacobi iteration, converging when the off-diagonal
-    Frobenius norm falls below off_tol (default 1e-12) relative to the
-    largest input entry; raises ConvergenceFailure after max_sweeps
-    (default 100) sweeps. Eigenvalues closer than cluster_tol (default
-    1e-8) are merged into one cluster, eigenvalue set to their mean, so
-    degenerate eigenspaces come out as single basis-independent projectors.
-    """
-    if cluster_tol <= 0:
-        raise ValueError("cluster_tol must be positive")
-    a = ensure_hermitian(matrix, hermitian_tol).copy()
+def _jacobi(a: np.ndarray, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS) -> tuple:
+    """Ascending eigenvalues and eigenvector columns of a, trusted Hermitian, swept in place."""
     n = a.shape[0]
     v = np.eye(n, dtype=np.complex128)
     threshold = off_tol * max(1.0, max_abs(a))
@@ -201,39 +186,52 @@ def eigh(
 
     raw = np.diag(a).real
     order = np.argsort(raw, kind="stable")
-    raw = raw[order]
-    vecs = v[:, order]
+    return raw[order], v[:, order]
 
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, n):
-        if raw[i] - raw[i - 1] <= cluster_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
 
-    values = np.array([raw[idx].mean() for idx in clusters])
-    projectors = np.empty((len(clusters), n, n), dtype=np.complex128)
-    for k, idx in enumerate(clusters):
-        cols = vecs[:, idx]
-        p = cols @ cols.conj().T
-        projectors[k] = (p + p.conj().T) / 2.0
-    return SpectralDecomposition(values, projectors)
+def _span_projector(v: np.ndarray) -> np.ndarray:
+    """Symmetrized projector V V* onto the span of the orthonormal columns of v."""
+    p = v @ v.conj().T
+    return (p + p.conj().T) / 2.0
+
+
+def eigh(
+    matrix,
+    cluster_tol: float = CLUSTER_TOL,
+    hermitian_tol: float = HERMITIAN_TOL,
+    off_tol: float = JACOBI_OFF_TOL,
+    max_sweeps: int = JACOBI_MAX_SWEEPS,
+) -> SpectralDecomposition:
+    """Spectral decomposition of a self-adjoint matrix.
+
+    Cyclic complex Jacobi iteration, converging when the off-diagonal
+    Frobenius norm falls below off_tol (default 1e-12) relative to the
+    largest input entry; raises ConvergenceFailure after max_sweeps
+    (default 100) sweeps. Sorted eigenvalues at most cluster_tol (default 1e-8)
+    apart chain into one cluster (single linkage), eigenvalue set to their mean,
+    so degenerate eigenspaces come out as single basis-independent projectors.
+    """
+    if cluster_tol <= 0:
+        raise ValueError("cluster_tol must be positive")
+    raw, vecs = _jacobi(ensure_hermitian(matrix, hermitian_tol).copy(), off_tol, max_sweeps)
+    cuts = np.flatnonzero(np.diff(raw) > cluster_tol) + 1
+    values = [c.mean() for c in np.split(raw, cuts)]
+    return SpectralDecomposition(values, [_span_projector(v) for v in np.split(vecs, cuts, axis=1)])
 
 
 # Private forms trust projectors checked where they entered; public names validate once.
 
 
 def _pair_meets(e: np.ndarray, f: np.ndarray, meet_tol: float = MEET_TOL) -> tuple[np.ndarray, ...]:
-    """(e meet f, e' meet f', (e meet f') + (e' meet f)), e' = I - e, from one eigh(e + f - I).
+    """(e meet f, e' meet f', (e meet f') + (e' meet f)), e' = I - e, from one solve of e + f - I.
 
     Halmos: e + f - I is +1 on e meet f, -1 on e' meet f', 0 on the two cross meets, and
     +-cos t on a pair at principal angle t; 1 - cos t < meet_tol shares the line at +-1, and
-    1 - sin t < meet_tol reads mu**2 < meet_tol * (2 - meet_tol) at 0. Clustering only at the
-    solver's accuracy keeps single-linkage chains near +-1 from bridging meet_tol."""
-    dec = eigh(e + f - np.eye(len(e)), cluster_tol=JACOBI_OFF_TOL)
-    mu = dec.eigenvalues
+    1 - sin t < meet_tol reads mu**2 < meet_tol * (2 - meet_tol) at 0. Each eigenvalue is
+    classified on its own; nothing is clustered."""
+    mu, vecs = _jacobi(e + f - np.eye(len(e)))
     masks = (1.0 - mu < meet_tol, 1.0 + mu < meet_tol, mu * mu < meet_tol * (2.0 - meet_tol))
-    return tuple(_readonly(dec.projectors[m].sum(axis=0)) for m in masks)
+    return tuple(_readonly(_span_projector(vecs[:, m])) for m in masks)
 
 
 def _commutes(e: np.ndarray, f: np.ndarray, tol: float = COMMUTE_TOL) -> bool:

@@ -30,8 +30,8 @@ class PureState:
     def __post_init__(self):
         v = np.array(self.vector, dtype=np.complex128).reshape(-1)
         norm = math.sqrt(float(np.vdot(v, v).real))
-        if norm == 0.0:
-            raise ValueError("state vector must be nonzero")
+        if norm == 0.0 or not np.all(np.isfinite(v)):
+            raise ValueError("state vector must be nonzero, with finite entries")
         object.__setattr__(self, "vector", _readonly(v / norm))
 
     @property

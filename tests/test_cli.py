@@ -285,6 +285,42 @@ def test_loosened_tolerance_takes_effect(tmp_path, capsys, key):
             assert read(json.loads(out)["results"][0]) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "doc, argv, fragment",
+    [
+        (_z_doc([[math.nan, 0.0], [0.0, -1.0]], [1, 0]), ["spectra", "--operator", "z"],
+         "operator 'z'"),
+        (_z_doc(np.diag([1.0, -1.0]), [math.inf, 0]), ["quantile", "--operator", "z", "--state", "s"],
+         "state 's'"),
+    ],
+    ids=["nan-operator", "infinite-state"],
+)
+def test_non_finite_entries_are_exit_2(tmp_path, capsys, doc, argv, fragment):
+    # json.dumps writes NaN and Infinity, which json.loads reads back as floats
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run([argv[0], "--input", str(path), *argv[1:]], capsys)
+    assert_bad_input(code, err, str(path), fragment, "finite")
+
+
+@pytest.mark.parametrize("fixture", ["commuting_chsh", "singlet_chsh"])
+def test_chsh_report_decides_each_pairs_commutation_once(capsys, monkeypatch, fixture):
+    # the 6 pairs among e1, e2, f1, f2 once each, plus check_boolean_homomorphism's own
+    # re-check in each of the 4 cross-pair refinements
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hvsim.linalg._commutes(*args, **kwargs)
+
+    for module in (hvsim.bell, hvsim.cli):
+        if hasattr(module, "_commutes"):
+            monkeypatch.setattr(module, "_commutes", counted)
+    code, _, _ = run(["chsh", "--input", fixture], capsys)
+    assert code == (0 if fixture == "commuting_chsh" else 1)
+    assert len(calls) == 10
+
+
 def test_experiment_blocks_run_when_no_names_given(capsys):
     code, out, _ = run(["roundtrip", "--input", "pauli"], capsys)
     assert code == 0

@@ -90,10 +90,33 @@ def test_eigh_sweep_budget_exhaustion():
         eigh(PAULI_X, max_sweeps=0)
 
 
+def test_eigh_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            eigh([[bad]])
+        with pytest.raises(ValueError, match="finite"):
+            eigh(np.diag([1.0, bad]))
+
+
 def test_decomposition_rejects_broken_resolution():
     p = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         SpectralDecomposition(np.array([0.5]), np.array([p]))
+
+
+def test_decomposition_rejects_eigenvalues_that_do_not_increase():
+    # the projectors resolve the identity and are orthogonal; only the order is wrong
+    prs = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    for evs in ([1.0, 1.0], [2.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SpectralDecomposition(np.array(evs), prs)
+
+
+def test_decomposition_rejects_non_idempotent_projectors():
+    # two copies of I/2 resolve the identity, but neither is a projector
+    half = np.eye(2, dtype=complex) / 2
+    with pytest.raises(ValueError, match="idempotence defect"):
+        SpectralDecomposition(np.array([0.0, 1.0]), np.array([half, half]))
 
 
 def test_meet_with_identity_absorbs():
@@ -276,6 +299,28 @@ def test_ensure_projector_rejects_non_idempotent(entry):
             args[position] = bad.astype(complex)
             with pytest.raises(ValueError):
                 fn(*args)
+
+
+@pytest.mark.parametrize(
+    "entry, built",
+    [("correlation_operator", 0), ("projector_meet", 0),
+     ("joint_propositions", 1), ("common_refinement_quadruple", 1)],
+)
+def test_internal_solves_build_no_decomposition_but_the_sectors(monkeypatch, entry, built):
+    # meets classify raw eigenpairs of e + f - I; joint sectors build only their own backing
+    made = []
+    check = SpectralDecomposition.__post_init__
+
+    def counted(dec):
+        made.append(dec)
+        check(dec)
+
+    monkeypatch.setattr(SpectralDecomposition, "__post_init__", counted)
+    fn, arity = PROJECTOR_ENTRY_POINTS[entry]
+    family = [np.diag(bits).astype(complex) for bits in ((1, 1, 0, 0), (1, 0, 1, 0),
+                                                        (1, 0, 0, 0), (0, 1, 1, 0))]
+    fn(*family[:arity])
+    assert len(made) == built
 
 
 def test_package_never_uses_numpy_linalg():

@@ -31,6 +31,12 @@ def test_pure_state_normalizes_and_compares_rays():
         PureState([0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_pure_state_rejects_non_finite_components(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PureState([bad, 1.0])
+
+
 def test_spectral_projector_extremes():
     dec = eigh(PAULI_Z)
     assert max_abs(spectral_projector(dec, BorelSet.reals()) - np.eye(2)) == 0.0
