@@ -227,6 +227,11 @@ def load_problem(source: str) -> ProblemFile:
             overrides[key] = float(value)
         except (TypeError, ValueError) as exc:
             raise LoadError(f"{display}: tolerance {key!r} is not a number: {value!r}") from exc
+        # a NaN tolerance would pass every `defect > tol` check
+        if not 0.0 <= overrides[key] < math.inf:
+            raise LoadError(
+                f"{display}: tolerance {key!r} must be finite and non-negative: {value!r}"
+            )
     tolerances = replace(Tolerances(), **overrides)
 
     operators = {

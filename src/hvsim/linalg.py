@@ -1,6 +1,8 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-Hermitian eigenpairs via cyclic complex Jacobi rotations. Only the public eigh
+Hermitian eigenpairs via complex Jacobi rotations in Brent-Luk round-robin order:
+a sweep is n - 1 rounds (n for odd n), each rotating n/2 disjoint index pairs at once
+by one dense unitary product, so every pair is rotated once per sweep. Only the public eigh
 clusters them into a SpectralDecomposition; the projector lattice operations
 (meet, join, commutation test) and bell's joint sectors classify raw eigenpairs.
 All values are immutable after construction; every public operation is pure.
@@ -8,7 +10,6 @@ All values are immutable after construction; every public operation is pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,41 +136,31 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.sqrt((np.abs(off) ** 2).sum()))
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One two-sided Jacobi rotation annihilating a[p, q] (and a[q, p])."""
-    apq = a[p, q]
-    mag = abs(apq)
-    phase = apq / mag
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = (t * c) * phase
-    sc = s.conjugate()
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Brent-Luk schedule: rounds of disjoint (p, q) index arrays, p < q, that together hold
+    each pair once. Odd n is padded by a dummy index n, which drops out of every pair it joins.
 
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - sc * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = sc * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - sc * vq
-    v[:, q] = s * vp + c * vq
+    With m = n + n % 2, round r pairs the hub m - 1 with r, and r + k with r - k (mod m - 1)
+    for 0 < k < m/2. For odd n the hub is the dummy, so the hub's pair is left out."""
+    m = n + n % 2
+    r = np.arange(m - 1)[:, None]
+    k = np.arange(n % 2, m // 2)
+    p = np.where(k == 0, m - 1, (r + k) % (m - 1))
+    q = (r - k) % (m - 1)
+    return list(zip(np.minimum(p, q), np.maximum(p, q)))
 
 
 def _jacobi(a: np.ndarray, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS) -> tuple:
-    """Ascending eigenvalues and eigenvector columns of a, trusted Hermitian, swept in place."""
+    """Ascending eigenvalues and eigenvector columns of a, trusted Hermitian.
+
+    A sweep is one pass of the round-robin schedule; each round annihilates its disjoint
+    pairs at once as a <- J* a J, v <- v J, with J the identity carrying one complex
+    rotation block per pair (the identity block where a[p, q] is already 0)."""
     n = a.shape[0]
     v = np.eye(n, dtype=np.complex128)
     threshold = off_tol * max(1.0, max_abs(a))
+    rounds = [(p, q, np.concatenate((p, q, p, q)), np.concatenate((p, q, q, p)))
+              for p, q in _round_robin(n)]  # J's block entries (p, p), (q, q), (p, q), (q, p)
 
     sweeps = 0
     while _off_norm(a) > threshold:
@@ -178,10 +169,26 @@ def _jacobi(a: np.ndarray, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS)
                 f"off-diagonal norm {_off_norm(a):.3e} above {threshold:.3e} "
                 f"after {max_sweeps} sweeps"
             )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] != 0.0:
-                    _rotate(a, v, p, q)
+        for p, q, rows, cols in rounds:
+            apq = a[p, q]
+            mag = np.abs(apq)
+            live = mag != 0.0
+            if not live.any():
+                continue
+            # t = sign(tau) / (|tau| + hypot(1, tau)) for tau = d / 2|a_pq|, multiplied
+            # through by 2|a_pq| so that a tiny |a_pq| cannot overflow tau
+            diag = a.diagonal().real
+            d = diag[q] - diag[p]
+            t = np.divide(np.copysign(2.0 * mag, d), np.abs(d) + np.hypot(d, 2.0 * mag),
+                          out=np.zeros(len(p)), where=live)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c * np.divide(apq, mag, out=np.zeros(len(p), dtype=np.complex128), where=live)
+            j = np.eye(n, dtype=np.complex128)
+            j[rows, cols] = np.concatenate((c, c, s, -s.conj()))
+            a = j.conj().T @ a @ j
+            a[p, q] = a[q, p] = 0.0
+            v = v @ j
+        a = (a + a.conj().T) / 2.0
         sweeps += 1
 
     raw = np.diag(a).real
@@ -204,16 +211,17 @@ def eigh(
 ) -> SpectralDecomposition:
     """Spectral decomposition of a self-adjoint matrix.
 
-    Cyclic complex Jacobi iteration, converging when the off-diagonal
-    Frobenius norm falls below off_tol (default 1e-12) relative to the
-    largest input entry; raises ConvergenceFailure after max_sweeps
-    (default 100) sweeps. Sorted eigenvalues at most cluster_tol (default 1e-8)
+    Complex Jacobi iteration in round-robin order, converging when the
+    off-diagonal Frobenius norm falls below off_tol (default 1e-12) relative
+    to the largest input entry; raises ConvergenceFailure after max_sweeps
+    (default 100) sweeps, a sweep being the rounds that rotate every index
+    pair once. Sorted eigenvalues at most cluster_tol (default 1e-8)
     apart chain into one cluster (single linkage), eigenvalue set to their mean,
     so degenerate eigenspaces come out as single basis-independent projectors.
     """
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
-    raw, vecs = _jacobi(ensure_hermitian(matrix, hermitian_tol).copy(), off_tol, max_sweeps)
+    raw, vecs = _jacobi(ensure_hermitian(matrix, hermitian_tol), off_tol, max_sweeps)
     cuts = np.flatnonzero(np.diff(raw) > cluster_tol) + 1
     values = [c.mean() for c in np.split(raw, cuts)]
     return SpectralDecomposition(values, [_span_projector(v) for v in np.split(vecs, cuts, axis=1)])

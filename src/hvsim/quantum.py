@@ -29,10 +29,13 @@ class PureState:
 
     def __post_init__(self):
         v = np.array(self.vector, dtype=np.complex128).reshape(-1)
-        norm = math.sqrt(float(np.vdot(v, v).real))
-        if norm == 0.0 or not np.all(np.isfinite(v)):
+        peak = float(np.max(np.abs(v), initial=0.0))
+        if peak == 0.0 or not np.all(np.isfinite(v)):
             raise ValueError("state vector must be nonzero, with finite entries")
-        object.__setattr__(self, "vector", _readonly(v / norm))
+        # scale by a power of two near the largest entry, so <v, v> neither overflows nor
+        # underflows; a power of two scales exactly, so a well-scaled v keeps every bit
+        v = v / math.ldexp(1.0, math.frexp(peak)[1])
+        object.__setattr__(self, "vector", _readonly(v / math.sqrt(float(np.vdot(v, v).real))))
 
     @property
     def dim(self) -> int:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +401,11 @@ def test_samples_flag_only_on_commands_that_read_it(capsys):
         ({"tolerances": []}, ["'tolerances' must be an object"]),
         ({"tolerances": {"snap_tol": "x"}}, ["tolerance 'snap_tol' is not a number: 'x'"]),
         ({"tolerances": {"snap_tol": None}}, ["tolerance 'snap_tol' is not a number: None"]),
+        *(
+            ({"tolerances": {"hermitian_tol": bad}},
+             ["tolerance 'hermitian_tol' must be finite and non-negative"])
+            for bad in (math.nan, math.inf, -1.0)
+        ),
         (
             {"experiments": [{"kind": "spectra", "operator": ["z"]}]},
             ["experiment 0 operator must be a name", "['z']"],
@@ -408,7 +416,8 @@ def test_samples_flag_only_on_commands_that_read_it(capsys):
         ),
     ],
     ids=["operators-list", "states-string", "tolerances-list", "tolerance-string",
-         "tolerance-null", "operator-list", "e1-object"],
+         "tolerance-null", "tolerance-nan", "tolerance-inf", "tolerance-negative",
+         "operator-list", "e1-object"],
 )
 def test_malformed_problem_file_is_exit_2(tmp_path, capsys, patch, fragments):
     doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())
@@ -429,6 +438,27 @@ def test_spectra_random_dim8_fixture_file(tmp_path, capsys):
     assert code == 0
     section = json.loads(out)["results"][0]
     assert section["reconstruction_residual"] < 1e-8
+
+
+def test_dim48_spectra_report_is_identical_across_processes(tmp_path):
+    # the solver's dense products run through BLAS at its default thread count
+    rng = np.random.default_rng(48)
+    a = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
+    path = tmp_path / "dense48.json"
+    doc = {"dimension": 48, "operators": {"dense": _complex_rows(a + a.conj().T)}}
+    path.write_text(json.dumps(doc))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(hvsim.__file__).parents[1])
+    payloads = []
+    for _ in range(2):
+        done = subprocess.run(
+            [sys.executable, "-m", "hvsim", "spectra", "--input", str(path), "--operator", "dense"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        report = json.loads(done.stdout)
+        assert report.pop("duration_seconds") >= 0.0
+        payloads.append(json.dumps(report))
+    assert payloads[0] == payloads[1]
 
 
 def test_roundtrip_affine_on_three_levels(tmp_path, capsys):

@@ -32,7 +32,7 @@ from hvsim import (
     projector_meet,
     projector_rank,
 )
-from hvsim.linalg import MEET_TOL
+from hvsim.linalg import MEET_TOL, _jacobi, _round_robin
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -96,6 +96,51 @@ def test_eigh_rejects_non_finite_entries():
             eigh([[bad]])
         with pytest.raises(ValueError, match="finite"):
             eigh(np.diag([1.0, bad]))
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 48])
+def test_round_robin_rounds_are_disjoint_and_a_sweep_holds_each_pair_once(n):
+    rounds = _round_robin(n)
+    assert len(rounds) == n - 1 + n % 2
+    swept = []
+    for p, q in rounds:
+        members = np.concatenate((p, q)).tolist()
+        assert len(p) == n // 2 and len(set(members)) == len(members)
+        assert np.all(p < q) and np.all(q < n)  # the dummy index n of odd n never appears
+        swept += zip(p.tolist(), q.tolist())
+    assert sorted(swept) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def test_jacobi_on_diagonal_input_only_sorts():
+    raw, v = _jacobi(np.diag([3.0, 1.0, 2.0]).astype(complex))
+    assert raw.tolist() == [1.0, 2.0, 3.0]
+    assert np.array_equal(v, np.eye(3)[:, [1, 2, 0]])
+
+
+def test_jacobi_leaves_zero_pairs_of_a_live_round_unrotated():
+    # even and odd indices span invariant subspaces, so rounds mix live pairs with
+    # pairs whose a[p, q] is exactly 0; an identity block keeps those exactly 0
+    rng = np.random.default_rng(11)
+    n = 9
+    even, odd = np.arange(0, n, 2), np.arange(1, n, 2)
+    a = rand_hermitian(rng, n)
+    a[np.ix_(even, odd)] = 0.0
+    a[np.ix_(odd, even)] = 0.0
+    assert any(len(set((p - q) % 2)) == 2 for p, q in _round_robin(n))
+    raw, v = _jacobi(a)
+    np.testing.assert_allclose(raw, np.linalg.eigvalsh(a), atol=1e-12)
+    support = v != 0.0
+    assert np.all(support[even].any(axis=0) != support[odd].any(axis=0))
+
+
+@pytest.mark.parametrize("n", [16, 33, 48])
+def test_jacobi_matches_numpy_oracle(n):
+    rng = np.random.default_rng(200 + n)
+    a = rand_hermitian(rng, n)
+    raw, v = _jacobi(a)
+    np.testing.assert_allclose(raw, np.linalg.eigvalsh(a), atol=1e-11)
+    assert max_abs(v @ np.diag(raw) @ v.conj().T - a) <= 1e-12
+    assert max_abs(v.conj().T @ v - np.eye(n)) <= 1e-12
 
 
 def test_decomposition_rejects_broken_resolution():

@@ -37,6 +37,12 @@ def test_pure_state_rejects_non_finite_components(bad):
         PureState([bad, 1.0])
 
 
+def test_pure_state_normalizes_huge_and_tiny_vectors():
+    # <v, v> overflows to inf for (1e200, 0) and underflows to 0 for (1e-200, 0)
+    for scale in (1e200, 1e-200):
+        assert PureState([scale, 0.0]).vector.tolist() == [1.0, 0.0]
+
+
 def test_spectral_projector_extremes():
     dec = eigh(PAULI_Z)
     assert max_abs(spectral_projector(dec, BorelSet.reals()) - np.eye(2)) == 0.0
