@@ -216,7 +216,8 @@ def _joint_sectors(
     if labels.min() < 0 or labels.max() > n_labels - 1:
         raise DegenerateLabeling(f"sector labels outside 0..{n_labels - 1}")
     keys = np.unique(labels)
-    sectors = SpectralDecomposition(keys, [_span_projector(vecs[:, labels == k]) for k in keys])
+    sectors = SpectralDecomposition._trusted(keys, [_span_projector(vecs[:, labels == k])
+                                                    for k in keys])
     return [
         Proposition(sectors, BorelSet.points([float(m) for m in range(n_labels) if m & (1 << k)]))
         for k in range(len(projectors))

@@ -232,6 +232,9 @@ def load_problem(source: str) -> ProblemFile:
             raise LoadError(
                 f"{display}: tolerance {key!r} must be finite and non-negative: {value!r}"
             )
+        # eigh refuses a cluster_tol of 0; say so here, naming the file and the key
+        if key == "cluster_tol" and overrides[key] == 0.0:
+            raise LoadError(f"{display}: tolerance {key!r} must be positive: {value!r}")
     tolerances = replace(Tolerances(), **overrides)
 
     operators = {
@@ -363,7 +366,8 @@ def run_quantile(problem: ProblemFile, operator: str, state: str) -> dict:
 def run_verify(problem: ProblemFile, operator: str, state: str, samples: int, seed: int) -> dict:
     dec = _decompose(problem, operator)
     h = _named(problem, "state", state)
-    report = sample(ClassicalObservable(dec), h, samples, seed, observable_id=operator)
+    report = sample(ClassicalObservable(dec), h, samples, seed, observable_id=operator,
+                    weight_floor=problem.tolerances.weight_floor)
     budgets = 4.0 * np.sqrt(report.predicted * (1.0 - report.predicted) / float(samples))
     deviations = np.abs(report.empirical - report.predicted)
     within = bool(np.all(deviations <= budgets))
@@ -413,13 +417,16 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
     """CHSH report; the four projectors are validated here, once, at the file's projector_tol."""
     tol = problem.tolerances
     names = {"e1": e1, "e2": e2, "f1": f1, "f2": f2}
-    try:
-        projectors = {
-            key: ensure_projector(_named(problem, "operator", name), tol.projector_tol)
-            for key, name in names.items()
-        }
-    except ValueError as exc:
-        raise LoadError(str(exc)) from exc
+    projectors = {}
+    for key, name in names.items():
+        matrix = _named(problem, "operator", name)
+        try:
+            projectors[key] = ensure_projector(matrix, tol.projector_tol)
+        except (NotHermitian, ValueError) as exc:
+            raise LoadError(
+                f"{problem.source}: operator {name!r} as {key} is not a projector: {exc} "
+                f"(tolerance 'projector_tol')"
+            ) from exc
     h = _named(problem, "state", state)
     ps = tuple(projectors.values())
     terms = _chsh_terms(ps[:2], ps[2:], h.vector, tol.meet_tol)

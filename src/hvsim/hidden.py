@@ -117,9 +117,12 @@ class ClassicalObservable:
             return self.backing.eigenvalues
         return np.array(sorted({self.post(float(v)) for v in self.backing.eigenvalues}))
 
-    def outcome_quantile(self, state: PureState) -> QuantileStep:
-        """Quantile of the outcome distribution at a state, equal post-images merged."""
-        base = quantile_function(self.backing, state)
+    def outcome_quantile(
+        self, state: PureState, weight_floor: float = WEIGHT_FLOOR
+    ) -> QuantileStep:
+        """Quantile of the outcome distribution at a state, equal post-images merged;
+        eigenvalues weighing at most weight_floor (default 1e-12) are dropped first."""
+        base = quantile_function(self.backing, state, weight_floor)
         if self.post is None:
             return base
         totals: dict[float, float] = {}
@@ -237,14 +240,16 @@ def sample(
     n: int,
     seed: int,
     observable_id: str = "",
+    weight_floor: float = WEIGHT_FLOOR,
 ) -> HiddenSampleReport:
     """Draw n fiber points uniformly with a seeded generator and tabulate outcomes.
 
+    The outcomes are those of obs.outcome_quantile at weight_floor (default 1e-12).
     Deterministic: the same (seed, n) always yields the identical report.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    q = obs.outcome_quantile(state)
+    q = obs.outcome_quantile(state, weight_floor)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     ts = rng.random(n)
     while True:

@@ -85,6 +85,15 @@ class SpectralDecomposition:
 
     The projectors resolve the identity and are mutually orthogonal within
     1e-8; degenerate eigenspaces appear as single projectors of rank > 1.
+
+    The public constructor checks all of this, batched: the order of the
+    eigenvalues, the resolution of the identity, each projector as
+    ensure_projector would (finite, Hermitian, idempotent within 1e-9,
+    near-integer trace), then each pair's orthogonality, raising for the first
+    projector, in order, that fails any of them. eigh and bell's joint sectors
+    build through _trusted instead, which checks nothing: their projectors
+    come from eigenvectors _jacobi has checked once, which is enough for all
+    of the above (see _jacobi).
     """
 
     eigenvalues: np.ndarray
@@ -103,13 +112,45 @@ class SpectralDecomposition:
         resolution = max_abs(prs.sum(axis=0) - np.eye(n))
         if resolution > RESOLUTION_TOL:
             raise ValueError(f"projectors do not resolve the identity ({resolution:.3e})")
-        for k in range(len(prs)):
-            ensure_projector(prs[k])
-            for l in range(k + 1, len(prs)):
-                if max_abs(prs[k] @ prs[l]) > RESOLUTION_TOL:
-                    raise ValueError(f"projectors {k} and {l} are not orthogonal")
+        # ensure_projector on every P_k at once, and P_k against P_k+1, P_k+2, ... in one
+        # product per k; the first P_k, in order, that fails its own check or is not
+        # orthogonal to a successor raises. Non-finite entries are reported in that order,
+        # so the arithmetic on them is not warned about.
+        tol = PROJECTOR_TOL
+        with np.errstate(invalid="ignore", over="ignore"):
+            finite = np.isfinite(prs).all(axis=(1, 2))
+            adjoints = prs.conj().transpose(0, 2, 1)
+            hermitian = np.abs(prs - adjoints).max(axis=(1, 2))
+            ps = (prs + adjoints) / 2.0
+            idempotent = np.abs(ps @ ps - ps).max(axis=(1, 2))
+            traces = np.trace(ps, axis1=1, axis2=2).real
+            for k in range(len(prs)):
+                if not finite[k]:
+                    raise ValueError("matrix entries must be finite")
+                if hermitian[k] > tol:
+                    raise NotHermitian(
+                        f"self-adjointness defect {hermitian[k]:.3e} exceeds tol {tol:.1e}")
+                if idempotent[k] > tol:
+                    raise ValueError(
+                        f"idempotence defect {idempotent[k]:.3e} exceeds tol {tol:.1e}")
+                trace = float(traces[k])
+                if abs(trace - round(trace)) > 1e-6:
+                    raise ValueError(f"projector trace {trace!r} is not near an integer")
+                overlap = np.abs(prs[k] @ prs[k + 1:]).max(axis=(1, 2))
+                bad = np.flatnonzero(overlap > RESOLUTION_TOL)
+                if bad.size:
+                    raise ValueError(f"projectors {k} and {k + 1 + bad[0]} are not orthogonal")
         object.__setattr__(self, "eigenvalues", _readonly(evs))
         object.__setattr__(self, "projectors", _readonly(prs))
+
+    @classmethod
+    def _trusted(cls, eigenvalues, projectors) -> SpectralDecomposition:
+        """The same read-only arrays as the public constructor, with no checks: for
+        projectors built from the columns of eigenvectors _jacobi has checked."""
+        dec = object.__new__(cls)
+        object.__setattr__(dec, "eigenvalues", _readonly(np.array(eigenvalues, dtype=np.float64)))
+        object.__setattr__(dec, "projectors", _readonly(np.array(projectors, dtype=np.complex128)))
+        return dec
 
     @property
     def dim(self) -> int:
@@ -155,7 +196,21 @@ def _jacobi(a: np.ndarray, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS)
 
     A sweep is one pass of the round-robin schedule; each round annihilates its disjoint
     pairs at once as a <- J* a J, v <- v J, with J the identity carrying one complex
-    rotation block per pair (the identity block where a[p, q] is already 0)."""
+    rotation block per pair (the identity block where a[p, q] is already 0).
+
+    The columns of v are checked once, here, so that projectors built from them need no
+    check of their own. With E = V*V - I and d = max|E|, raises ConvergenceFailure unless
+    n d <= PROJECTOR_TOL / 2. For disjoint column sets S, T and P_S = V_S V_S*:
+    - P_S P_S - P_S = V_S E_SS V_S* and P_S P_T = V_S E_ST V_T*. Each entry is at most
+      |V|^2 |E| <= (1 + n d) n d < PROJECTOR_TOL (spectral norms; |E| <= n d bounds it by
+      the Frobenius norm, and |V|^2 = |V*V| <= 1 + |E|). So P_S is idempotent within
+      PROJECTOR_TOL and P_S, P_T are orthogonal within RESOLUTION_TOL.
+    - The P_S of a partition of the columns sum to V V*, which is square and so shares the
+      spectrum of V*V: each entry of V V* - I is within n d of 0, inside RESOLUTION_TOL.
+    - trace P_S = |S| + trace E_SS is within n d of an integer, inside 1e-6.
+    - Symmetrizing P_S makes it exactly Hermitian.
+    Forming and checking the products rounds each entry by about n * 1e-16, far inside
+    the factor-two margin. Observed defects are about 1e-14 at n = 48."""
     n = a.shape[0]
     v = np.eye(n, dtype=np.complex128)
     threshold = off_tol * max(1.0, max_abs(a))
@@ -191,6 +246,11 @@ def _jacobi(a: np.ndarray, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS)
         a = (a + a.conj().T) / 2.0
         sweeps += 1
 
+    defect = max_abs(v.conj().T @ v - np.eye(n))
+    if n * defect > PROJECTOR_TOL / 2:
+        raise ConvergenceFailure(
+            f"eigenvector orthonormality defect {defect:.3e} above {PROJECTOR_TOL / 2 / n:.3e}"
+        )
     raw = np.diag(a).real
     order = np.argsort(raw, kind="stable")
     return raw[order], v[:, order]
@@ -218,13 +278,19 @@ def eigh(
     pair once. Sorted eigenvalues at most cluster_tol (default 1e-8)
     apart chain into one cluster (single linkage), eigenvalue set to their mean,
     so degenerate eigenspaces come out as single basis-independent projectors.
+
+    The input is checked here and the eigenvectors in _jacobi; the decomposition is
+    built unchecked, since its projectors then pass every check of the public
+    SpectralDecomposition constructor, and a mean kept inside its cluster keeps the
+    eigenvalues strictly increasing.
     """
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
     raw, vecs = _jacobi(ensure_hermitian(matrix, hermitian_tol), off_tol, max_sweeps)
     cuts = np.flatnonzero(np.diff(raw) > cluster_tol) + 1
-    values = [c.mean() for c in np.split(raw, cuts)]
-    return SpectralDecomposition(values, [_span_projector(v) for v in np.split(vecs, cuts, axis=1)])
+    values = [min(max(c.mean(), c[0]), c[-1]) for c in np.split(raw, cuts)]
+    projectors = [_span_projector(v) for v in np.split(vecs, cuts, axis=1)]
+    return SpectralDecomposition._trusted(values, projectors)
 
 
 # Private forms trust projectors checked where they entered; public names validate once.

@@ -8,7 +8,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from hvsim import BorelSet, Interval, PiecewiseAffineFunction, PureState, eigh
+from hvsim import (
+    BorelSet,
+    DimensionMismatch,
+    Interval,
+    PiecewiseAffineFunction,
+    PureState,
+    eigh,
+    ensure_projector,
+    max_abs,
+)
+from hvsim.linalg import RESOLUTION_TOL
 
 
 def rand_hermitian(rng: np.random.Generator, n: int, scale: float = 2.0) -> np.ndarray:
@@ -158,3 +168,25 @@ def rand_piecewise_affine(
 
 def rand_decomposition(rng: np.random.Generator, n: int):
     return eigh(rand_hermitian(rng, n))
+
+
+def oracle_decomposition_checks(eigenvalues, projectors) -> None:
+    """The checks the SpectralDecomposition constructor made one projector and one pair
+    at a time, kept as the oracle for its batched form: raises what they raised."""
+    evs = np.array(eigenvalues, dtype=np.float64)
+    prs = np.array(projectors, dtype=np.complex128)
+    if evs.ndim != 1 or prs.ndim != 3 or prs.shape[1] != prs.shape[2]:
+        raise DimensionMismatch("eigenvalues must be (m,), projectors (m, n, n)")
+    if len(evs) != len(prs) or len(evs) == 0:
+        raise DimensionMismatch("need one projector per eigenvalue, at least one")
+    if not np.all(np.diff(evs) > 0):
+        raise ValueError("eigenvalues must be strictly increasing")
+    n = prs.shape[1]
+    resolution = max_abs(prs.sum(axis=0) - np.eye(n))
+    if resolution > RESOLUTION_TOL:
+        raise ValueError(f"projectors do not resolve the identity ({resolution:.3e})")
+    for k in range(len(prs)):
+        ensure_projector(prs[k])
+        for l in range(k + 1, len(prs)):
+            if max_abs(prs[k] @ prs[l]) > RESOLUTION_TOL:
+                raise ValueError(f"projectors {k} and {l} are not orthogonal")

@@ -288,6 +288,31 @@ def test_loosened_tolerance_takes_effect(tmp_path, capsys, key):
             assert read(json.loads(out)["results"][0]) == pytest.approx(want, abs=1e-12)
 
 
+def test_verify_reads_the_files_weight_floor(tmp_path, capsys):
+    # the outcome -1 weighs 0.0099 at (1, 0.1): sampled at the default floor, not at 0.05
+    path = tmp_path / "problem.json"
+    argv = ["verify", "--input", str(path), "--operator", "z", "--state", "s", "--samples", "1000"]
+    for tolerances, outcomes in (({}, [-1.0, 1.0]), ({"weight_floor": 0.05}, [1.0])):
+        path.write_text(json.dumps(_z_doc(np.diag([1.0, -1.0]), [1, 0.1], tolerances=tolerances)))
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        section = json.loads(out)["results"][0]
+        assert section["outcomes"] == outcomes
+        assert section["predicted"] == pytest.approx(
+            [0.01 / 1.01, 1.0 / 1.01] if len(outcomes) == 2 else [1.0], abs=1e-12)
+
+
+def test_chsh_projector_error_names_file_operator_role_and_knob(tmp_path, capsys):
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(_scaled_first_half()))
+    code, _, err = run(["chsh", "--input", str(path)], capsys)
+    assert code == 2
+    assert err == (
+        f"hv: error: {path}: operator 'first_half' as e1 is not a projector: "
+        "idempotence defect 1.000e-08 exceeds tol 1.0e-09 (tolerance 'projector_tol')\n"
+    )
+
+
 @pytest.mark.parametrize(
     "doc, argv, fragment",
     [
@@ -406,6 +431,7 @@ def test_samples_flag_only_on_commands_that_read_it(capsys):
              ["tolerance 'hermitian_tol' must be finite and non-negative"])
             for bad in (math.nan, math.inf, -1.0)
         ),
+        ({"tolerances": {"cluster_tol": 0}}, ["tolerance 'cluster_tol' must be positive: 0"]),
         (
             {"experiments": [{"kind": "spectra", "operator": ["z"]}]},
             ["experiment 0 operator must be a name", "['z']"],
@@ -417,7 +443,7 @@ def test_samples_flag_only_on_commands_that_read_it(capsys):
     ],
     ids=["operators-list", "states-string", "tolerances-list", "tolerance-string",
          "tolerance-null", "tolerance-nan", "tolerance-inf", "tolerance-negative",
-         "operator-list", "e1-object"],
+         "cluster-tol-zero", "operator-list", "e1-object"],
 )
 def test_malformed_problem_file_is_exit_2(tmp_path, capsys, patch, fragments):
     doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())

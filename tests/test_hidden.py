@@ -85,6 +85,17 @@ def test_sample_is_deterministic_and_exact_on_eigenstates():
     assert report.chi_square == again.chi_square
 
 
+def test_sample_drops_outcomes_at_or_below_its_weight_floor():
+    # at (1, 0.1) the outcome -1 weighs 0.0099: kept at the default floor, dropped at 0.05
+    obs = ClassicalObservable(eigh(PAULI_Z))
+    h = PureState([1.0, 0.1])
+    assert sample(obs, h, 1000, seed=5).outcomes.tolist() == [-1.0, 1.0]
+    report = sample(obs, h, 1000, seed=5, weight_floor=0.05)
+    assert report.outcomes.tolist() == [1.0]
+    assert report.empirical.tolist() == [1.0]
+    assert obs.outcome_quantile(h, weight_floor=0.05).values.tolist() == [1.0]
+
+
 def test_sample_binomial_budget_on_plus():
     report = sample(ClassicalObservable(eigh(PAULI_Z)), PLUS, 100_000, seed=42)
     assert abs(report.empirical[1] - 0.5) <= 0.01

@@ -6,12 +6,14 @@ import pytest
 
 from conftest import (
     oracle_correlation,
+    oracle_decomposition_checks,
     oracle_meet,
     rand_commuting_projectors,
     rand_degenerate_hermitian,
     rand_hermitian,
     rand_pair_sharing,
     rand_projector,
+    rand_unitary,
 )
 import hvsim
 from hvsim import (
@@ -32,7 +34,7 @@ from hvsim import (
     projector_meet,
     projector_rank,
 )
-from hvsim.linalg import MEET_TOL, _jacobi, _round_robin
+from hvsim.linalg import MEET_TOL, PROJECTOR_TOL, _jacobi, _round_robin
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -78,6 +80,16 @@ def test_eigh_invariants_random(n):
         expanded = np.repeat(dec.eigenvalues, dec.ranks)
         np.testing.assert_allclose(expanded, np.linalg.eigvalsh(t), atol=1e-8)
         assert max_abs(dec.projectors.sum(axis=0) - np.eye(n)) < 1e-8
+
+
+def test_eigh_keeps_each_cluster_mean_inside_its_cluster():
+    # the mean of three copies of x rounds one ulp below x, onto the cluster below it
+    x = -3.796901432982346
+    below = np.nextafter(x, -np.inf)
+    assert np.mean([x, x, x]) == below
+    dec = eigh(np.diag([below, x, x, x]).astype(complex), cluster_tol=1e-300)
+    assert dec.eigenvalues.tolist() == [below, x]
+    assert dec.ranks == (1, 3)
 
 
 def test_eigh_rejects_non_hermitian():
@@ -162,6 +174,155 @@ def test_decomposition_rejects_non_idempotent_projectors():
     half = np.eye(2, dtype=complex) / 2
     with pytest.raises(ValueError, match="idempotence defect"):
         SpectralDecomposition(np.array([0.0, 1.0]), np.array([half, half]))
+
+
+def test_decomposition_rejects_non_hermitian_projectors():
+    # the pair resolves the identity and multiplies to 0, but neither is self-adjoint
+    skew = np.array([[0.0, 1e-6], [0.0, 0.0]], dtype=complex)
+    prs = np.array([np.diag([1.0, 0.0]) + skew, np.diag([0.0, 1.0]) - skew])
+    with pytest.raises(NotHermitian, match="self-adjointness defect 1.000e-06"):
+        SpectralDecomposition(np.array([0.0, 1.0]), prs)
+
+
+def _solver_instances():
+    """eigh's test inputs: the random and degenerate instances of
+    test_eigh_invariants_random, the oracle matrices of test_jacobi_matches_numpy_oracle,
+    and degenerate ones at n = 16, 33 and 48."""
+    for n in range(2, 9):
+        rng = np.random.default_rng(100 + n)
+        for trial in range(15):
+            yield rand_degenerate_hermitian(rng, n) if trial % 3 == 0 else rand_hermitian(rng, n)
+    for n in (16, 33, 48):
+        yield rand_hermitian(np.random.default_rng(200 + n), n)
+        yield rand_degenerate_hermitian(np.random.default_rng(300 + n), n)
+
+
+def _sector_backings():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        yield joint_propositions(*rand_commuting_projectors(rng, n))[0].backing
+        u = rand_unitary(rng, n)
+        family = [(u * rng.integers(0, 2, size=n)) @ u.conj().T for _ in range(4)]
+        yield common_refinement_quadruple(*((p + p.conj().T) / 2 for p in family)).backing
+
+
+def test_trusted_decompositions_pass_the_public_checks():
+    # eigh and the joint sectors build without checks; the public constructor accepts
+    # each of their decompositions as it is, so trusting the solver is checked here
+    for dec in [*map(eigh, _solver_instances()), *_sector_backings()]:
+        again = SpectralDecomposition(dec.eigenvalues, dec.projectors)
+        assert np.array_equal(again.eigenvalues, dec.eigenvalues)
+        assert np.array_equal(again.projectors, dec.projectors)
+        for a in (dec.eigenvalues, dec.projectors):
+            assert a.dtype in (np.float64, np.complex128) and not a.flags.writeable
+
+
+def test_eigh_and_joint_sectors_do_not_revalidate(monkeypatch):
+    def refuse(dec):
+        raise AssertionError("a decomposition was re-validated")
+
+    monkeypatch.setattr(SpectralDecomposition, "__post_init__", refuse)
+    rng = np.random.default_rng(43)
+    t = rand_degenerate_hermitian(rng, 6)
+    assert max_abs(eigh(t).operator() - t) < 1e-8
+    prop, _ = joint_propositions(*rand_commuting_projectors(rng, 4))
+    assert prop.backing.dim == 4
+    with pytest.raises(AssertionError, match="re-validated"):
+        SpectralDecomposition(np.array([0.0]), np.array([np.eye(2)]))
+
+
+def test_orthonormality_bound_gives_projectors_that_pass_the_public_checks():
+    # eigenvectors at the edge of _jacobi's bound, n max|V*V - I| just under
+    # PROJECTOR_TOL / 2, still give decompositions the public constructor accepts
+    rng = np.random.default_rng(47)
+    for n in (2, 5, 8, 16):
+        for _ in range(10):
+            # V*V - I = 2 s h + s^2 h^2 for V = U (I + s h), h Hermitian
+            h = rand_hermitian(rng, n)
+            s = 0.99 * PROJECTOR_TOL / 2 / n / max_abs(2 * h)
+            v = rand_unitary(rng, n) @ (np.eye(n) + s * h)
+            assert 0.98 <= n * max_abs(v.conj().T @ v - np.eye(n)) / (PROJECTOR_TOL / 2) <= 1.0
+            size = int(rng.integers(0, n))
+            cuts = np.sort(rng.choice(np.arange(1, n), size=size, replace=False))
+            blocks = np.split(v, cuts, axis=1)
+            prs = [(b @ b.conj().T + (b @ b.conj().T).conj().T) / 2 for b in blocks]
+            SpectralDecomposition(np.arange(len(prs), dtype=float), np.array(prs))
+
+
+class _DriftingSqrt:
+    """numpy with every sqrt 1e-9 too large, so each rotation's cosine drifts off unitary."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def sqrt(x):
+        return np.sqrt(x) * (1.0 + 1e-9)
+
+
+def test_jacobi_refuses_eigenvectors_that_are_not_orthonormal(monkeypatch):
+    rng = np.random.default_rng(53)
+    a = rand_hermitian(rng, 8)
+    monkeypatch.setattr(hvsim.linalg, "np", _DriftingSqrt())
+    with pytest.raises(ConvergenceFailure, match="orthonormality defect"):
+        _jacobi(a)
+    with pytest.raises(ConvergenceFailure, match="orthonormality defect"):
+        eigh(a)
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except (ValueError, hvsim.HvError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _perturbed(rng, dec):
+    """One decomposition broken at one random place by one random amount."""
+    evs, prs = dec.eigenvalues.copy(), dec.projectors.copy()
+    m, n = prs.shape[:2]
+    k, l = rng.integers(0, m, size=2)
+    eps = float(10.0 ** rng.uniform(-12, -3))
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    kind = rng.integers(0, 7)
+    if kind == 0:  # scaled: idempotence and resolution
+        prs[k] *= 1.0 + eps
+    elif kind == 1:  # skewed and compensated: self-adjointness
+        prs[k] += eps * x
+        prs[l] -= eps * x
+    elif kind == 2:  # a Hermitian part moved from one projector to another: orthogonality
+        prs[k] += eps * (x + x.conj().T)
+        prs[l] -= eps * (x + x.conj().T)
+    elif kind == 3:  # any entry anywhere
+        prs[k, rng.integers(0, n), rng.integers(0, n)] += eps * x[0, 0]
+    elif kind == 4 and m > 1:  # eigenvalues out of order
+        evs[[k, (k + 1) % m]] = evs[[(k + 1) % m, k]]
+    elif kind == 5:  # a non-finite entry
+        prs[k, rng.integers(0, n), rng.integers(0, n)] = rng.choice([np.nan, np.inf])
+    elif kind == 6:  # half a rank moved between two projectors: the traces
+        e = np.zeros((n, n)); e[0, 0] = 0.5
+        prs[k] += e
+        prs[l] -= e
+    return evs, prs
+
+
+def test_batched_checks_accept_and_reject_as_the_per_projector_loop():
+    rng = np.random.default_rng(59)
+    decs = [eigh(t) for t in (rand_degenerate_hermitian(rng, n) for n in range(2, 9))]
+    decs += [eigh(rand_hermitian(rng, n)) for n in range(2, 9)]
+    # the trace check is not among them: within the idempotence tol the trace is
+    # within n * 1e-9 of an integer
+    kinds = ("increasing", "resolve", "finite", "self-adjointness", "idempotence", "orthogonal")
+    seen = set()
+    for trial in range(1500):
+        evs, prs = _perturbed(rng, decs[trial % len(decs)])
+        want = _outcome(oracle_decomposition_checks, evs, prs)
+        assert _outcome(SpectralDecomposition, evs, prs) == want, (trial, want)
+        seen.add(want and next((kind for kind in kinds if kind in want[1]), want[1]))
+    # every kind of rejection came up, and acceptance (None): perturbations under every tol
+    assert seen == {None, *kinds}
 
 
 def test_meet_with_identity_absorbs():
@@ -352,15 +513,22 @@ def test_ensure_projector_rejects_non_idempotent(entry):
      ("joint_propositions", 1), ("common_refinement_quadruple", 1)],
 )
 def test_internal_solves_build_no_decomposition_but_the_sectors(monkeypatch, entry, built):
-    # meets classify raw eigenpairs of e + f - I; joint sectors build only their own backing
+    # meets classify raw eigenpairs of e + f - I; joint sectors build only their own backing,
+    # counted whether it goes through the public constructor or the trusted one
     made = []
     check = SpectralDecomposition.__post_init__
+    trusted = SpectralDecomposition._trusted
 
     def counted(dec):
         made.append(dec)
         check(dec)
 
+    def counted_trusted(cls, *args):
+        made.append(args)
+        return trusted(*args)
+
     monkeypatch.setattr(SpectralDecomposition, "__post_init__", counted)
+    monkeypatch.setattr(SpectralDecomposition, "_trusted", classmethod(counted_trusted))
     fn, arity = PROJECTOR_ENTRY_POINTS[entry]
     family = [np.diag(bits).astype(complex) for bits in ((1, 1, 0, 0), (1, 0, 1, 0),
                                                         (1, 0, 0, 0), (0, 1, 1, 0))]
