@@ -52,7 +52,7 @@ def ensure_hermitian(matrix, tol: float = HERMITIAN_TOL) -> np.ndarray:
     defect = max_abs(m - m.conj().T)
     if defect > tol:
         raise NotHermitian(f"self-adjointness defect {defect:.3e} exceeds tol {tol:.1e}")
-    return _readonly((m + m.conj().T) / 2.0)
+    return _readonly(m / 2.0 + m.conj().T / 2.0)  # halved first: m + M* can overflow
 
 
 def ensure_projector(matrix, tol: float = PROJECTOR_TOL) -> np.ndarray:
@@ -112,30 +112,24 @@ class SpectralDecomposition:
         resolution = max_abs(prs.sum(axis=0) - np.eye(n))
         if resolution > RESOLUTION_TOL:
             raise ValueError(f"projectors do not resolve the identity ({resolution:.3e})")
-        # ensure_projector on every P_k at once, and P_k against P_k+1, P_k+2, ... in one
-        # product per k; the first P_k, in order, that fails its own check or is not
-        # orthogonal to a successor raises. Non-finite entries are reported in that order,
-        # so the arithmetic on them is not warned about.
+        # ensure_projector's checks on every P_k at once, and P_k against P_k+1, P_k+2, ...
+        # in one product per k; the first P_k, in order, that fails its own check or is not
+        # orthogonal to a successor raises. A P_k the batch flags goes through
+        # ensure_projector itself, which says why; comparisons are written so NaN fails.
         tol = PROJECTOR_TOL
         with np.errstate(invalid="ignore", over="ignore"):
-            finite = np.isfinite(prs).all(axis=(1, 2))
             adjoints = prs.conj().transpose(0, 2, 1)
-            hermitian = np.abs(prs - adjoints).max(axis=(1, 2))
             ps = (prs + adjoints) / 2.0
-            idempotent = np.abs(ps @ ps - ps).max(axis=(1, 2))
             traces = np.trace(ps, axis1=1, axis2=2).real
+            passes = (
+                np.isfinite(prs).all(axis=(1, 2))
+                & (np.abs(prs - adjoints).max(axis=(1, 2)) <= tol)
+                & (np.abs(ps @ ps - ps).max(axis=(1, 2)) <= tol)
+                & (np.abs(traces - np.round(traces)) <= 1e-6)
+            )
             for k in range(len(prs)):
-                if not finite[k]:
-                    raise ValueError("matrix entries must be finite")
-                if hermitian[k] > tol:
-                    raise NotHermitian(
-                        f"self-adjointness defect {hermitian[k]:.3e} exceeds tol {tol:.1e}")
-                if idempotent[k] > tol:
-                    raise ValueError(
-                        f"idempotence defect {idempotent[k]:.3e} exceeds tol {tol:.1e}")
-                trace = float(traces[k])
-                if abs(trace - round(trace)) > 1e-6:
-                    raise ValueError(f"projector trace {trace!r} is not near an integer")
+                if not passes[k]:
+                    ensure_projector(prs[k], tol)
                 overlap = np.abs(prs[k] @ prs[k + 1:]).max(axis=(1, 2))
                 bad = np.flatnonzero(overlap > RESOLUTION_TOL)
                 if bad.size:
@@ -199,8 +193,10 @@ def _jacobi(a: np.ndarray, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS)
     rotation block per pair (the identity block where a[p, q] is already 0).
 
     The columns of v are checked once, here, so that projectors built from them need no
-    check of their own. With E = V*V - I and d = max|E|, raises ConvergenceFailure unless
-    n d <= PROJECTOR_TOL / 2. For disjoint column sets S, T and P_S = V_S V_S*:
+    check of their own. Raises ConvergenceFailure if anything is not finite (a NaN
+    off-diagonal norm, an eigenvalue beyond the float64 range, a NaN defect) and, with
+    E = V*V - I and d = max|E|, unless n d <= PROJECTOR_TOL / 2. For disjoint column sets
+    S, T and P_S = V_S V_S*:
     - P_S P_S - P_S = V_S E_SS V_S* and P_S P_T = V_S E_ST V_T*. Each entry is at most
       |V|^2 |E| <= (1 + n d) n d < PROJECTOR_TOL (spectral norms; |E| <= n d bounds it by
       the Frobenius norm, and |V|^2 = |V*V| <= 1 + |E|). So P_S is idempotent within
@@ -214,15 +210,19 @@ def _jacobi(a: np.ndarray, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS)
     n = a.shape[0]
     v = np.eye(n, dtype=np.complex128)
     threshold = off_tol * max(1.0, max_abs(a))
+    # rotate a copy scaled exactly by 2**-e into max|a| < 1: near the float64 limit a
+    # rotation's hypot overflows, and the pair would be zeroed without being rotated
+    e = max(0, int(np.frexp(max_abs(a))[1]))
+    a, scaled = a * np.ldexp(1.0, -e), np.ldexp(threshold, -e)
     rounds = [(p, q, np.concatenate((p, q, p, q)), np.concatenate((p, q, q, p)))
               for p, q in _round_robin(n)]  # J's block entries (p, p), (q, q), (p, q), (q, p)
 
     sweeps = 0
-    while _off_norm(a) > threshold:
-        if sweeps >= max_sweeps:
+    while not (off := _off_norm(a)) <= scaled:
+        if sweeps >= max_sweeps or np.isnan(off):
             raise ConvergenceFailure(
-                f"off-diagonal norm {_off_norm(a):.3e} above {threshold:.3e} "
-                f"after {max_sweeps} sweeps"
+                f"off-diagonal norm {np.ldexp(off, e):.3e} above {threshold:.3e} "
+                f"after {sweeps} sweeps"
             )
         for p, q, rows, cols in rounds:
             apq = a[p, q]
@@ -246,12 +246,15 @@ def _jacobi(a: np.ndarray, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS)
         a = (a + a.conj().T) / 2.0
         sweeps += 1
 
+    with np.errstate(over="ignore"):
+        raw = np.ldexp(np.diag(a).real, e)
+    if not np.all(np.isfinite(raw)):
+        raise ConvergenceFailure(f"non-finite eigenvalue {raw[~np.isfinite(raw)][0]}")
     defect = max_abs(v.conj().T @ v - np.eye(n))
-    if n * defect > PROJECTOR_TOL / 2:
+    if not n * defect <= PROJECTOR_TOL / 2:  # a NaN defect fails too
         raise ConvergenceFailure(
             f"eigenvector orthonormality defect {defect:.3e} above {PROJECTOR_TOL / 2 / n:.3e}"
         )
-    raw = np.diag(a).real
     order = np.argsort(raw, kind="stable")
     return raw[order], v[:, order]
 
@@ -287,8 +290,9 @@ def eigh(
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
     raw, vecs = _jacobi(ensure_hermitian(matrix, hermitian_tol), off_tol, max_sweeps)
-    cuts = np.flatnonzero(np.diff(raw) > cluster_tol) + 1
-    values = [min(max(c.mean(), c[0]), c[-1]) for c in np.split(raw, cuts)]
+    with np.errstate(over="ignore"):  # gaps and sums near the float64 limit may be inf
+        cuts = np.flatnonzero(np.diff(raw) > cluster_tol) + 1
+        values = [min(max(c.mean(), c[0]), c[-1]) for c in np.split(raw, cuts)]
     projectors = [_span_projector(v) for v in np.split(vecs, cuts, axis=1)]
     return SpectralDecomposition._trusted(values, projectors)
 

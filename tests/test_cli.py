@@ -54,6 +54,15 @@ def test_non_hermitian_operator_is_exit_2(tmp_path, capsys):
     assert_bad_input(code, err, "self-adjointness defect")
 
 
+def test_operator_with_eigenvalue_beyond_float64_is_exit_2(tmp_path, capsys):
+    # every entry is finite, but the largest eigenvalue, 2.4e308, is not
+    doc = {"dimension": 3, "operators": {"huge": [[[8e307, 0]] * 3] * 3}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["spectra", "--input", str(path), "--operator", "huge"], capsys)
+    assert_bad_input(code, err, "non-finite eigenvalue inf")
+
+
 def test_unknown_name_is_exit_2(capsys):
     code, _, err = run(["spectra", "--input", "pauli", "--operator", "nope"], capsys)
     assert_bad_input(code, err, "unknown operator 'nope'")

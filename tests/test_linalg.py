@@ -271,6 +271,35 @@ def test_jacobi_refuses_eigenvectors_that_are_not_orthonormal(monkeypatch):
         eigh(a)
 
 
+class _NaNHypot(_DriftingSqrt):
+    """numpy whose hypot returns NaN, so the first rotation fills a and v with NaN."""
+
+    @staticmethod
+    def hypot(x, y):
+        return np.full_like(np.hypot(x, y), np.nan)
+
+
+def test_jacobi_rotates_entries_near_the_float64_limit():
+    # unscaled, hypot(16e307, 14e307) overflows and the pair is zeroed unrotated, at +-8e307
+    dec = eigh(np.array([[8e307, 7e307], [7e307, -8e307]]))
+    assert dec.eigenvalues == pytest.approx([-np.sqrt(113) * 1e307, np.sqrt(113) * 1e307])
+    # and symmetrizing a diagonal of 1.7e308 overflows unless each half is taken first
+    assert eigh(np.diag([1.7e308, -1.7e308])).eigenvalues.tolist() == [-1.7e308, 1.7e308]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_jacobi_refuses_non_finite_eigenpairs(monkeypatch):
+    # finite entries whose largest eigenvalue, 2.4e308, is beyond the float64 range
+    for fn in (_jacobi, eigh):
+        with pytest.raises(ConvergenceFailure, match="non-finite eigenvalue inf"):
+            fn(np.full((3, 3), 8e307, dtype=complex))
+    a = rand_hermitian(np.random.default_rng(61), 6)
+    monkeypatch.setattr(hvsim.linalg, "np", _NaNHypot())
+    for fn in (_jacobi, eigh):
+        with pytest.raises(ConvergenceFailure, match="off-diagonal norm nan"):
+            fn(a)
+
+
 def _outcome(fn, *args):
     try:
         fn(*args)
