@@ -212,7 +212,8 @@ def _joint_sectors(
     labels = np.rint(raw)
     drift = float(np.max(np.abs(raw - labels)))
     if drift > sector_snap_tol:
-        raise DegenerateLabeling(f"joint eigenvalue {drift:.3e} away from integer sector label")
+        raise DegenerateLabeling(f"joint eigenvalue drift {drift:.3e} from integer sector label"
+                                 f" exceeds sector_snap_tol {sector_snap_tol:.1e}")
     if labels.min() < 0 or labels.max() > n_labels - 1:
         raise DegenerateLabeling(f"sector labels outside 0..{n_labels - 1}")
     keys = np.unique(labels)
@@ -272,9 +273,7 @@ def check_boolean_homomorphism(
     mapped projectors, every pairwise union to the join, and complements to
     orthocomplements. The projectors come from one validated backing, so they
     commute and their meets are products, and the joins I minus products of
-    complements. When the check passes, the two projectors commute; this
-    conclusion is re-verified at the default commute_tol, and a failure would
-    be a genuine defect.
+    complements.
     """
     if not _same_backing(a.backing, b.backing):
         raise BackingMismatch("propositions do not share a backing")
@@ -298,7 +297,4 @@ def check_boolean_homomorphism(
             residuals.append(max_abs(eps(set_a | set_b) - (eye - es[1 - i] @ fs[1 - j])))
     residuals.append(max_abs(eps(sets_a[1]) - es[1]))
     residuals.append(max_abs(eps(sets_b[1]) - fs[1]))
-    ok = max(residuals) <= tol
-    if ok and not _commutes(ea, eb):
-        raise AssertionError("boolean homomorphism held but projectors do not commute")
-    return ok
+    return max(residuals) <= tol

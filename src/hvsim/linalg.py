@@ -86,14 +86,10 @@ class SpectralDecomposition:
     The projectors resolve the identity and are mutually orthogonal within
     1e-8; degenerate eigenspaces appear as single projectors of rank > 1.
 
-    The public constructor checks all of this, batched: the order of the
-    eigenvalues, the resolution of the identity, each projector as
-    ensure_projector would (finite, Hermitian, idempotent within 1e-9,
-    near-integer trace), then each pair's orthogonality, raising for the first
-    projector, in order, that fails any of them. eigh and bell's joint sectors
-    build through _trusted instead, which checks nothing: their projectors
-    come from eigenvectors _jacobi has checked once, which is enough for all
-    of the above (see _jacobi).
+    The public constructor checks all of this, each projector through
+    ensure_projector. eigh and bell's joint sectors build through _trusted
+    instead, which checks nothing: their projectors come from eigenvectors
+    _jacobi has checked once, which is enough for all of the above (see _jacobi).
     """
 
     eigenvalues: np.ndarray
@@ -112,28 +108,11 @@ class SpectralDecomposition:
         resolution = max_abs(prs.sum(axis=0) - np.eye(n))
         if resolution > RESOLUTION_TOL:
             raise ValueError(f"projectors do not resolve the identity ({resolution:.3e})")
-        # ensure_projector's checks on every P_k at once, and P_k against P_k+1, P_k+2, ...
-        # in one product per k; the first P_k, in order, that fails its own check or is not
-        # orthogonal to a successor raises. A P_k the batch flags goes through
-        # ensure_projector itself, which says why; comparisons are written so NaN fails.
-        tol = PROJECTOR_TOL
-        with np.errstate(invalid="ignore", over="ignore"):
-            adjoints = prs.conj().transpose(0, 2, 1)
-            ps = (prs + adjoints) / 2.0
-            traces = np.trace(ps, axis1=1, axis2=2).real
-            passes = (
-                np.isfinite(prs).all(axis=(1, 2))
-                & (np.abs(prs - adjoints).max(axis=(1, 2)) <= tol)
-                & (np.abs(ps @ ps - ps).max(axis=(1, 2)) <= tol)
-                & (np.abs(traces - np.round(traces)) <= 1e-6)
-            )
-            for k in range(len(prs)):
-                if not passes[k]:
-                    ensure_projector(prs[k], tol)
-                overlap = np.abs(prs[k] @ prs[k + 1:]).max(axis=(1, 2))
-                bad = np.flatnonzero(overlap > RESOLUTION_TOL)
-                if bad.size:
-                    raise ValueError(f"projectors {k} and {k + 1 + bad[0]} are not orthogonal")
+        for k in range(len(prs)):
+            ensure_projector(prs[k])
+            for l in range(k + 1, len(prs)):
+                if max_abs(prs[k] @ prs[l]) > RESOLUTION_TOL:
+                    raise ValueError(f"projectors {k} and {l} are not orthogonal")
         object.__setattr__(self, "eigenvalues", _readonly(evs))
         object.__setattr__(self, "projectors", _readonly(prs))
 

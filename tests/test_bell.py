@@ -20,6 +20,7 @@ from hvsim import (
     Proposition,
     PropositionQuadruple,
     PureState,
+    SpectralDecomposition,
     check_boolean_homomorphism,
     chsh_terms,
     chsh_value,
@@ -229,6 +230,19 @@ def test_boolean_homomorphism_fails_when_snapping_puts_an_eigenvalue_in_both_set
     b = proposition_from(dec, BorelSet.interval(1.0 + 1.5e-9, 2.0, True, True))
     assert (a.borel & b.borel).is_empty
     assert not check_boolean_homomorphism(a, b)
+
+
+def test_boolean_homomorphism_that_holds_returns_true_whatever_the_commutator():
+    # the public constructor accepts e0 e0*, v v*, e2 e2* with v 5e-9 off e1: the projectors
+    # of points 0 and 1 then commute only to about 5e-9, above the default commute_tol 1e-9,
+    # yet every meet and join residual is within the default tol 1e-8
+    v = np.array([5e-9, 1.0, 0.0]) / math.hypot(5e-9, 1.0)
+    e = np.eye(3)
+    prs = np.array([np.outer(e[0], e[0]), np.outer(v, v), np.outer(e[2], e[2])])
+    dec = SpectralDecomposition(np.array([0.0, 1.0, 2.0]), prs)
+    a, b = Proposition(dec, BorelSet.point(0.0)), Proposition(dec, BorelSet.point(1.0))
+    assert not commutes(proposition_projector(a), proposition_projector(b))
+    assert check_boolean_homomorphism(a, b)
 
 
 def test_boolean_homomorphism_requires_shared_backing():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import rand_unitary
 import hvsim
 from hvsim.cli import COMMANDS, load_problem, main, run_chsh, run_verify
 
@@ -238,12 +239,33 @@ def _line_pair(t):
 
 
 def _z_doc(z_entries, state, **extra):
-    return {"dimension": 2, "operators": {"z": _complex_rows(np.array(z_entries))},
+    return {"dimension": len(state), "operators": {"z": _complex_rows(np.array(z_entries))},
             "states": {"s": [[c, 0] for c in state]}, **extra}
 
 
-# each tolerance key, loosened in the file, with what the default gives (a str: the
-# exit-2 message) and what the loosened value gives
+# single linkage chains the four eigenvalues near 1 into one cluster spanning 2.7e-8,
+# so the operator rebuilt from its clusters is 1.35e-8 off, above the default 1e-8
+CHAINED_Z = _z_doc(np.diag([1.0, 1.0 + 0.9e-8, 1.0 + 1.8e-8, 1.0 + 2.7e-8, -1.0]), [1, 0, 0, 0, 0])
+
+
+def _rotated_commuting_chsh():
+    # the commuting fixture conjugated by a random unitary: its joint eigenvalues then sit
+    # about 1e-15 from their integer sector labels, where on the diagonal fixture they sit on them
+    doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "commuting_chsh.json").read_text())
+    u = rand_unitary(np.random.default_rng(0), doc["dimension"])
+
+    def matrix(rows):
+        return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+    doc["operators"] = {k: _complex_rows(u @ matrix(v) @ u.conj().T)
+                        for k, v in doc["operators"].items()}
+    doc["states"] = {k: [[z.real, z.imag] for z in u @ matrix([v])[0]]
+                     for k, v in doc["states"].items()}
+    return doc
+
+
+# each tolerance key set in the file, with what the default gives and what the set value
+# gives (a str: the exit-2 message); every key is loosened but sector_snap_tol, set to 0
 LOOSENED_TOLERANCES = {
     "projector_tol": (
         1e-6, _scaled_first_half(), ["chsh"],
@@ -279,6 +301,19 @@ LOOSENED_TOLERANCES = {
         1e-6, _line_pair(1e-8), ["chsh"],
         lambda r: (*r["cross_pairs_commute"].values(), r["proposition_intersections_admitted"]),
         (False,) * 5, (True,) * 5,
+    ),
+    "reconstruction_tol": (
+        1e-7, CHAINED_Z, ["spectra", "--operator", "z"],
+        lambda r: r["checks"]["reconstruction_ok"], False, True,
+    ),
+    "roundtrip_tol": (
+        1e-7, CHAINED_Z, ["roundtrip", "--operator", "z"],
+        lambda r: r["checks"]["identity_roundtrip_ok"], False, True,
+    ),
+    "sector_snap_tol": (
+        0, _rotated_commuting_chsh(), ["chsh"],
+        lambda r: r["checks"]["classical_bound_respected"], True,
+        "from integer sector label exceeds sector_snap_tol 0.0e+00",
     ),
 }
 
@@ -342,8 +377,7 @@ def test_non_finite_entries_are_exit_2(tmp_path, capsys, doc, argv, fragment):
 
 @pytest.mark.parametrize("fixture", ["commuting_chsh", "singlet_chsh"])
 def test_chsh_report_decides_each_pairs_commutation_once(capsys, monkeypatch, fixture):
-    # the 6 pairs among e1, e2, f1, f2 once each, plus check_boolean_homomorphism's own
-    # re-check in each of the 4 cross-pair refinements
+    # the 6 pairs among e1, e2, f1, f2 once each
     calls = []
 
     def counted(*args, **kwargs):
@@ -355,7 +389,7 @@ def test_chsh_report_decides_each_pairs_commutation_once(capsys, monkeypatch, fi
             monkeypatch.setattr(module, "_commutes", counted)
     code, _, _ = run(["chsh", "--input", fixture], capsys)
     assert code == (0 if fixture == "commuting_chsh" else 1)
-    assert len(calls) == 10
+    assert len(calls) == 6
 
 
 def test_experiment_blocks_run_when_no_names_given(capsys):

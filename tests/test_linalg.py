@@ -6,7 +6,6 @@ import pytest
 
 from conftest import (
     oracle_correlation,
-    oracle_decomposition_checks,
     oracle_meet,
     rand_commuting_projectors,
     rand_degenerate_hermitian,
@@ -157,7 +156,7 @@ def test_jacobi_matches_numpy_oracle(n):
 
 def test_decomposition_rejects_broken_resolution():
     p = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"do not resolve the identity \(1.000e\+00\)"):
         SpectralDecomposition(np.array([0.5]), np.array([p]))
 
 
@@ -182,6 +181,29 @@ def test_decomposition_rejects_non_hermitian_projectors():
     prs = np.array([np.diag([1.0, 0.0]) + skew, np.diag([0.0, 1.0]) - skew])
     with pytest.raises(NotHermitian, match="self-adjointness defect 1.000e-06"):
         SpectralDecomposition(np.array([0.0, 1.0]), prs)
+
+
+def test_decomposition_rejects_non_finite_projectors():
+    # a NaN entry makes the resolution and the pair products NaN, which pass their
+    # comparisons; the projector's own check refuses it
+    prs = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    prs[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        SpectralDecomposition(np.array([0.0, 1.0]), prs)
+
+
+def test_decomposition_rejects_non_orthogonal_projectors():
+    # e1 + eps h and e2 - eps h move a Hermitian h = e0 e1* + e1 e0* between projectors, so
+    # they still resolve the identity; e1 + eps h is idempotent to eps^2, and e0 overlaps it
+    eps = 1e-6
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 1] = h[1, 0] = 1.0
+    e = np.eye(3, dtype=complex)
+    prs = np.array([np.outer(e[0], e[0]), np.outer(e[1], e[1]) + eps * h,
+                    np.outer(e[2], e[2]) - eps * h])
+    ensure_projector(prs[1])
+    with pytest.raises(ValueError, match="projectors 0 and 1 are not orthogonal"):
+        SpectralDecomposition(np.array([0.0, 1.0, 2.0]), prs)
 
 
 def _solver_instances():
@@ -298,60 +320,6 @@ def test_jacobi_refuses_non_finite_eigenpairs(monkeypatch):
     for fn in (_jacobi, eigh):
         with pytest.raises(ConvergenceFailure, match="off-diagonal norm nan"):
             fn(a)
-
-
-def _outcome(fn, *args):
-    try:
-        fn(*args)
-    except (ValueError, hvsim.HvError) as exc:
-        return type(exc), str(exc)
-    return None
-
-
-def _perturbed(rng, dec):
-    """One decomposition broken at one random place by one random amount."""
-    evs, prs = dec.eigenvalues.copy(), dec.projectors.copy()
-    m, n = prs.shape[:2]
-    k, l = rng.integers(0, m, size=2)
-    eps = float(10.0 ** rng.uniform(-12, -3))
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    kind = rng.integers(0, 7)
-    if kind == 0:  # scaled: idempotence and resolution
-        prs[k] *= 1.0 + eps
-    elif kind == 1:  # skewed and compensated: self-adjointness
-        prs[k] += eps * x
-        prs[l] -= eps * x
-    elif kind == 2:  # a Hermitian part moved from one projector to another: orthogonality
-        prs[k] += eps * (x + x.conj().T)
-        prs[l] -= eps * (x + x.conj().T)
-    elif kind == 3:  # any entry anywhere
-        prs[k, rng.integers(0, n), rng.integers(0, n)] += eps * x[0, 0]
-    elif kind == 4 and m > 1:  # eigenvalues out of order
-        evs[[k, (k + 1) % m]] = evs[[(k + 1) % m, k]]
-    elif kind == 5:  # a non-finite entry
-        prs[k, rng.integers(0, n), rng.integers(0, n)] = rng.choice([np.nan, np.inf])
-    elif kind == 6:  # half a rank moved between two projectors: the traces
-        e = np.zeros((n, n)); e[0, 0] = 0.5
-        prs[k] += e
-        prs[l] -= e
-    return evs, prs
-
-
-def test_batched_checks_accept_and_reject_as_the_per_projector_loop():
-    rng = np.random.default_rng(59)
-    decs = [eigh(t) for t in (rand_degenerate_hermitian(rng, n) for n in range(2, 9))]
-    decs += [eigh(rand_hermitian(rng, n)) for n in range(2, 9)]
-    # the trace check is not among them: within the idempotence tol the trace is
-    # within n * 1e-9 of an integer
-    kinds = ("increasing", "resolve", "finite", "self-adjointness", "idempotence", "orthogonal")
-    seen = set()
-    for trial in range(1500):
-        evs, prs = _perturbed(rng, decs[trial % len(decs)])
-        want = _outcome(oracle_decomposition_checks, evs, prs)
-        assert _outcome(SpectralDecomposition, evs, prs) == want, (trial, want)
-        seen.add(want and next((kind for kind in kinds if kind in want[1]), want[1]))
-    # every kind of rejection came up, and acceptance (None): perturbations under every tol
-    assert seen == {None, *kinds}
 
 
 def test_meet_with_identity_absorbs():
@@ -534,6 +502,14 @@ def test_ensure_projector_rejects_non_idempotent(entry):
             args[position] = bad.astype(complex)
             with pytest.raises(ValueError):
                 fn(*args)
+
+
+def test_ensure_projector_trace_check_fires_at_a_loosened_tol():
+    # at the default tol 1e-9 idempotence keeps the trace near an integer; at tol 1e-6,
+    # which hv chsh reaches through projector_tol, (1 + 0.9e-6) I passes idempotence
+    # and its trace 8.0000072 is not near an integer
+    with pytest.raises(ValueError, match=r"projector trace 8\.0000072\d* is not near an integer"):
+        ensure_projector((1 + 0.9e-6) * np.eye(8), tol=1e-6)
 
 
 @pytest.mark.parametrize(
