@@ -35,7 +35,7 @@ SECTOR_SNAP_TOL = 1e-6
 HOMOMORPHISM_TOL = 1e-8
 
 
-def _correlation(e: np.ndarray, f: np.ndarray, meet_tol: float = MEET_TOL) -> np.ndarray:
+def _correlation(e: np.ndarray, f: np.ndarray, meet_tol: float) -> np.ndarray:
     both, neither, cross = _pair_meets(e, f, meet_tol)
     return _readonly(both + neither - cross)
 
@@ -93,14 +93,10 @@ def chsh_value(cfg: ChshConfig, meet_tol: float = MEET_TOL) -> float:
 
 
 def _same_backing(a: SpectralDecomposition, b: SpectralDecomposition) -> bool:
-    if a is b:
-        return True
-    return (
-        a.eigenvalues.shape == b.eigenvalues.shape
-        and a.projectors.shape == b.projectors.shape
-        and float(np.max(np.abs(a.eigenvalues - b.eigenvalues))) <= 1e-10
-        and max_abs(a.projectors - b.projectors) <= 1e-10
-    )
+    """One decomposition, or two bit-equal ones (eigh is deterministic, so two solves of
+    one operator agree); a decomposition of any other operator is another backing."""
+    return a is b or (np.array_equal(a.eigenvalues, b.eigenvalues)
+                      and np.array_equal(a.projectors, b.projectors))
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,11 @@ class ProblemFile:
     digest: str
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool (float() and int() would take 2.9 or true)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_complex_entry(entry, where: str) -> complex:
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise LoadError(f"{where}: complex entries must be [re, im] pairs")
@@ -146,6 +151,13 @@ def _parse_endpoint(value, where: str) -> float:
         raise LoadError(f"{where}: bad endpoint {value!r}") from exc
 
 
+def _parse_flag(spec: dict, key: str, where: str) -> bool:
+    value = spec.get(key, False)
+    if not isinstance(value, bool):
+        raise LoadError(f"{where}: {key!r} must be true or false, got {value!r}")
+    return value
+
+
 def _parse_borel(pieces, where: str) -> BorelSet:
     if not isinstance(pieces, list):
         raise LoadError(f"{where}: a Borel set is a list of interval objects")
@@ -158,8 +170,8 @@ def _parse_borel(pieces, where: str) -> BorelSet:
                 Interval(
                     _parse_endpoint(spec.get("lo", "-inf"), where),
                     _parse_endpoint(spec.get("hi", "inf"), where),
-                    bool(spec.get("lo_closed", False)),
-                    bool(spec.get("hi_closed", False)),
+                    _parse_flag(spec, "lo_closed", where),
+                    _parse_flag(spec, "hi_closed", where),
                 )
             )
         except ValueError as exc:
@@ -209,10 +221,9 @@ def load_problem(source: str) -> ProblemFile:
         raise LoadError(f"{display}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise LoadError(f"{display}: top level must be an object")
-    try:
-        dim = int(doc["dimension"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LoadError(f"{display}: missing or bad 'dimension'") from exc
+    dim = doc.get("dimension")
+    if not _is_int(dim):
+        raise LoadError(f"{display}: missing or bad 'dimension'")
     if dim < 1:
         raise LoadError(f"{display}: dimension must be positive")
 
@@ -288,7 +299,7 @@ def _named(problem: ProblemFile, key: str, name: str):
 def _decompose(problem: ProblemFile, operator: str):
     tol = problem.tolerances
     matrix = _named(problem, "operator", operator)
-    return eigh(matrix, cluster_tol=tol.cluster_tol, hermitian_tol=tol.hermitian_tol)
+    return eigh(matrix, cluster_tol=tol.cluster_tol)
 
 
 def _floats(a) -> list[float]:
@@ -466,9 +477,7 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
         integral_value = functions.chsh_value()
         result["fiber_chsh_value"] = integral_value
         result["checks"]["pointwise_identity_ok"] = functions.pointwise_identity_holds()
-        result["checks"]["fiber_integrals_match"] = (
-            abs(integral_value - value) <= 1e-9
-        )
+        result["checks"]["fiber_integrals_match"] = abs(integral_value - value) <= CHSH_SLACK
     return result
 
 
@@ -530,11 +539,9 @@ def _run_block(problem: ProblemFile, block: dict, args: argparse.Namespace, seed
     defaults = {"samples": DEFAULT_SAMPLES, "seed": seed}
     for key in spec.settings:
         candidates = (getattr(args, key), block.get(key), defaults[key])
-        value = next(v for v in candidates if v is not None)
-        try:
-            kwargs[key] = int(value)
-        except (TypeError, ValueError) as exc:
-            raise LoadError(f"{block['kind']} {key} must be an integer, got {value!r}") from exc
+        kwargs[key] = next(v for v in candidates if v is not None)
+        if not _is_int(kwargs[key]):
+            raise LoadError(f"{block['kind']} {key} must be an integer, got {kwargs[key]!r}")
     return spec.run(problem, **kwargs)
 
 

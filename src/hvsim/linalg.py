@@ -67,8 +67,8 @@ def ensure_projector(matrix, tol: float = PROJECTOR_TOL) -> np.ndarray:
     return p
 
 
-def _ensure_projectors(*matrices, tol: float = PROJECTOR_TOL) -> tuple[np.ndarray, ...]:
-    ps = tuple(ensure_projector(m, tol) for m in matrices)
+def _ensure_projectors(*matrices) -> tuple[np.ndarray, ...]:
+    ps = tuple(ensure_projector(m) for m in matrices)
     dims = {p.shape[0] for p in ps}
     if len(dims) != 1:
         raise DimensionMismatch(f"operands have mixed dimensions {sorted(dims)}")
@@ -164,12 +164,15 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return list(zip(np.minimum(p, q), np.maximum(p, q)))
 
 
-def _jacobi(a: np.ndarray, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS) -> tuple:
+def _jacobi(a: np.ndarray) -> tuple:
     """Ascending eigenvalues and eigenvector columns of a, trusted Hermitian.
 
     A sweep is one pass of the round-robin schedule; each round annihilates its disjoint
     pairs at once as a <- J* a J, v <- v J, with J the identity carrying one complex
-    rotation block per pair (the identity block where a[p, q] is already 0).
+    rotation block per pair (the identity block where a[p, q] is already 0). It converges
+    when the off-diagonal Frobenius norm falls below JACOBI_OFF_TOL relative to the largest
+    entry, and raises ConvergenceFailure after JACOBI_MAX_SWEEPS sweeps; both are read at
+    call time.
 
     The columns of v are checked once, here, so that projectors built from them need no
     check of their own. Raises ConvergenceFailure if anything is not finite (a NaN
@@ -188,7 +191,7 @@ def _jacobi(a: np.ndarray, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS)
     the factor-two margin. Observed defects are about 1e-14 at n = 48."""
     n = a.shape[0]
     v = np.eye(n, dtype=np.complex128)
-    threshold = off_tol * max(1.0, max_abs(a))
+    threshold = JACOBI_OFF_TOL * max(1.0, max_abs(a))
     # rotate a copy scaled exactly by 2**-e into max|a| < 1: near the float64 limit a
     # rotation's hypot overflows, and the pair would be zeroed without being rotated
     e = max(0, int(np.frexp(max_abs(a))[1]))
@@ -198,7 +201,7 @@ def _jacobi(a: np.ndarray, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS)
 
     sweeps = 0
     while not (off := _off_norm(a)) <= scaled:
-        if sweeps >= max_sweeps or np.isnan(off):
+        if sweeps >= JACOBI_MAX_SWEEPS or np.isnan(off):
             raise ConvergenceFailure(
                 f"off-diagonal norm {np.ldexp(off, e):.3e} above {threshold:.3e} "
                 f"after {sweeps} sweeps"
@@ -244,31 +247,23 @@ def _span_projector(v: np.ndarray) -> np.ndarray:
     return (p + p.conj().T) / 2.0
 
 
-def eigh(
-    matrix,
-    cluster_tol: float = CLUSTER_TOL,
-    hermitian_tol: float = HERMITIAN_TOL,
-    off_tol: float = JACOBI_OFF_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> SpectralDecomposition:
+def eigh(matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
     """Spectral decomposition of a self-adjoint matrix.
 
-    Complex Jacobi iteration in round-robin order, converging when the
-    off-diagonal Frobenius norm falls below off_tol (default 1e-12) relative
-    to the largest input entry; raises ConvergenceFailure after max_sweeps
-    (default 100) sweeps, a sweep being the rounds that rotate every index
-    pair once. Sorted eigenvalues at most cluster_tol (default 1e-8)
-    apart chain into one cluster (single linkage), eigenvalue set to their mean,
-    so degenerate eigenspaces come out as single basis-independent projectors.
+    Complex Jacobi iteration in round-robin order (see _jacobi). Sorted eigenvalues at
+    most cluster_tol (default 1e-8) apart chain into one cluster (single linkage, so a
+    cluster can span more than cluster_tol), eigenvalue set to their mean, so degenerate
+    eigenspaces come out as single basis-independent projectors.
 
-    The input is checked here and the eigenvectors in _jacobi; the decomposition is
+    The input is checked here, at HERMITIAN_TOL (a caller needing another tolerance passes
+    ensure_hermitian(matrix, tol)), and the eigenvectors in _jacobi; the decomposition is
     built unchecked, since its projectors then pass every check of the public
     SpectralDecomposition constructor, and a mean kept inside its cluster keeps the
     eigenvalues strictly increasing.
     """
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
-    raw, vecs = _jacobi(ensure_hermitian(matrix, hermitian_tol), off_tol, max_sweeps)
+    raw, vecs = _jacobi(ensure_hermitian(matrix))
     with np.errstate(over="ignore"):  # gaps and sums near the float64 limit may be inf
         cuts = np.flatnonzero(np.diff(raw) > cluster_tol) + 1
         values = [min(max(c.mean(), c[0]), c[-1]) for c in np.split(raw, cuts)]
@@ -279,7 +274,7 @@ def eigh(
 # Private forms trust projectors checked where they entered; public names validate once.
 
 
-def _pair_meets(e: np.ndarray, f: np.ndarray, meet_tol: float = MEET_TOL) -> tuple[np.ndarray, ...]:
+def _pair_meets(e: np.ndarray, f: np.ndarray, meet_tol: float) -> tuple[np.ndarray, ...]:
     """(e meet f, e' meet f', (e meet f') + (e' meet f)), e' = I - e, from one solve of e + f - I.
 
     Halmos: e + f - I is +1 on e meet f, -1 on e' meet f', 0 on the two cross meets, and
@@ -291,7 +286,7 @@ def _pair_meets(e: np.ndarray, f: np.ndarray, meet_tol: float = MEET_TOL) -> tup
     return tuple(_readonly(_span_projector(vecs[:, m])) for m in masks)
 
 
-def _commutes(e: np.ndarray, f: np.ndarray, tol: float = COMMUTE_TOL) -> bool:
+def _commutes(e: np.ndarray, f: np.ndarray, tol: float) -> bool:
     return max_abs(e @ f - f @ e) <= tol
 
 

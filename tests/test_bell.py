@@ -254,6 +254,26 @@ def test_boolean_homomorphism_requires_shared_backing():
         PropositionQuadruple(a, a, a, b)
 
 
+def test_shared_backing_is_one_decomposition_or_a_bit_equal_one():
+    # eigh is deterministic, so two solves of one operator are one backing; a decomposition
+    # with the same projectors and every eigenvalue moved by 1e-12 is another, however close
+    rng = np.random.default_rng(157)
+    op = rand_hermitian(rng, 4)
+    first, second = eigh(op), eigh(op)
+    assert first is not second
+    a = proposition_from(first, rand_borel(rng, avoid=first.eigenvalues))
+    b = proposition_from(second, rand_borel(rng, avoid=first.eigenvalues))
+    assert PropositionQuadruple(a, b, b, a).backing is first
+    assert check_boolean_homomorphism(a, b)
+
+    moved = SpectralDecomposition(first.eigenvalues + 1e-12, first.projectors)
+    c = Proposition(moved, b.borel)
+    with pytest.raises(BackingMismatch):
+        check_boolean_homomorphism(a, c)
+    with pytest.raises(BackingMismatch):
+        PropositionQuadruple(a, b, b, c)
+
+
 def test_common_refinement_reproduces_family():
     from conftest import rand_unitary
 

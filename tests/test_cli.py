@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -265,7 +267,8 @@ def _rotated_commuting_chsh():
 
 
 # each tolerance key set in the file, with what the default gives and what the set value
-# gives (a str: the exit-2 message); every key is loosened but sector_snap_tol, set to 0
+# gives (a str: the exit-2 message); every key is loosened but sector_snap_tol,
+# pushforward_tol and homomorphism_tol, which are set to 0
 LOOSENED_TOLERANCES = {
     "projector_tol": (
         1e-6, _scaled_first_half(), ["chsh"],
@@ -301,6 +304,16 @@ LOOSENED_TOLERANCES = {
         1e-6, _line_pair(1e-8), ["chsh"],
         lambda r: (*r["cross_pairs_commute"].values(), r["proposition_intersections_admitted"]),
         (False,) * 5, (True,) * 5,
+    ),
+    # the quantile cells of (0.6, 0.8) are 0.36 and 0.64 to within a defect of 1.1e-16
+    "pushforward_tol": (
+        0, _z_doc(np.diag([1.0, -1.0]), [0.6, 0.8]), ["quantile", "--operator", "z", "--state", "s"],
+        lambda r: r["checks"]["pushforward_ok"], True, False,
+    ),
+    # on the rotated fixture each event's projector equals the product of two only to rounding
+    "homomorphism_tol": (
+        0, _rotated_commuting_chsh(), ["chsh"],
+        lambda r: r["checks"]["joint_propositions_consistent"], True, False,
     ),
     "reconstruction_tol": (
         1e-7, CHAINED_Z, ["spectra", "--operator", "z"],
@@ -421,6 +434,29 @@ def test_out_file_and_csv_format(tmp_path, capsys):
     assert len(lines) == 3  # header plus one row per outcome
 
 
+@pytest.mark.parametrize("argv", [["spectra", "--input", "pauli", "--operator", "z"],
+                                  ["chsh", "--input", "commuting_chsh"]])
+def test_key_value_csv_matches_the_json_report(capsys, argv):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    code, out, _ = run([*argv, "--format", "csv"], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    header = ["result", "key", "value"]
+    assert rows[0] == header and rows.count(header) == len(results)
+    seen = set()
+    for idx, key, value in (row for row in rows if row != header):
+        result = results[int(idx)]
+        if key.startswith("check:"):
+            assert value == str(result["checks"][key[len("check:"):]])
+        else:
+            assert json.loads(value) == result[key]
+        seen.add((int(idx), key))
+    assert seen == {(i, k) for i, r in enumerate(results)
+                    for k in [*r.keys() - {"checks"}, *(f"check:{c}" for c in r["checks"])]}
+
+
 def test_partial_name_flags_are_an_error(capsys):
     code, _, err = run(["prob", "--input", "pauli", "--operator", "z"], capsys)
     assert_bad_input(code, err, "prob: missing --borel, --state")
@@ -445,6 +481,17 @@ def test_zero_samples_is_exit_2_not_the_default(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run(["verify", "--input", str(path)], capsys)
     assert_bad_input(code, err, "verify samples must be an integer, got [1000]")
+
+
+@pytest.mark.parametrize("key, value", [("samples", 2000.7), ("seed", True)])
+def test_non_integer_verify_setting_is_exit_2(tmp_path, capsys, key, value):
+    # a fraction is not truncated, and true is not seed 1
+    doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())
+    doc["experiments"] = [{"kind": "verify", "operator": "z", "state": "plus", key: value}]
+    path = tmp_path / "setting.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["verify", "--input", str(path)], capsys)
+    assert_bad_input(code, err, f"verify {key} must be an integer, got {value!r}")
 
 
 def test_samples_flag_only_on_commands_that_read_it(capsys):
@@ -475,6 +522,12 @@ def test_samples_flag_only_on_commands_that_read_it(capsys):
             for bad in (math.nan, math.inf, -1.0)
         ),
         ({"tolerances": {"cluster_tol": 0}}, ["tolerance 'cluster_tol' must be positive: 0"]),
+        ({"dimension": 2.9}, ["missing or bad 'dimension'"]),
+        ({"dimension": True}, ["missing or bad 'dimension'"]),
+        (
+            {"borel_sets": {"nonpositive": [{"hi": 0, "hi_closed": "false"}]}},
+            ["borel set 'nonpositive'", "'hi_closed' must be true or false, got 'false'"],
+        ),
         (
             {"experiments": [{"kind": "spectra", "operator": ["z"]}]},
             ["experiment 0 operator must be a name", "['z']"],
@@ -486,7 +539,8 @@ def test_samples_flag_only_on_commands_that_read_it(capsys):
     ],
     ids=["operators-list", "states-string", "tolerances-list", "tolerance-string",
          "tolerance-null", "tolerance-nan", "tolerance-inf", "tolerance-negative",
-         "cluster-tol-zero", "operator-list", "e1-object"],
+         "cluster-tol-zero", "dimension-fraction", "dimension-bool", "flag-string",
+         "operator-list", "e1-object"],
 )
 def test_malformed_problem_file_is_exit_2(tmp_path, capsys, patch, fragments):
     doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())

@@ -96,9 +96,10 @@ def test_eigh_rejects_non_hermitian():
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_eigh_sweep_budget_exhaustion():
+def test_eigh_sweep_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(hvsim.linalg, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(ConvergenceFailure):
-        eigh(PAULI_X, max_sweeps=0)
+        eigh(PAULI_X)
 
 
 def test_eigh_rejects_non_finite_entries():
