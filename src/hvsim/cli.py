@@ -103,6 +103,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float that is not a bool (float() would take true or "1e-6")."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _to_float(value) -> float:
+    """A JSON number as a float; an int too large for one becomes inf with its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _parse_complex_entry(entry, where: str) -> complex:
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise LoadError(f"{where}: complex entries must be [re, im] pairs")
@@ -139,16 +152,13 @@ def _parse_state(components, dim: int, where: str) -> PureState:
 
 
 def _parse_endpoint(value, where: str) -> float:
-    if value is None:
-        raise LoadError(f"{where}: interval endpoints must be numbers or '-inf'/'inf'")
-    if isinstance(value, str):
-        if value in ("-inf", "inf"):
-            return float(value)
-        raise LoadError(f"{where}: bad endpoint {value!r}")
-    try:
+    if value in ("-inf", "inf"):
         return float(value)
-    except (TypeError, ValueError) as exc:
-        raise LoadError(f"{where}: bad endpoint {value!r}") from exc
+    if not _is_number(value):
+        raise LoadError(
+            f"{where}: interval endpoints must be numbers or '-inf'/'inf', got {value!r}"
+        )
+    return _to_float(value)
 
 
 def _parse_flag(spec: dict, key: str, where: str) -> bool:
@@ -234,10 +244,9 @@ def load_problem(source: str) -> ProblemFile:
         raise LoadError(f"{display}: unknown tolerance keys {sorted(unknown)}")
     overrides = {}
     for key, value in tol_doc.items():
-        try:
-            overrides[key] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise LoadError(f"{display}: tolerance {key!r} is not a number: {value!r}") from exc
+        if not _is_number(value):
+            raise LoadError(f"{display}: tolerance {key!r} is not a number: {value!r}")
+        overrides[key] = _to_float(value)
         # a NaN tolerance would pass every `defect > tol` check
         if not 0.0 <= overrides[key] < math.inf:
             raise LoadError(

@@ -234,6 +234,17 @@ class HiddenSampleReport:
             raise ValueError("empirical frequencies must sum to 1")
 
 
+def _cell_counts(cuts: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Number of draws in each cell (cuts[k], cuts[k+1]], counted per cut.
+
+    Every draw lies in (0, 1), so none is at most cuts[0] = 0 and all are at
+    most cuts[-1] = 1; cell k holds the draws at most cuts[k+1] less those at
+    most cuts[k]. One pass over the draws per interior cut, not a search per draw.
+    """
+    at_most = [np.count_nonzero(ts <= c) for c in cuts[1:-1]]
+    return np.diff(np.array([0, *at_most, ts.size], dtype=np.int64))
+
+
 def sample(
     obs: ClassicalObservable,
     state: PureState,
@@ -245,6 +256,9 @@ def sample(
     """Draw n fiber points uniformly with a seeded generator and tabulate outcomes.
 
     The outcomes are those of obs.outcome_quantile at weight_floor (default 1e-12).
+    Each outcome's count is taken per cut of that quantile (how many draws
+    are at most the cut), so the draws are read through the quantile step
+    function without a search per draw.
     Deterministic: the same (seed, n) always yields the identical report.
     """
     if n < 1:
@@ -257,8 +271,7 @@ def sample(
         if not zero.any():
             break
         ts[zero] = rng.random(int(zero.sum()))
-    cells = np.searchsorted(q.cuts, ts, side="left") - 1
-    counts = np.bincount(cells, minlength=len(q.values)).astype(np.float64)
+    counts = _cell_counts(q.cuts, ts).astype(np.float64)
     predicted = q.lengths()
     empirical = counts / float(n)
     deviation = float(np.max(np.abs(empirical - predicted)))

@@ -516,6 +516,16 @@ def test_samples_flag_only_on_commands_that_read_it(capsys):
         ({"tolerances": []}, ["'tolerances' must be an object"]),
         ({"tolerances": {"snap_tol": "x"}}, ["tolerance 'snap_tol' is not a number: 'x'"]),
         ({"tolerances": {"snap_tol": None}}, ["tolerance 'snap_tol' is not a number: None"]),
+        # float() would read these as 1.0 and 1e-6
+        (
+            {"tolerances": {"reconstruction_tol": True}},
+            ["tolerance 'reconstruction_tol' is not a number: True"],
+        ),
+        ({"tolerances": {"snap_tol": "1e-6"}}, ["tolerance 'snap_tol' is not a number: '1e-6'"]),
+        (
+            {"tolerances": {"snap_tol": 10**400}},
+            ["tolerance 'snap_tol' must be finite and non-negative"],
+        ),
         *(
             ({"tolerances": {"hermitian_tol": bad}},
              ["tolerance 'hermitian_tol' must be finite and non-negative"])
@@ -528,6 +538,12 @@ def test_samples_flag_only_on_commands_that_read_it(capsys):
             {"borel_sets": {"nonpositive": [{"hi": 0, "hi_closed": "false"}]}},
             ["borel set 'nonpositive'", "'hi_closed' must be true or false, got 'false'"],
         ),
+        *(
+            ({"borel_sets": {"nonpositive": [{"hi": bad}]}},
+             ["borel set 'nonpositive'",
+              f"interval endpoints must be numbers or '-inf'/'inf', got {bad!r}"])
+            for bad in (False, None, "0", "-Infinity")
+        ),
         (
             {"experiments": [{"kind": "spectra", "operator": ["z"]}]},
             ["experiment 0 operator must be a name", "['z']"],
@@ -538,8 +554,10 @@ def test_samples_flag_only_on_commands_that_read_it(capsys):
         ),
     ],
     ids=["operators-list", "states-string", "tolerances-list", "tolerance-string",
-         "tolerance-null", "tolerance-nan", "tolerance-inf", "tolerance-negative",
+         "tolerance-null", "tolerance-bool", "tolerance-numeric-string",
+         "tolerance-int-past-float", "tolerance-nan", "tolerance-inf", "tolerance-negative",
          "cluster-tol-zero", "dimension-fraction", "dimension-bool", "flag-string",
+         "endpoint-bool", "endpoint-null", "endpoint-numeric-string", "endpoint-inf-spelling",
          "operator-list", "e1-object"],
 )
 def test_malformed_problem_file_is_exit_2(tmp_path, capsys, patch, fragments):
@@ -549,6 +567,20 @@ def test_malformed_problem_file_is_exit_2(tmp_path, capsys, patch, fragments):
     path.write_text(json.dumps(doc))
     code, _, err = run(["spectra", "--input", str(path), "--operator", "z"], capsys)
     assert_bad_input(code, err, str(path), *fragments)
+
+
+def test_an_int_past_float_range_reads_as_an_infinite_endpoint(tmp_path, capsys):
+    # json reads the literal 1e400 as inf; an integer literal that large means the same
+    doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())
+    doc["borel_sets"]["nonpositive"] = [{"lo": -(10**400), "hi": 0, "hi_closed": True}]
+    path = tmp_path / "endpoint.json"
+    path.write_text(json.dumps(doc))
+    args = ["prob", "--operator", "z", "--state", "plus", "--borel", "nonpositive"]
+    code, out, _ = run([*args, "--input", str(path)], capsys)
+    assert code == 0
+    fixture_code, fixture_out, _ = run([*args, "--input", "pauli"], capsys)
+    assert fixture_code == 0
+    assert json.loads(out)["results"] == json.loads(fixture_out)["results"]
 
 
 def test_spectra_random_dim8_fixture_file(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_borel, rand_hermitian, rand_piecewise_affine, rand_state, rand_unitary
 from hvsim import (
@@ -27,6 +29,8 @@ from hvsim import (
     sample,
     states_confusion_equivalent,
 )
+from hvsim.cli import Tolerances
+from hvsim.hidden import WEIGHT_FLOOR, _cell_counts, _fiber_partition
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -107,6 +111,95 @@ def test_sample_three_outcomes_equal_weights():
     h = PureState([1.0, 1.0, 1.0])
     report = sample(ClassicalObservable(dec), h, 100_000, seed=7)
     assert np.all(np.abs(report.empirical - 1 / 3) <= 0.01)
+
+
+def _binned_counts(cuts, ts):
+    """Oracle: the tabulation sample made before it counted per cut, one binary search per draw."""
+    cells = np.searchsorted(cuts, ts, side="left") - 1
+    return np.bincount(cells, minlength=len(cuts) - 1)
+
+
+def _draws_with_cut_edges(rng, cuts, n):
+    """n uniform draws on (0, 1) plus every interior cut and its two neighbouring floats."""
+    inner = cuts[1:-1]
+    edges = np.concatenate((inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0)))
+    ts = np.concatenate((rng.random(n), edges))
+    return ts[ts > 0.0]
+
+
+@pytest.mark.parametrize("cells", [1, 2, 8, 48])
+def test_cell_counts_equal_binned_counts(cells):
+    rng = np.random.default_rng(cells)
+    for _ in range(20):
+        _, cuts = _fiber_partition(rng.dirichlet(np.ones(cells)))
+        assert len(cuts) == cells + 1
+        ts = _draws_with_cut_edges(rng, cuts, 5000)
+        counts = _cell_counts(cuts, ts)
+        np.testing.assert_array_equal(counts, _binned_counts(cuts, ts))
+        assert counts.dtype == np.int64 and counts.sum() == ts.size
+
+
+def test_cell_counts_with_a_cell_dropped_by_weight_floor():
+    # the middle outcome weighs 1e-13, at most weight_floor: two cells remain
+    h = PureState(np.sqrt([0.4, 1e-13, 0.6]))
+    q = quantile_function(eigh(np.diag([1.0, 2.0, 3.0]).astype(complex)), h)
+    assert q.values.tolist() == [1.0, 3.0]
+    ts = _draws_with_cut_edges(np.random.default_rng(3), q.cuts, 20_000)
+    np.testing.assert_array_equal(_cell_counts(q.cuts, ts), _binned_counts(q.cuts, ts))
+
+
+def test_cell_counts_at_a_near_eigenstate():
+    # leakage 1e-13 kept at weight_floor 0: a cell of length about 1e-13 next to 1
+    h = PureState([np.sqrt(1.0 - 1e-13), np.sqrt(1e-13)])
+    q = quantile_function(eigh(PAULI_Z), h, weight_floor=0.0)
+    assert q.lengths()[0] == pytest.approx(1e-13, rel=1e-3)
+    ts = _draws_with_cut_edges(np.random.default_rng(4), q.cuts, 20_000)
+    counts = _cell_counts(q.cuts, ts)
+    np.testing.assert_array_equal(counts, _binned_counts(q.cuts, ts))
+    assert counts[0] == 2  # the draws at and just below the cut
+
+
+def test_sample_counts_pinned():
+    # exact counts recorded while sample still searched per draw; any change
+    # to the tabulation must leave them, not just stay inside the budgets
+    report = sample(ClassicalObservable(eigh(PAULI_Z)), PLUS, 100_000, seed=42)
+    assert report.empirical.tolist() == [0.49743, 0.50257]
+    h = rand_state(np.random.default_rng(8), 8)
+    report = sample(ClassicalObservable(eigh(np.diag(np.arange(8.0)).astype(complex))), h,
+                    100_000, seed=8)
+    assert report.empirical.tolist() == [
+        0.18487, 0.17617, 0.11642, 0.00607, 0.28892, 0.10872, 0.06392, 0.05491
+    ]
+
+
+_WEIGHTS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
+    st.floats(WEIGHT_FLOOR / 2, WEIGHT_FLOOR * 2),
+    st.sampled_from([0.0, WEIGHT_FLOOR]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    minor=st.lists(_WEIGHTS, max_size=11),
+    major=st.floats(0.5, 1.0),
+    where=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fiber_partition_properties(minor, major, where, seed):
+    weights = list(minor)
+    weights.insert(min(where, len(weights)), major)
+    dec = eigh(np.diag(np.arange(len(weights), dtype=float)).astype(complex))
+    h = PureState(np.sqrt(weights))
+    kept, cuts = _fiber_partition(dec.weights(h.vector))
+    assert cuts[0] == 0.0 and cuts[-1] == 1.0
+    assert np.all(np.diff(cuts) > 0)
+    tol = Tolerances().pushforward_tol
+    for k, length in zip(kept, np.diff(cuts)):
+        assert abs(length - prob(dec, h, BorelSet.point(float(dec.eigenvalues[k])))) <= tol
+    ts = _draws_with_cut_edges(np.random.default_rng(seed), cuts, 1000)
+    np.testing.assert_array_equal(_cell_counts(cuts, ts), _binned_counts(cuts, ts))
 
 
 def test_sampling_chi_square_soundness():
