@@ -206,6 +206,8 @@ class PiecewiseAffineFunction:
             raise ValueError("need exactly one piece per cell (breakpoints + 1)")
         if len(values) != len(bps):
             raise ValueError("need exactly one value per breakpoint")
+        if not all(map(math.isfinite, bps + values + sum(pieces, ()))):
+            raise ValueError("breakpoints, slopes, intercepts and breakpoint values must be finite")
         if any(b >= c for b, c in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bps)

@@ -61,6 +61,7 @@ from .quantum import SNAP_TOL, PureState, functional_calculus, prob
 
 # the ProblemFile table a name key refers to; the other keys (operator, e1..f2) name operators
 _TABLES = {"state": "states", "borel": "borel_sets", "function": "functions"}
+_NUMBER_TYPES = frozenset((int, float))  # the Python types json gives a number; bool is neither
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 0
 CHSH_SLACK = 1e-9
@@ -104,8 +105,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A JSON number: an int or a float that is not a bool (float() would take true or "1e-6")."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number: an int or a float, not a bool (float() would take true or "1e-6")."""
+    return type(value) in _NUMBER_TYPES
 
 
 def _to_float(value) -> float:
@@ -116,37 +117,34 @@ def _to_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _parse_complex_entry(entry, where: str) -> complex:
-    if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-        raise LoadError(f"{where}: complex entries must be [re, im] pairs")
-    re, im = entry
+def _numbers(value, shape: tuple, where: str) -> np.ndarray:
+    """A rectangular nested list of JSON numbers as a float64 array of the given shape,
+    where a None length is free; numbers read as `_is_number` and `_to_float` say."""
+    a = np.array(value, dtype=object)
+    if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
+        dims = " x ".join("n" if n is None else str(n) for n in shape)
+        raise LoadError(f"{where}: expected a nested list of numbers of shape {dims}")
+    if not _NUMBER_TYPES.issuperset(map(type, a.flat)):
+        bad = next(v for v in a.flat if not _is_number(v))
+        raise LoadError(f"{where}: entries must be JSON numbers, got {bad!r}")
     try:
-        return complex(float(re), float(im))
-    except (TypeError, ValueError) as exc:
-        raise LoadError(f"{where}: non-numeric complex entry {entry!r}") from exc
+        return a.astype(np.float64)
+    except OverflowError:  # an int past float range, which _to_float reads as inf
+        return np.fromiter(map(_to_float, a.flat), np.float64, a.size).reshape(a.shape)
 
 
 def _parse_operator(rows, dim: int, hermitian_tol: float, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise LoadError(f"{where}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise LoadError(f"{where}: row {i} must have {dim} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _parse_complex_entry(entry, where)
+    pairs = _numbers(rows, (dim, dim, 2), where)
     try:
-        return ensure_hermitian(out, hermitian_tol)
+        return ensure_hermitian(pairs.view(np.complex128)[..., 0], hermitian_tol)
     except (NotHermitian, ValueError) as exc:
         raise LoadError(f"{where}: {exc}") from exc
 
 
 def _parse_state(components, dim: int, where: str) -> PureState:
-    if not isinstance(components, list) or len(components) != dim:
-        raise LoadError(f"{where}: expected {dim} components")
-    vec = np.array([_parse_complex_entry(c, where) for c in components])
+    pairs = _numbers(components, (dim, 2), where)
     try:
-        return PureState(vec)
+        return PureState(pairs.view(np.complex128)[:, 0])
     except ValueError as exc:
         raise LoadError(f"{where}: {exc}") from exc
 
@@ -192,13 +190,11 @@ def _parse_borel(pieces, where: str) -> BorelSet:
 def _parse_function(spec, where: str) -> PiecewiseAffineFunction:
     if not isinstance(spec, dict):
         raise LoadError(f"{where}: functions are objects with breakpoints/pieces/breakpoint_values")
+    shapes = {"breakpoints": (None,), "pieces": (None, 2), "breakpoint_values": (None,)}
+    lists = [_numbers(spec.get(key, []), shape, f"{where} {key}") for key, shape in shapes.items()]
     try:
-        return PiecewiseAffineFunction(
-            tuple(float(x) for x in spec.get("breakpoints", [])),
-            tuple((float(m), float(q)) for m, q in spec.get("pieces", [])),
-            tuple(float(v) for v in spec.get("breakpoint_values", [])),
-        )
-    except (TypeError, ValueError) as exc:
+        return PiecewiseAffineFunction(*lists)
+    except ValueError as exc:
         raise LoadError(f"{where}: {exc}") from exc
 
 

@@ -263,6 +263,8 @@ def sample(
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     q = obs.outcome_quantile(state, weight_floor)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     ts = rng.random(n)

@@ -33,8 +33,10 @@ class PureState:
         if peak == 0.0 or not np.all(np.isfinite(v)):
             raise ValueError("state vector must be nonzero, with finite entries")
         # scale by a power of two near the largest entry, so <v, v> neither overflows nor
-        # underflows; a power of two scales exactly, so a well-scaled v keeps every bit
-        v = v / math.ldexp(1.0, math.frexp(peak)[1])
+        # underflows; a power of two scales exactly, so a well-scaled v keeps every bit.
+        # ldexp scales the parts; a complex division by 2**e forms 1 / 2**e, which overflows
+        # for e <= -1024, that is for a subnormal peak
+        v = np.ldexp(v.view(np.float64), -math.frexp(peak)[1]).view(np.complex128)
         object.__setattr__(self, "vector", _readonly(v / math.sqrt(float(np.vdot(v, v).real))))
 
     @property

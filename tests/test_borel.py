@@ -95,6 +95,22 @@ def test_piecewise_validation():
         PiecewiseAffineFunction((0.0,), ((1, 0),), (0.0,))
 
 
+@pytest.mark.parametrize(
+    "breakpoints, pieces, values",
+    [
+        ((math.nan,), ((1.0, 0.0), (1.0, 0.0)), (0.0,)),
+        ((0.0,), ((math.nan, 0.0), (1.0, 0.0)), (0.0,)),
+        ((0.0,), ((1.0, 0.0), (1.0, -INF)), (0.0,)),
+        ((0.0,), ((1.0, 0.0), (1.0, 0.0)), (INF,)),
+    ],
+    ids=["nan-breakpoint", "nan-slope", "infinite-intercept", "infinite-value"],
+)
+def test_piecewise_refuses_non_finite_numbers(breakpoints, pieces, values):
+    # a NaN breakpoint would pass the strictly-increasing check, and preimage would fail late
+    with pytest.raises(ValueError, match="must be finite"):
+        PiecewiseAffineFunction(breakpoints, pieces, values)
+
+
 def test_preimage_identity_is_identity():
     rng = np.random.default_rng(47)
     for _ in range(10):

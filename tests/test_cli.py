@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -9,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_unitary
 import hvsim
+from hvsim import PureState, ensure_hermitian
 from hvsim.cli import COMMANDS, load_problem, main, run_chsh, run_verify
 
 FIXTURES = ("pauli", "singlet_chsh", "commuting_chsh")
@@ -377,8 +381,19 @@ def test_chsh_projector_error_names_file_operator_role_and_knob(tmp_path, capsys
          "operator 'z'"),
         (_z_doc(np.diag([1.0, -1.0]), [math.inf, 0]), ["quantile", "--operator", "z", "--state", "s"],
          "state 's'"),
+        *(
+            (_z_doc(np.diag([1.0, -1.0]), [1, 0], functions={"g": function}),
+             ["roundtrip", "--operator", "z", "--function", "g"], "function 'g'")
+            for function in (
+                {"breakpoints": [math.nan], "pieces": [[-1, 0], [1, 0]], "breakpoint_values": [0]},
+                {"breakpoints": [0], "pieces": [[math.nan, 0], [1, 0]], "breakpoint_values": [0]},
+                {"breakpoints": [0], "pieces": [[-1, 0], [1, math.inf]], "breakpoint_values": [0]},
+                {"breakpoints": [0], "pieces": [[-1, 0], [1, 0]], "breakpoint_values": [math.inf]},
+            )
+        ),
     ],
-    ids=["nan-operator", "infinite-state"],
+    ids=["nan-operator", "infinite-state", "nan-breakpoint", "nan-slope", "infinite-intercept",
+         "infinite-breakpoint-value"],
 )
 def test_non_finite_entries_are_exit_2(tmp_path, capsys, doc, argv, fragment):
     # json.dumps writes NaN and Infinity, which json.loads reads back as floats
@@ -652,3 +667,137 @@ def test_chsh_all_identity_projectors_scores_two(tmp_path, capsys):
     section = json.loads(out)["results"][0]
     assert section["chsh_value"] == pytest.approx(2.0, abs=1e-9)
     assert section["checks"]["classical_bound_respected"]
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "block"])
+def test_negative_seed_is_exit_2_naming_seed(tmp_path, capsys, monkeypatch, source):
+    argv = ["verify", "--input", "pauli", "--operator", "z", "--state", "plus", "--samples", "10"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "env":
+        monkeypatch.setenv("HV_SEED", "-1")
+    else:
+        doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())
+        doc["experiments"] = [{"kind": "verify", "operator": "z", "state": "plus", "seed": -1}]
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(doc))
+        argv = ["verify", "--input", str(path)]
+    code, _, err = run(argv, capsys)
+    assert_bad_input(code, err, "seed must be a non-negative integer, got -1")
+
+
+def _walked(pairs):
+    """The entry-by-entry parse the array reader replaced, kept as its oracle."""
+    return np.array([complex(float(re), float(im)) for re, im in pairs])
+
+
+# JSON numbers as json.loads gives them: ints (some past 2**53, where float() rounds) and
+# floats, with -0.0, subnormals and +-1e307 drawn often
+_NUMBERS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.integers(-(2**70), 2**70),
+    st.floats(-1e307, 1e307),
+    st.floats(5e-324, 2.2250738585072014e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e307, -1e307, 10**300]),
+)
+
+
+@st.composite
+def _problem_docs(draw):
+    """A well-formed problem file: a Hermitian operator 'm', a state 's' and a function 'g'."""
+    dim = draw(st.integers(1, 5))
+    pair = st.tuples(_NUMBERS, _NUMBERS).map(list)
+    count = dim * (dim + 1) // 2
+    upper = iter(draw(st.lists(pair, min_size=count, max_size=count)))
+    rows = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            re, im = next(upper)
+            rows[i][j] = [re, 0] if i == j else [re, im]
+            rows[j][i] = [re, 0] if i == j else [re, -im]
+    state = draw(st.lists(pair, min_size=dim, max_size=dim)
+                 .filter(lambda v: any(x != 0 for p in v for x in p)))
+    breakpoints = sorted(draw(st.lists(_NUMBERS, max_size=4, unique_by=float)), key=float)
+    n = len(breakpoints)
+    function = {"breakpoints": breakpoints,
+                "pieces": draw(st.lists(pair, min_size=n + 1, max_size=n + 1)),
+                "breakpoint_values": draw(st.lists(_NUMBERS, min_size=n, max_size=n))}
+    return {"dimension": dim, "operators": {"m": rows}, "states": {"s": state},
+            "functions": {"g": function}}
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values).tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(doc=_problem_docs())
+def test_array_reader_equals_the_entry_by_entry_parse(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("reader") / "problem.json"
+    path.write_text(json.dumps(doc))
+    problem = load_problem(str(path))
+    tol = problem.tolerances.hermitian_tol
+    assert _bits(problem.operators["m"]) == _bits(
+        ensure_hermitian([_walked(row) for row in doc["operators"]["m"]], tol))
+    assert _bits(problem.states["s"].vector) == _bits(PureState(_walked(doc["states"]["s"])).vector)
+    spec, g = doc["functions"]["g"], problem.functions["g"]
+    assert _bits(g.breakpoints) == _bits([float(x) for x in spec["breakpoints"]])
+    assert _bits(g.pieces) == _bits([(float(m), float(q)) for m, q in spec["pieces"]])
+    assert _bits(g.breakpoint_values) == _bits([float(v) for v in spec["breakpoint_values"]])
+
+
+def _leaves(value, path=()):
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,))
+    else:
+        yield path
+
+
+def _at(value, path):
+    for i in path:
+        value = value[i]
+    return value
+
+
+_BAD_NUMBERS = {"true": True, "string": "1", "null": None, "int-past-float": 10**400}
+_OBJECTS = {"operator": ("operators", "m"), "state": ("states", "s"), "function": ("functions", "g")}
+
+
+def _set_leaf(lst, draw, change):
+    path = draw(st.sampled_from(list(_leaves(lst))))
+    _at(lst, path[:-1])[path[-1]] = change(_at(lst, path))
+
+
+@pytest.mark.parametrize("target", list(_OBJECTS))
+@pytest.mark.parametrize("mutation", [*_BAD_NUMBERS, "ragged-row", "one-level-deeper",
+                                      "wrong-dimension"])
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(doc=_problem_docs(), data=st.data())
+def test_a_mutated_number_list_is_exit_2_naming_the_object(
+    tmp_path_factory, target, mutation, doc, data
+):
+    table, name = _OBJECTS[target]
+    lst = doc[table][name]
+    if target == "function":
+        lst = lst[data.draw(st.sampled_from([key for key in lst if lst[key]]))]
+    if mutation in _BAD_NUMBERS:
+        _set_leaf(lst, data.draw, lambda _: _BAD_NUMBERS[mutation])
+    elif mutation == "one-level-deeper":
+        _set_leaf(lst, data.draw, lambda x: [x])
+    else:
+        # the function's rows are its pieces, its one list of [slope, intercept] pairs
+        rows = doc["functions"]["g"]["pieces"] if target == "function" else lst
+        if mutation == "ragged-row":
+            rows[data.draw(st.integers(0, len(rows) - 1))].pop()
+        elif target == "function":
+            for piece in rows:
+                piece.append(0)
+        else:
+            rows.pop()  # one row, or one component, short of the dimension
+    path = tmp_path_factory.mktemp("mutant") / "problem.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["spectra", "--input", str(path), "--operator", "m"])
+    assert_bad_input(code, err.getvalue(), str(path), f"{target} {name!r}")

@@ -89,6 +89,11 @@ def test_sample_is_deterministic_and_exact_on_eigenstates():
     assert report.chi_square == again.chi_square
 
 
+def test_sample_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        sample(ClassicalObservable(eigh(PAULI_Z)), PLUS, 10, seed=-1)
+
+
 def test_sample_drops_outcomes_at_or_below_its_weight_floor():
     # at (1, 0.1) the outcome -1 weighs 0.0099: kept at the default floor, dropped at 0.05
     obs = ClassicalObservable(eigh(PAULI_Z))

@@ -43,6 +43,12 @@ def test_pure_state_normalizes_huge_and_tiny_vectors():
         assert PureState([scale, 0.0]).vector.tolist() == [1.0, 0.0]
 
 
+def test_pure_state_normalizes_a_subnormal_vector():
+    # 1 / 2**-1032, the reciprocal of the scale for this peak, is past float range
+    assert PureState([0.0, 2.2250738585072014e-311j]).vector.tolist() == [0.0, 1j]
+    assert PureState([5e-324, 0.0]).vector.tolist() == [1.0, 0.0]
+
+
 def test_spectral_projector_extremes():
     dec = eigh(PAULI_Z)
     assert max_abs(spectral_projector(dec, BorelSet.reals()) - np.eye(2)) == 0.0
