@@ -282,29 +282,12 @@ def load_problem(source: str) -> ProblemFile:
         digest=hashlib.sha256(raw).hexdigest(),
     )
     for i, block in enumerate(experiments):
-        if not isinstance(block, dict) or "kind" not in block:
-            raise LoadError(f"{display}: experiment {i} needs a 'kind'")
-        for key in (k for k in _NAME_KEYS if k in block):
-            name = block[key]
-            if not isinstance(name, str):
-                raise LoadError(f"{display}: experiment {i} {key} must be a name, got {name!r}")
-            if name not in getattr(problem, _TABLES.get(key, "operators")):
-                raise LoadError(f"{display}: experiment {i} references unknown {key} {name!r}")
+        _check_block(problem, block, f"{display}: experiment {i}")
     return problem
 
 
-def _named(problem: ProblemFile, key: str, name: str):
-    table = _TABLES.get(key, "operators")
-    store = getattr(problem, table)
-    if name not in store:
-        raise LoadError(f"unknown {table[:-1]} {name!r}")
-    return store[name]
-
-
 def _decompose(problem: ProblemFile, operator: str):
-    tol = problem.tolerances
-    matrix = _named(problem, "operator", operator)
-    return eigh(matrix, cluster_tol=tol.cluster_tol)
+    return eigh(problem.operators[operator], cluster_tol=problem.tolerances.cluster_tol)
 
 
 def _floats(a) -> list[float]:
@@ -342,8 +325,8 @@ def run_spectra(problem: ProblemFile, operator: str) -> dict:
 def run_prob(problem: ProblemFile, operator: str, state: str, borel: str) -> dict:
     tol = problem.tolerances
     dec = _decompose(problem, operator)
-    h = _named(problem, "state", state)
-    events = _named(problem, "borel", borel)
+    h = problem.states[state]
+    events = problem.borel_sets[borel]
     value = prob(dec, h, events, snap_tol=tol.snap_tol)
     return {
         "kind": "prob",
@@ -359,14 +342,10 @@ def run_prob(problem: ProblemFile, operator: str, state: str, borel: str) -> dic
 def run_quantile(problem: ProblemFile, operator: str, state: str) -> dict:
     tol = problem.tolerances
     dec = _decompose(problem, operator)
-    h = _named(problem, "state", state)
+    h = problem.states[state]
     q = quantile_function(dec, h, weight_floor=tol.weight_floor)
-    atom_probs = [
-        prob(dec, h, BorelSet.point(float(v)), snap_tol=tol.snap_tol) for v in q.values
-    ]
-    defect = max(
-        abs(float(l) - p) for l, p in zip(q.lengths(), atom_probs)
-    )
+    atom_probs = [prob(dec, h, BorelSet.point(float(v)), snap_tol=tol.snap_tol) for v in q.values]
+    defect = max(abs(float(l) - p) for l, p in zip(q.lengths(), atom_probs))
     return {
         "kind": "quantile",
         "operator": operator,
@@ -381,7 +360,7 @@ def run_quantile(problem: ProblemFile, operator: str, state: str) -> dict:
 
 def run_verify(problem: ProblemFile, operator: str, state: str, samples: int, seed: int) -> dict:
     dec = _decompose(problem, operator)
-    h = _named(problem, "state", state)
+    h = problem.states[state]
     report = sample(ClassicalObservable(dec), h, samples, seed, observable_id=operator,
                     weight_floor=problem.tolerances.weight_floor)
     budgets = 4.0 * np.sqrt(report.predicted * (1.0 - report.predicted) / float(samples))
@@ -419,7 +398,10 @@ def run_roundtrip(problem: ProblemFile, operator: str, function: str | None) -> 
         "checks": {"identity_roundtrip_ok": identity_residual <= tol.roundtrip_tol},
     }
     if function is not None:
-        g = _named(problem, "function", function)
+        g = problem.functions[function]
+        if not all(math.isfinite(g(lam)) for lam in dec.eigenvalues):
+            raise LoadError(f"{problem.source}: function {function!r} is not finite on the "
+                            f"spectrum of operator {operator!r}")
         target = functional_calculus(dec, g)
         post_residual = max_abs(
             reduced_operator(compose(g, obs), snap_tol=tol.snap_tol) - target
@@ -435,15 +417,14 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
     names = {"e1": e1, "e2": e2, "f1": f1, "f2": f2}
     projectors = {}
     for key, name in names.items():
-        matrix = _named(problem, "operator", name)
         try:
-            projectors[key] = ensure_projector(matrix, tol.projector_tol)
+            projectors[key] = ensure_projector(problem.operators[name], tol.projector_tol)
         except (NotHermitian, ValueError) as exc:
             raise LoadError(
                 f"{problem.source}: operator {name!r} as {key} is not a projector: {exc} "
                 f"(tolerance 'projector_tol')"
             ) from exc
-    h = _named(problem, "state", state)
+    h = problem.states[state]
     ps = tuple(projectors.values())
     terms = _chsh_terms(ps[:2], ps[2:], h.vector, tol.meet_tol)
     value = _chsh_combination(terms)
@@ -517,24 +498,43 @@ COMMANDS = {
                     ("e1", "e2", "f1", "f2", "state")),
 }
 _NAME_KEYS = tuple(dict.fromkeys(k for c in COMMANDS.values() for k in c.names + c.optional))
+_SETTINGS = tuple(dict.fromkeys(k for c in COMMANDS.values() for k in c.settings))
+
+
+def _check_block(problem: ProblemFile, block, where: str, dash: str = "") -> None:
+    """Check an experiment block, from the file or the name flags, where it enters.
+    `where` starts each message; `dash` precedes the missing names ("--" for flags)."""
+    if not isinstance(block, dict) or "kind" not in block:
+        raise LoadError(f"{where} needs a 'kind'")
+    kind = block["kind"]
+    if not isinstance(kind, str) or kind not in COMMANDS:
+        raise LoadError(f"{where} kind {kind!r} is not one of {', '.join(COMMANDS)}")
+    for key in (k for k in _NAME_KEYS if k in block):
+        name = block[key]
+        if not isinstance(name, str):
+            raise LoadError(f"{where} {key} must be a name, got {name!r}")
+        if name not in getattr(problem, _TABLES.get(key, "operators")):
+            raise LoadError(f"{where} {kind} references unknown {key} {name!r}")
+    missing = sorted(k for k in COMMANDS[kind].names if k not in block)
+    if missing:
+        raise LoadError(f"{where} {kind}: missing {', '.join(dash + k for k in missing)}")
+    for key in (k for k in _SETTINGS if k in block):
+        if not _is_int(block[key]):
+            raise LoadError(f"{where} {kind} {key} must be an integer, got {block[key]!r}")
 
 
 def _experiment_blocks(problem: ProblemFile, command: str, args: argparse.Namespace) -> list[dict]:
-    """Experiments to run: the flag-specified one, else the file's matching blocks."""
+    """Experiments to run: the one the name flags give, else the file's blocks of that kind."""
     spec = COMMANDS[command]
-    given = {key: getattr(args, key) for key in spec.names + spec.optional}
-    if any(v is not None for v in given.values()):
-        missing = sorted(k for k in spec.names if given[k] is None)
-        if missing:
-            raise LoadError(f"{command}: missing {', '.join('--' + m for m in missing)}")
-        return [{"kind": command, **given}]
-    blocks = [b for b in problem.experiments if b.get("kind") == command]
+    keys = spec.names + spec.optional
+    given = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    if given:
+        block = {"kind": command, **given}
+        _check_block(problem, block, f"{problem.source}:", "--")
+        return [block]
+    blocks = [b for b in problem.experiments if b["kind"] == command]
     if not blocks:
         raise LoadError(f"no {command!r} experiment in {problem.source} and no names given")
-    for block in blocks:
-        absent = sorted(k for k in spec.names if k not in block)
-        if absent:
-            raise LoadError(f"{command} experiment block lacks {', '.join(absent)}")
     return blocks
 
 
@@ -545,21 +545,21 @@ def _run_block(problem: ProblemFile, block: dict, args: argparse.Namespace, seed
     for key in spec.settings:
         candidates = (getattr(args, key), block.get(key), defaults[key])
         kwargs[key] = next(v for v in candidates if v is not None)
-        if not _is_int(kwargs[key]):
-            raise LoadError(f"{block['kind']} {key} must be an integer, got {kwargs[key]!r}")
     return spec.run(problem, **kwargs)
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("HV_SEED")
-    if env is not None:
+    """--seed, else HV_SEED, else 0; a negative one is refused whatever the command."""
+    source, seed = "--seed", args.seed
+    if seed is None:
+        source, env = "HV_SEED", os.environ.get("HV_SEED", str(DEFAULT_SEED))
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise LoadError(f"HV_SEED must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+    if seed < 0:
+        raise LoadError(f"{source}: seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _csv_rows(results: list[dict]) -> list[list]:
@@ -630,23 +630,21 @@ def main(argv=None) -> int:
         seed = _resolve_seed(args)
         blocks = _experiment_blocks(problem, args.command, args)
         results = [_run_block(problem, block, args, seed) for block in blocks]
-    except (HvError, ValueError) as exc:
+        passed = all(all(r["checks"].values()) for r in results)
+        _emit({
+            "tool": "hv",
+            "version": __version__,
+            "command": args.command,
+            "input": problem.source,
+            "input_digest": problem.digest,
+            "seed": seed,
+            "results": results,
+            "passed": passed,
+            "duration_seconds": time.perf_counter() - started,
+        }, args)
+    except (HvError, ValueError, OSError) as exc:  # OSError: unreadable input, unwritable --out
         print(f"hv: error: {exc}", file=sys.stderr)
         return 2
-
-    passed = all(all(r["checks"].values()) for r in results)
-    report = {
-        "tool": "hv",
-        "version": __version__,
-        "command": args.command,
-        "input": problem.source,
-        "input_digest": problem.digest,
-        "seed": seed,
-        "results": results,
-        "passed": passed,
-        "duration_seconds": time.perf_counter() - started,
-    }
-    _emit(report, args)
     return 0 if passed else 1
 
 

@@ -65,7 +65,7 @@ class QuantileStep:
         if len(cuts) != len(values) + 1 or len(values) == 0:
             raise ValueError("need one more cut than values, at least one value")
         _check_cuts(cuts)
-        if not np.all(np.diff(values) > 0):
+        if not np.all(values[1:] > values[:-1]):  # np.diff would overflow past the float64 range
             raise ValueError("values must be strictly increasing")
         object.__setattr__(self, "cuts", _readonly(cuts))
         object.__setattr__(self, "values", _readonly(values))

@@ -102,7 +102,7 @@ class SpectralDecomposition:
             raise DimensionMismatch("eigenvalues must be (m,), projectors (m, n, n)")
         if len(evs) != len(prs) or len(evs) == 0:
             raise DimensionMismatch("need one projector per eigenvalue, at least one")
-        if not np.all(np.diff(evs) > 0):
+        if not np.all(evs[1:] > evs[:-1]):  # np.diff would overflow past the float64 range
             raise ValueError("eigenvalues must be strictly increasing")
         n = prs.shape[1]
         resolution = max_abs(prs.sum(axis=0) - np.eye(n))

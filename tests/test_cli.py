@@ -567,13 +567,59 @@ def test_samples_flag_only_on_commands_that_read_it(capsys):
             {"experiments": [{"kind": "chsh", "e1": {"z": 1}}]},
             ["experiment 0 e1 must be a name"],
         ),
+        ({"dimension": 0}, ["dimension must be positive"]),
+        ({"tolerances": {"snap": 1e-9}}, ["unknown tolerance keys ['snap']"]),
+        (
+            {"borel_sets": {"half": {"lo": 0}}},
+            ["borel set 'half'", "a Borel set is a list of interval objects"],
+        ),
+        (
+            {"borel_sets": {"half": [[0, "inf"]]}},
+            ["borel set 'half'", "intervals are objects with lo/hi/flags"],
+        ),
+        (
+            {"borel_sets": {"half": [{"lo": 1, "hi": 0}]}},
+            ["borel set 'half'", "interval endpoints out of order: 1.0 > 0.0"],
+        ),
+        (
+            {"functions": {"g": [[1, 0]]}},
+            ["function 'g'", "functions are objects with breakpoints/pieces/breakpoint_values"],
+        ),
+        # every file block is checked, whatever its kind and whatever the command run
+        ({"experiments": [{"operator": "z"}]}, ["experiment 0 needs a 'kind'"]),
+        ({"experiments": ["spectra"]}, ["experiment 0 needs a 'kind'"]),
+        (
+            {"experiments": [{"kind": "spectrum", "operator": "z"}]},
+            ["experiment 0 kind 'spectrum' is not one of spectra, prob, quantile, verify"],
+        ),
+        ({"experiments": [{"kind": ["spectra"]}]}, ["experiment 0 kind ['spectra'] is not one"]),
+        (
+            {"experiments": [{"kind": "prob", "operator": "z", "state": "plus", "borel": "b"}]},
+            ["experiment 0 prob references unknown borel 'b'"],
+        ),
+        (
+            {"experiments": [{"kind": "prob", "operator": "z"}]},
+            ["experiment 0 prob: missing borel, state"],
+        ),
+        (
+            {"experiments": [{"kind": "verify", "operator": "z", "state": "plus", "samples": "9"}]},
+            ["experiment 0 verify samples must be an integer, got '9'"],
+        ),
+        (
+            {"experiments": [{"kind": "spectra", "operator": "z", "seed": 1.5}]},
+            ["experiment 0 spectra seed must be an integer, got 1.5"],
+        ),
     ],
     ids=["operators-list", "states-string", "tolerances-list", "tolerance-string",
          "tolerance-null", "tolerance-bool", "tolerance-numeric-string",
          "tolerance-int-past-float", "tolerance-nan", "tolerance-inf", "tolerance-negative",
          "cluster-tol-zero", "dimension-fraction", "dimension-bool", "flag-string",
          "endpoint-bool", "endpoint-null", "endpoint-numeric-string", "endpoint-inf-spelling",
-         "operator-list", "e1-object"],
+         "operator-list", "e1-object", "dimension-zero", "tolerance-unknown-key",
+         "borel-object", "interval-list", "interval-out-of-order", "function-list",
+         "block-without-kind", "block-string", "kind-unknown", "kind-list",
+         "block-unknown-name", "block-missing-names", "block-samples-string",
+         "block-seed-fraction"],
 )
 def test_malformed_problem_file_is_exit_2(tmp_path, capsys, patch, fragments):
     doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())
@@ -582,6 +628,64 @@ def test_malformed_problem_file_is_exit_2(tmp_path, capsys, patch, fragments):
     path.write_text(json.dumps(doc))
     code, _, err = run(["spectra", "--input", str(path), "--operator", "z"], capsys)
     assert_bad_input(code, err, str(path), *fragments)
+
+
+@pytest.mark.parametrize(
+    "text, command, fragment",
+    [("{", "spectra", "not valid JSON"), ("[]", "spectra", "top level must be an object"),
+     (None, "chsh", "no 'chsh' experiment")],
+    ids=["invalid-json", "top-level-list", "no-block-of-the-kind"],
+)
+def test_unusable_file_is_exit_2(tmp_path, capsys, text, command, fragment):
+    fixture = Path(hvsim.__file__).parent / "fixtures" / "pauli.json"
+    path = tmp_path / "unusable.json"
+    path.write_text(fixture.read_text() if text is None else text)
+    code, _, err = run([command, "--input", str(path)], capsys)
+    assert_bad_input(code, err, str(path), fragment)
+
+
+def test_unreadable_input_and_unwritable_out_are_exit_2(tmp_path, capsys):
+    code, _, err = run(["spectra", "--input", str(tmp_path)], capsys)
+    assert_bad_input(code, err, str(tmp_path))
+    out = tmp_path / "no" / "such" / "r.json"
+    code, stdout, err = run(["spectra", "--input", "pauli", "--out", str(out)], capsys)
+    assert_bad_input(code, err, str(out))
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_negative_seed_is_exit_2_for_every_command(capsys, monkeypatch, command):
+    fixture = "commuting_chsh" if command == "chsh" else "pauli"
+    code, _, err = run([command, "--input", fixture, "--seed", "-1"], capsys)
+    assert_bad_input(code, err, "--seed: seed must be a non-negative integer, got -1")
+    monkeypatch.setenv("HV_SEED", "-3")
+    code, _, err = run([command, "--input", fixture], capsys)
+    assert_bad_input(code, err, "HV_SEED: seed must be a non-negative integer, got -3")
+
+
+def test_post_map_not_finite_on_the_spectrum_is_exit_2(tmp_path, capsys):
+    # every number in g is finite, but g(1) = 1e308 + 1e308 is not
+    doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())
+    doc["functions"]["big"] = {"breakpoints": [], "pieces": [[1e308, 1e308]],
+                               "breakpoint_values": []}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    argv = ["roundtrip", "--input", str(path), "--operator", "z", "--function", "big"]
+    code, out, err = run(argv, capsys)
+    assert_bad_input(code, err, str(path), "function 'big'", "operator 'z'")
+    assert out == ""
+
+
+def test_quantile_of_a_spectrum_wider_than_the_float64_range(tmp_path, capsys):
+    # the eigenvalues +-1.7e308 are finite, their difference is not
+    doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())
+    doc["operators"]["wide"] = _complex_rows(np.diag([1.7e308, -1.7e308]))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["quantile", "--input", str(path), "--operator", "wide",
+                          "--state", "plus"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"][0]["values"] == [-1.7e308, 1.7e308]
 
 
 def test_an_int_past_float_range_reads_as_an_infinite_endpoint(tmp_path, capsys):

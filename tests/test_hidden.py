@@ -12,6 +12,7 @@ from hvsim import (
     PiecewiseAffineFunction,
     Proposition,
     PureState,
+    SpectralDecomposition,
     compose,
     eigh,
     expectation,
@@ -300,6 +301,18 @@ def test_fiber_integral_examples():
     assert fiber_integral(ABSOLUTE, z_obs, PureState([0.3, 0.7])) == pytest.approx(1.0)
     ladder = ClassicalObservable(eigh(np.diag([1.0, 2.0, 3.0]).astype(complex)))
     assert fiber_integral(ident, ladder, PureState([1, 1, 1])) == pytest.approx(2.0)
+
+
+def test_spectrum_wider_than_the_float64_range_builds_and_samples():
+    # the eigenvalues +-1.7e308 are finite, their difference is not; no ordering check
+    # may subtract them (pytest turns the overflow warning into an error)
+    wide = eigh(np.diag([1.7e308, -1.7e308]).astype(complex))
+    obs = ClassicalObservable(wide)
+    assert list(quantile_function(wide, PLUS).values) == [-1.7e308, 1.7e308]
+    assert list(sample(obs, PLUS, 1000, 0).outcomes) == [-1.7e308, 1.7e308]
+    assert fiber_integral(PiecewiseAffineFunction.identity(), obs, PLUS) == pytest.approx(0.0)
+    rebuilt = SpectralDecomposition(wide.eigenvalues, wide.projectors)
+    assert list(rebuilt.eigenvalues) == [-1.7e308, 1.7e308]
 
 
 def test_fiber_integral_matches_expectations_random():

@@ -164,7 +164,7 @@ def test_decomposition_rejects_broken_resolution():
 def test_decomposition_rejects_eigenvalues_that_do_not_increase():
     # the projectors resolve the identity and are orthogonal; only the order is wrong
     prs = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
-    for evs in ([1.0, 1.0], [2.0, 1.0]):
+    for evs in ([1.0, 1.0], [2.0, 1.0], [1.7e308, -1.7e308]):
         with pytest.raises(ValueError, match="strictly increasing"):
             SpectralDecomposition(np.array(evs), prs)
 
