@@ -303,22 +303,26 @@ def _borel_json(b: BorelSet) -> list:
     return out
 
 
+def _residual_ok(residual: float, tol: float, target: np.ndarray) -> bool:
+    """A residual against `target` within `tol` times max(1, max|target|), as `_jacobi` scales."""
+    return residual <= tol * max(1.0, max_abs(target))
+
+
 # ---------------------------------------------------------------------------
 # experiment runners
 
 
 def run_spectra(problem: ProblemFile, operator: str) -> dict:
     tol = problem.tolerances
+    a = problem.operators[operator]
     dec = _decompose(problem, operator)
-    residual = max_abs(dec.operator() - problem.operators[operator])
+    residual = max_abs(dec.operator() - a)
     return {
-        "kind": "spectra",
-        "operator": operator,
         "eigenvalues": _floats(dec.eigenvalues),
         "multiplicities": list(dec.ranks),
         "projector_traces": [float(np.trace(p).real) for p in dec.projectors],
         "reconstruction_residual": residual,
-        "checks": {"reconstruction_ok": residual <= tol.reconstruction_tol},
+        "checks": {"reconstruction_ok": _residual_ok(residual, tol.reconstruction_tol, a)},
     }
 
 
@@ -329,10 +333,6 @@ def run_prob(problem: ProblemFile, operator: str, state: str, borel: str) -> dic
     events = problem.borel_sets[borel]
     value = prob(dec, h, events, snap_tol=tol.snap_tol)
     return {
-        "kind": "prob",
-        "operator": operator,
-        "state": state,
-        "borel": borel,
         "events": _borel_json(events),
         "probability": value,
         "checks": {"in_unit_interval": 0.0 <= value <= 1.0},
@@ -347,9 +347,6 @@ def run_quantile(problem: ProblemFile, operator: str, state: str) -> dict:
     atom_probs = [prob(dec, h, BorelSet.point(float(v)), snap_tol=tol.snap_tol) for v in q.values]
     defect = max(abs(float(l) - p) for l, p in zip(q.lengths(), atom_probs))
     return {
-        "kind": "quantile",
-        "operator": operator,
-        "state": state,
         "cuts": _floats(q.cuts),
         "values": _floats(q.values),
         "atom_probabilities": atom_probs,
@@ -367,11 +364,6 @@ def run_verify(problem: ProblemFile, operator: str, state: str, samples: int, se
     deviations = np.abs(report.empirical - report.predicted)
     within = bool(np.all(deviations <= budgets))
     return {
-        "kind": "verify",
-        "operator": operator,
-        "state": state,
-        "samples": int(samples),
-        "seed": int(seed),
         "outcomes": _floats(report.outcomes),
         "predicted": _floats(report.predicted),
         "empirical": _floats(report.empirical),
@@ -385,17 +377,13 @@ def run_verify(problem: ProblemFile, operator: str, state: str, samples: int, se
 
 def run_roundtrip(problem: ProblemFile, operator: str, function: str | None) -> dict:
     tol = problem.tolerances
+    a = problem.operators[operator]
     dec = _decompose(problem, operator)
     obs = ClassicalObservable(dec)
-    identity_residual = max_abs(
-        reduced_operator(obs, snap_tol=tol.snap_tol) - problem.operators[operator]
-    )
+    identity_residual = max_abs(reduced_operator(obs, snap_tol=tol.snap_tol) - a)
     result = {
-        "kind": "roundtrip",
-        "operator": operator,
-        "function": function,
         "identity_residual": identity_residual,
-        "checks": {"identity_roundtrip_ok": identity_residual <= tol.roundtrip_tol},
+        "checks": {"identity_roundtrip_ok": _residual_ok(identity_residual, tol.roundtrip_tol, a)},
     }
     if function is not None:
         g = problem.functions[function]
@@ -403,20 +391,17 @@ def run_roundtrip(problem: ProblemFile, operator: str, function: str | None) -> 
             raise LoadError(f"{problem.source}: function {function!r} is not finite on the "
                             f"spectrum of operator {operator!r}")
         target = functional_calculus(dec, g)
-        post_residual = max_abs(
-            reduced_operator(compose(g, obs), snap_tol=tol.snap_tol) - target
-        )
-        result["post_residual"] = post_residual
-        result["checks"]["post_roundtrip_ok"] = post_residual <= tol.roundtrip_tol
+        residual = max_abs(reduced_operator(compose(g, obs), snap_tol=tol.snap_tol) - target)
+        result["post_residual"] = residual
+        result["checks"]["post_roundtrip_ok"] = _residual_ok(residual, tol.roundtrip_tol, target)
     return result
 
 
 def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: str) -> dict:
     """CHSH report; the four projectors are validated here, once, at the file's projector_tol."""
     tol = problem.tolerances
-    names = {"e1": e1, "e2": e2, "f1": f1, "f2": f2}
     projectors = {}
-    for key, name in names.items():
+    for key, name in {"e1": e1, "e2": e2, "f1": f1, "f2": f2}.items():
         try:
             projectors[key] = ensure_projector(problem.operators[name], tol.projector_tol)
         except (NotHermitian, ValueError) as exc:
@@ -433,9 +418,6 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
     commuting = _commutation(projectors, tol.commute_tol)
     cross_commuting = {f"{a}{b}": commuting[a, b] for a, b in pair_names}
     result = {
-        "kind": "chsh",
-        "projectors": names,
-        "state": state,
         "expectations": [[terms[i, j] for j in range(2)] for i in range(2)],
         "chsh_value": value,
         "cross_pairs_commute": cross_commuting,
@@ -473,8 +455,10 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
 @dataclass(frozen=True)
 class Command:
     """One `hv` command: its runner, its help line and the block keys it reads. Each
-    name key is also its `--<key>` flag; `names` are required, `optional` are not.
-    Each of `settings` is an integer from its flag, else the block, else its default."""
+    name key is also its `--<key>` flag and a key of every result; `names` are required,
+    `optional` are not. Each of `settings` is an integer from its flag, else the block,
+    else its default, and is a key of every result too. A runner returns only what it
+    computes; `_run_block` puts the `kind`, the names and the settings in front."""
 
     run: Callable[..., dict]
     help: str
@@ -545,7 +529,7 @@ def _run_block(problem: ProblemFile, block: dict, args: argparse.Namespace, seed
     for key in spec.settings:
         candidates = (getattr(args, key), block.get(key), defaults[key])
         kwargs[key] = next(v for v in candidates if v is not None)
-    return spec.run(problem, **kwargs)
+    return {"kind": block["kind"], **kwargs, **spec.run(problem, **kwargs)}
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:

@@ -48,7 +48,7 @@ def _fiber_partition(weights, weight_floor: float = WEIGHT_FLOOR) -> tuple[np.nd
 
 @dataclass(frozen=True)
 class QuantileStep:
-    """Right-continuous step function on (0, 1]: value values[k] on (cuts[k], cuts[k+1]].
+    """Left-continuous step function on (0, 1): value values[k] on (cuts[k], cuts[k+1]].
 
     cuts run from exactly 0 to exactly 1 and strictly increase; values
     strictly increase. The length cuts[k+1] - cuts[k] is the Lebesgue

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import rand_unitary
 import hvsim
 from hvsim import PureState, ensure_hermitian
-from hvsim.cli import COMMANDS, load_problem, main, run_chsh, run_verify
+from hvsim.cli import COMMANDS, load_problem, main, run_chsh
 
 FIXTURES = ("pauli", "singlet_chsh", "commuting_chsh")
 
@@ -148,11 +148,13 @@ def test_verify_command_budget(capsys):
     assert section["checks"]["within_budget"]
 
 
-def test_verify_tiny_sample_count_may_fail_statistically():
+def test_verify_tiny_sample_count_may_fail_statistically(capsys):
     # n = 10 is deliberately undersized: the run must complete and report
     # either way; the budget flag is allowed to fail here
-    problem = load_problem("pauli")
-    section = run_verify(problem, "z", "plus", samples=10, seed=3)
+    argv = ["verify", "--input", "pauli", "--operator", "z", "--state", "plus"]
+    code, out, err = run([*argv, "--samples", "10", "--seed", "3"], capsys)
+    assert code in (0, 1), err
+    section = json.loads(out)["results"][0]
     assert section["samples"] == 10
     assert isinstance(section["checks"]["within_budget"], bool)
 
@@ -349,6 +351,36 @@ def test_loosened_tolerance_takes_effect(tmp_path, capsys, key):
             assert read(json.loads(out)["results"][0]) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [3e9, 1.7e308])
+def test_residual_checks_scale_with_the_operator(tmp_path, capsys, scale):
+    # rounding leaves absolute residuals far above 1e-8 (9.5e-7 at 3e9), about 3e-16 relative;
+    # each is compared with its tolerance times max(1, max|target|) and reported as it is
+    halve = {"breakpoints": [], "pieces": [[0.5, 0]], "breakpoint_values": []}
+    doc = _z_doc([[0.0, scale], [scale, 0.0]], [1, 0], functions={"halve": halve})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    for argv, checks in ((["spectra"], ["reconstruction_ok"]),
+                         (["roundtrip", "--function", "halve"],
+                          ["identity_roundtrip_ok", "post_roundtrip_ok"])):
+        code, out, err = run([argv[0], "--input", str(path), "--operator", "z", *argv[1:]], capsys)
+        assert code == 0, err
+        assert json.loads(out)["results"][0]["checks"] == dict.fromkeys(checks, True)
+
+
+def test_residual_check_still_fails_a_merged_large_spectrum(tmp_path, capsys):
+    # a cluster_tol of 1e3 merges 1e9 and 1e9 + 100 into 1e9 + 50: off by 50, above 1e-8 * 1e9
+    path = tmp_path / "merged.json"
+    doc = _z_doc(np.diag([1e9, 1e9 + 100]), [1, 0])
+    for tolerances, want in (({}, 0), ({"cluster_tol": 1e3}, 1)):
+        path.write_text(json.dumps({**doc, "tolerances": tolerances}))
+        for command in ("spectra", "roundtrip"):
+            code, out, err = run([command, "--input", str(path), "--operator", "z"], capsys)
+            assert code == want, err
+            (result,) = json.loads(out)["results"]
+            residual = result.get("reconstruction_residual", result.get("identity_residual"))
+            assert residual == pytest.approx(50.0 if want else 0.0, abs=1e-6)
+
+
 def test_verify_reads_the_files_weight_floor(tmp_path, capsys):
     # the outcome -1 weighs 0.0099 at (1, 0.1): sampled at the default floor, not at 0.05
     path = tmp_path / "problem.json"
@@ -426,6 +458,23 @@ def test_experiment_blocks_run_when_no_names_given(capsys):
     report = json.loads(out)
     kinds = [r["kind"] for r in report["results"]]
     assert kinds == ["roundtrip", "roundtrip"]  # both blocks from the file
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_result_leads_with_its_kind_names_and_settings(capsys, command):
+    # kind, then the command's names and settings in Command order, as the block gave them
+    spec = COMMANDS[command]
+    fixture = "commuting_chsh" if command == "chsh" else "pauli"
+    code, out, err = run([command, "--input", fixture], capsys)
+    assert code == 0, err
+    blocks = [b for b in load_problem(fixture).experiments if b["kind"] == command]
+    results = json.loads(out)["results"]
+    keys = ["kind", *spec.names, *spec.optional, *spec.settings]
+    assert len(results) == len(blocks)
+    for block, result in zip(blocks, results):
+        assert list(result)[:len(keys)] == keys
+        assert {k: result[k] for k in block} == block
+        assert {result[k] for k in spec.optional if k not in block} <= {None}
 
 
 def test_out_file_and_csv_format(tmp_path, capsys):

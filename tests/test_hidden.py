@@ -352,6 +352,22 @@ def test_compose_negation_swaps_weights():
     np.testing.assert_allclose(q.lengths(), base.lengths()[::-1], atol=1e-12)
 
 
+def test_compose_folds_an_existing_post_map():
+    # compose(g, compose(h, obs)) folds g after h into one post map
+    rng = np.random.default_rng(113)
+    u = rand_unitary(rng, 4)
+    dec = eigh((u * np.array([-2.0, -1.0, 1.0, 3.0])) @ u.conj().T)
+    h = ABSOLUTE
+    g = PiecewiseAffineFunction((1.5,), ((3.0, -1.0), (-1.0, 6.0)), (2.0,))
+    obs = ClassicalObservable(dec)
+    folded = compose(g, compose(h, obs))
+    state = rand_state(rng, 4)
+    for t in (0.01, 0.2, 0.37, 0.5, 0.63, 0.8, 0.99):
+        assert folded.evaluate(state, t) == pytest.approx(g(h(obs.evaluate(state, t))), abs=1e-12)
+    target = sum(g(h(float(lam))) * p for lam, p in zip(dec.eigenvalues, dec.projectors))
+    assert max_abs(reduced_operator(folded) - target) <= 1e-8
+
+
 def test_pushforward_atom_lengths_random():
     rng = np.random.default_rng(107)
     for _ in range(25):
