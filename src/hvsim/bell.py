@@ -9,7 +9,7 @@ identity. Commuting projectors admit such propositions constructively via a join
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -48,10 +48,12 @@ def correlation_operator(e, f, meet_tol: float = MEET_TOL) -> np.ndarray:
 
 
 def _chsh_terms(es, fs, vector: np.ndarray, meet_tol: float) -> np.ndarray:
-    return np.array([
-        [float(np.vdot(vector, _correlation(e, f, meet_tol) @ vector).real) for f in fs]
-        for e in es
-    ])
+    """2x2 expectations of the correlation operators of (e, f) for e in es, f in fs, whose
+    four e + f - I are solved as one stack."""
+    pairs = [(e, f) for e in es for f in fs]
+    operators = _correlation(np.array([e for e, _ in pairs]), np.array([f for _, f in pairs]),
+                             meet_tol)
+    return np.array([float(np.vdot(vector, c @ vector).real) for c in operators]).reshape(2, 2)
 
 
 def _chsh_combination(t: np.ndarray) -> float:
@@ -61,13 +63,15 @@ def _chsh_combination(t: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ChshConfig:
-    """Two couples of projectors, validated on construction, plus the state to evaluate at."""
+    """Two couples of projectors, validated on construction, plus the state to evaluate at.
+    chsh_terms keeps the terms it solves in _terms, keyed by meet_tol."""
 
     e1: np.ndarray
     e2: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
     state: PureState
+    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = ("e1", "e2", "f1", "f2")
@@ -83,8 +87,15 @@ class ChshConfig:
 
 
 def chsh_terms(cfg: ChshConfig, meet_tol: float = MEET_TOL) -> np.ndarray:
-    """2x2 array of correlation expectations, indexed by (couple one, couple two)."""
-    return _chsh_terms(*cfg.couples(), cfg.state.vector, meet_tol)
+    """2x2 array of correlation expectations, indexed by (couple one, couple two).
+
+    Solved once per config and meet_tol: the config keeps the terms, and each call returns
+    a copy of them."""
+    terms = cfg._terms.get(meet_tol)
+    if terms is None:
+        terms = _chsh_terms(*cfg.couples(), cfg.state.vector, meet_tol)
+        cfg._terms[meet_tol] = _readonly(terms)
+    return terms.copy()
 
 
 def chsh_value(cfg: ChshConfig, meet_tol: float = MEET_TOL) -> float:

@@ -51,6 +51,7 @@ from .linalg import (
     COMMUTE_TOL,
     HERMITIAN_TOL,
     MEET_TOL,
+    MEET_TOL_MAX,
     PROJECTOR_TOL,
     eigh,
     ensure_hermitian,
@@ -248,9 +249,13 @@ def load_problem(source: str) -> ProblemFile:
             raise LoadError(
                 f"{display}: tolerance {key!r} must be finite and non-negative: {value!r}"
             )
-        # eigh refuses a cluster_tol of 0; say so here, naming the file and the key
+        # eigh refuses a cluster_tol of 0, and the meets a meet_tol outside
+        # (0, MEET_TOL_MAX]; say so here, naming the file and the key
         if key == "cluster_tol" and overrides[key] == 0.0:
             raise LoadError(f"{display}: tolerance {key!r} must be positive: {value!r}")
+        if key == "meet_tol" and not 0.0 < overrides[key] <= MEET_TOL_MAX:
+            raise LoadError(f"{display}: tolerance {key!r} must be in "
+                            f"(0, 1 - 1/sqrt 2 = {MEET_TOL_MAX:.4g}]: {value!r}")
     tolerances = replace(Tolerances(), **overrides)
 
     operators = {

@@ -10,6 +10,7 @@ All values are immutable after construction; every public operation is pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ HERMITIAN_TOL = 1e-10
 PROJECTOR_TOL = 1e-9
 CLUSTER_TOL = 1e-8
 MEET_TOL = 1e-8
+# the widest meet_tol at which the classes +1, -1 and 0 of _pair_meets stay disjoint: 1 - mu
+# and mu**2 fall under it together iff (1 - meet_tol)**2 < meet_tol * (2 - meet_tol)
+MEET_TOL_MAX = 1.0 - math.sqrt(0.5)
 COMMUTE_TOL = 1e-9
 RESOLUTION_TOL = 1e-8
 JACOBI_OFF_TOL = 1e-12
@@ -145,14 +149,19 @@ class SpectralDecomposition:
         return np.clip(w / float(np.vdot(vector, vector).real), 0.0, None)
 
 
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt((np.abs(off) ** 2).sum()))
+def _off_norm(a: np.ndarray) -> np.ndarray:
+    """Off-diagonal Frobenius norms of the members of a (k, n, n) stack, or the one norm of
+    an (n, n) matrix, as a (k,) or (1,) array."""
+    n = a.shape[-1]
+    sq = (np.abs(a) ** 2).reshape(-1, n * n)
+    sq[:, :: n + 1] = 0.0  # the diagonal
+    return np.sqrt(sq.sum(axis=-1))
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _round_robin(n: int) -> np.ndarray:
     """Brent-Luk schedule: rounds of disjoint (p, q) index arrays, p < q, that together hold
-    each pair once. Odd n is padded by a dummy index n, which drops out of every pair it joins.
+    each pair once, as a (rounds, 2, n // 2) array. Odd n is padded by a dummy index n,
+    which drops out of every pair it joins.
 
     With m = n + n % 2, round r pairs the hub m - 1 with r, and r + k with r - k (mod m - 1)
     for 0 < k < m/2. For odd n the hub is the dummy, so the hub's pair is left out."""
@@ -161,24 +170,34 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     k = np.arange(n % 2, m // 2)
     p = np.where(k == 0, m - 1, (r + k) % (m - 1))
     q = (r - k) % (m - 1)
-    return list(zip(np.minimum(p, q), np.maximum(p, q)))
+    return np.sort(np.array((p, q)), axis=0).transpose(1, 0, 2)
+
+
+def _refuse(a: np.ndarray, ids: np.ndarray, flags, message) -> ConvergenceFailure:
+    """The error for the first member that flags marks: message(i) for position i of a
+    stack whose members are ids, or message(0) for a single matrix."""
+    i = int(np.argmax(flags))
+    return ConvergenceFailure(("" if a.ndim == 2 else f"stack member {ids[i]}: ") + message(i))
 
 
 def _jacobi(a: np.ndarray) -> tuple:
-    """Ascending eigenvalues and eigenvector columns of a, trusted Hermitian.
+    """Ascending eigenvalues and eigenvector columns of a, trusted Hermitian (n, n), or of
+    each member of a (k, n, n) stack of them: (k, n) eigenvalues and (k, n, n) vectors.
 
     A sweep is one pass of the round-robin schedule; each round annihilates its disjoint
     pairs at once as a <- J* a J, v <- v J, with J the identity carrying one complex
-    rotation block per pair (the identity block where a[p, q] is already 0). It converges
-    when the off-diagonal Frobenius norm falls below JACOBI_OFF_TOL relative to the largest
-    entry, and raises ConvergenceFailure after JACOBI_MAX_SWEEPS sweeps; both are read at
-    call time.
+    rotation block per pair (the identity block where a[p, q] is already 0). A stack
+    rotates together, one batched product per round. A member converges when its
+    off-diagonal Frobenius norm falls below JACOBI_OFF_TOL relative to its largest entry;
+    it is then set aside untouched, so that every member's eigenpairs are bit for bit those
+    of its own 2-D call. ConvergenceFailure, naming the member, follows JACOBI_MAX_SWEEPS
+    sweeps; both are read at call time.
 
     The columns of v are checked once, here, so that projectors built from them need no
     check of their own. Raises ConvergenceFailure if anything is not finite (a NaN
     off-diagonal norm, an eigenvalue beyond the float64 range, a NaN defect) and, with
-    E = V*V - I and d = max|E|, unless n d <= PROJECTOR_TOL / 2. For disjoint column sets
-    S, T and P_S = V_S V_S*:
+    E = V*V - I and d = max|E|, unless n d <= PROJECTOR_TOL / 2, for any member. For
+    disjoint column sets S, T and P_S = V_S V_S*:
     - P_S P_S - P_S = V_S E_SS V_S* and P_S P_T = V_S E_ST V_T*. Each entry is at most
       |V|^2 |E| <= (1 + n d) n d < PROJECTOR_TOL (spectral norms; |E| <= n d bounds it by
       the Frobenius norm, and |V|^2 = |V*V| <= 1 + |E|). So P_S is idempotent within
@@ -188,57 +207,86 @@ def _jacobi(a: np.ndarray) -> tuple:
     - trace P_S = |S| + trace E_SS is within n d of an integer, inside 1e-6.
     - Symmetrizing P_S makes it exactly Hermitian.
     Forming and checking the products rounds each entry by about n * 1e-16, far inside
-    the factor-two margin. Observed defects are about 1e-14 at n = 48."""
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    threshold = JACOBI_OFF_TOL * max(1.0, max_abs(a))
-    # rotate a copy scaled exactly by 2**-e into max|a| < 1: near the float64 limit a
-    # rotation's hypot overflows, and the pair would be zeroed without being rotated
-    e = max(0, int(np.frexp(max_abs(a))[1]))
-    a, scaled = a * np.ldexp(1.0, -e), np.ldexp(threshold, -e)
-    rounds = [(p, q, np.concatenate((p, q, p, q)), np.concatenate((p, q, q, p)))
-              for p, q in _round_robin(n)]  # J's block entries (p, p), (q, q), (p, q), (q, p)
+    the factor-two margin. Observed defects are about 1e-14 at n = 48.
+
+    Per-pair values are indexed through the reversed view a.T, whose leading axes are the
+    matrix indices, so that a single matrix and a stack take the same numpy calls."""
+    n = a.shape[-1]
+    eye = np.eye(n, dtype=np.complex128) + np.zeros(a.shape, dtype=np.complex128)
+    v = eye.copy()
+    # one entry per member, (1,) for a single matrix, so that Python's all and any test them
+    largest = np.abs(a).reshape(-1, n * n).max(axis=-1)
+    threshold = JACOBI_OFF_TOL * np.maximum(1.0, largest)
+    # rotate a copy of each member scaled exactly by 2**-e into max|a| < 1: near the float64
+    # limit a rotation's hypot overflows, and the pair would be zeroed without being rotated
+    e = np.maximum(0, np.frexp(largest)[1])
+    a = a * np.ldexp(1.0, -e).reshape(a.shape[:-2] + (1, 1))
+    scaled = np.ldexp(threshold, -e)
+    schedule = _round_robin(n)
+    p, q = schedule[:, 0], schedule[:, 1]
+    # the (column, row) indices into J.T of J's block entries (p, p), (q, q), (p, q), (q, p),
+    # and of the last two alone, which are zeroed in a after each product
+    cols, rows = np.concatenate((p, q, q, p), axis=1), np.concatenate((p, q, p, q), axis=1)
+    h = 2 * p.shape[1]
+    rounds = list(zip(p, q, zip(cols, rows), zip(cols[:, h:], rows[:, h:])))
+    ids, parked = np.arange(len(e)), []  # the members rotating, and those set aside
 
     sweeps = 0
-    while not (off := _off_norm(a)) <= scaled:
-        if sweeps >= JACOBI_MAX_SWEEPS or np.isnan(off):
-            raise ConvergenceFailure(
-                f"off-diagonal norm {np.ldexp(off, e):.3e} above {threshold:.3e} "
-                f"after {sweeps} sweeps"
-            )
-        for p, q, rows, cols in rounds:
-            apq = a[p, q]
+    while not all(done := (off := _off_norm(a)) <= scaled):
+        stuck = ~done if sweeps >= JACOBI_MAX_SWEEPS else np.isnan(off)
+        if any(stuck):
+            raise _refuse(a, ids, stuck, lambda i: (
+                f"off-diagonal norm {np.ldexp(off[i], e[i]):.3e} above {threshold[i]:.3e} "
+                f"(JACOBI_OFF_TOL {JACOBI_OFF_TOL:.0e} times the largest entry) after "
+                f"{sweeps} sweeps (JACOBI_MAX_SWEEPS {JACOBI_MAX_SWEEPS})"))
+        if any(done):  # a stack's converged members; a single matrix has left the loop
+            parked.append((ids[done], a[done], v[done], e[done]))
+            ids, a, v, e, threshold, scaled, eye = (
+                x[~done] for x in (ids, a, v, e, threshold, scaled, eye))
+        for p, q, blocks, pairs in rounds:
+            apq = a.T[q, p]
             mag = np.abs(apq)
             live = mag != 0.0
             if not live.any():
                 continue
             # t = sign(tau) / (|tau| + hypot(1, tau)) for tau = d / 2|a_pq|, multiplied
             # through by 2|a_pq| so that a tiny |a_pq| cannot overflow tau
-            diag = a.diagonal().real
+            diag = a.diagonal(0, -2, -1).real.T
             d = diag[q] - diag[p]
             t = np.divide(np.copysign(2.0 * mag, d), np.abs(d) + np.hypot(d, 2.0 * mag),
-                          out=np.zeros(len(p)), where=live)
+                          out=np.zeros(mag.shape), where=live)
             c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c * np.divide(apq, mag, out=np.zeros(len(p), dtype=np.complex128), where=live)
-            j = np.eye(n, dtype=np.complex128)
-            j[rows, cols] = np.concatenate((c, c, s, -s.conj()))
-            a = j.conj().T @ a @ j
-            a[p, q] = a[q, p] = 0.0
+            s = t * c * np.divide(apq, mag, out=np.zeros(mag.shape, dtype=np.complex128),
+                                  where=live)
+            j = eye.copy()
+            j.T[blocks] = np.concatenate((c, c, s, -s.conj()))
+            a = j.conj().swapaxes(-1, -2) @ a @ j
+            a.T[pairs] = 0.0
             v = v @ j
-        a = (a + a.conj().T) / 2.0
+        a = (a + a.conj().swapaxes(-1, -2)) / 2.0
         sweeps += 1
 
+    if parked:  # put the stack back in member order
+        ids, a, v, e = (np.concatenate(x) for x in zip((ids, a, v, e), *parked))
+        back = np.argsort(ids)
+        ids, a, v, e = ids[back], a[back], v[back], e[back]
     with np.errstate(over="ignore"):
-        raw = np.ldexp(np.diag(a).real, e)
-    if not np.all(np.isfinite(raw)):
-        raise ConvergenceFailure(f"non-finite eigenvalue {raw[~np.isfinite(raw)][0]}")
-    defect = max_abs(v.conj().T @ v - np.eye(n))
-    if not n * defect <= PROJECTOR_TOL / 2:  # a NaN defect fails too
-        raise ConvergenceFailure(
-            f"eigenvector orthonormality defect {defect:.3e} above {PROJECTOR_TOL / 2 / n:.3e}"
-        )
-    order = np.argsort(raw, kind="stable")
-    return raw[order], v[:, order]
+        raw = np.ldexp(a.diagonal(0, -2, -1).real, e.reshape(a.shape[:-2] + (1,)))
+    infinite = ~np.isfinite(raw).reshape(-1, n)
+    if infinite.any():
+        raise _refuse(a, ids, infinite.any(axis=-1), lambda i: (
+            f"non-finite eigenvalue {raw.reshape(-1, n)[i][infinite[i]][0]}"))
+    defect = np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(n)).reshape(-1, n * n).max(axis=-1)
+    orthonormal = n * defect <= PROJECTOR_TOL / 2  # a NaN defect fails
+    if not all(orthonormal):
+        raise _refuse(a, ids, ~orthonormal, lambda i: (
+            f"eigenvector orthonormality defect {defect[i]:.3e} above "
+            f"{PROJECTOR_TOL / 2 / n:.3e} (PROJECTOR_TOL / 2n)"))
+    # sort each member's columns: raw[order] and v[:, order] for a single matrix, in the
+    # same memory order; a stack indexes its members by ids as well
+    order = np.argsort(raw, axis=-1, kind="stable")
+    pick = (ids[:, None], order)[3 - a.ndim:]
+    return raw[pick], v.swapaxes(-1, -2)[pick].swapaxes(-1, -2)
 
 
 def _span_projector(v: np.ndarray) -> np.ndarray:
@@ -276,14 +324,24 @@ def eigh(matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
 
 def _pair_meets(e: np.ndarray, f: np.ndarray, meet_tol: float) -> tuple[np.ndarray, ...]:
     """(e meet f, e' meet f', (e meet f') + (e' meet f)), e' = I - e, from one solve of e + f - I.
+    For (k, n, n) stacks e and f, the k solves are one stacked _jacobi call, and each of the
+    three is a (k, n, n) stack.
 
     Halmos: e + f - I is +1 on e meet f, -1 on e' meet f', 0 on the two cross meets, and
     +-cos t on a pair at principal angle t; 1 - cos t < meet_tol shares the line at +-1, and
     1 - sin t < meet_tol reads mu**2 < meet_tol * (2 - meet_tol) at 0. Each eigenvalue is
-    classified on its own; nothing is clustered."""
-    mu, vecs = _jacobi(e + f - np.eye(len(e)))
+    classified on its own; nothing is clustered. Every meet path comes here, so meet_tol is
+    checked here: the three classes are disjoint only for 0 < meet_tol <= MEET_TOL_MAX."""
+    if not 0.0 < meet_tol <= MEET_TOL_MAX:  # NaN fails too
+        raise ValueError(f"meet_tol must be in (0, 1 - 1/sqrt 2 = {MEET_TOL_MAX:.4g}], "
+                         f"got {meet_tol!r}")
+    n = e.shape[-1]
+    mu, vecs = _jacobi(e + f - np.eye(n))
     masks = (1.0 - mu < meet_tol, 1.0 + mu < meet_tol, mu * mu < meet_tol * (2.0 - meet_tol))
-    return tuple(_readonly(_span_projector(vecs[:, m])) for m in masks)
+    vecs = vecs.reshape(-1, n, n)
+    return tuple(_readonly(np.reshape([_span_projector(v[:, m]) for v, m in
+                                       zip(vecs, mask.reshape(-1, n))], e.shape))
+                 for mask in masks)
 
 
 def _commutes(e: np.ndarray, f: np.ndarray, tol: float) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (
     rand_state,
     rand_unitary,
 )
+import hvsim
 from hvsim import (
     BackingMismatch,
     BorelSet,
@@ -34,6 +36,7 @@ from hvsim import (
     proposition_from,
     proposition_projector,
 )
+from hvsim.bell import _chsh_combination
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -96,6 +99,45 @@ def test_chsh_singlet_reaches_tsirelson():
     terms = chsh_terms(cfg)
     assert max_abs(terms - direct) < 1e-8  # meets reduce to tensor correlations here
     assert chsh_value(cfg) == pytest.approx(2 * math.sqrt(2), abs=1e-6)
+
+
+def _count_solves(monkeypatch) -> list:
+    """Record the shape of every _jacobi call the meets make."""
+    calls, jacobi = [], hvsim.linalg._jacobi
+    monkeypatch.setattr(hvsim.linalg, "_jacobi", lambda a: calls.append(a.shape) or jacobi(a))
+    return calls
+
+
+def test_chsh_terms_solve_four_pairs_once_per_config_and_meet_tol(monkeypatch):
+    cfg = singlet_config()
+    calls = _count_solves(monkeypatch)
+    terms = chsh_terms(cfg)
+    assert calls == [(4, 4, 4)]  # the four e + f - I, as one stack
+    assert chsh_value(cfg) == _chsh_combination(terms)
+    assert np.array_equal(chsh_terms(cfg), terms)
+    assert len(calls) == 1  # chsh_value and a second chsh_terms read the kept terms
+    loose = chsh_terms(cfg, 1e-6)  # another meet_tol solves again, once
+    assert np.array_equal(chsh_terms(cfg, 1e-6), loose)
+    assert len(calls) == 2
+
+
+def test_chsh_terms_returns_a_copy_of_the_kept_terms():
+    cfg = singlet_config()
+    terms = chsh_terms(cfg)
+    kept = terms.copy()
+    terms[0, 0] = 7.0
+    assert np.array_equal(chsh_terms(cfg), kept)
+    assert chsh_value(cfg) == _chsh_combination(kept)
+
+
+def test_replacing_a_configs_state_gives_that_states_terms():
+    cfg = singlet_config()
+    chsh_terms(cfg)
+    other = PureState(np.array([1.0, 0.0, 0.0, 0.0]))
+    moved = dataclasses.replace(cfg, state=other)
+    fresh = ChshConfig(cfg.e1, cfg.e2, cfg.f1, cfg.f2, other)
+    assert np.array_equal(chsh_terms(moved), chsh_terms(fresh))
+    assert not np.array_equal(chsh_terms(moved), chsh_terms(cfg))
 
 
 def test_singlet_admits_no_shared_backing():

@@ -203,6 +203,18 @@ def test_chsh_singlet_violates_and_exits_1(capsys):
     assert all(section["cross_pairs_commute"].values())
 
 
+@pytest.mark.parametrize("meet_tol", [0, 0.3, 1e300])
+def test_chsh_meet_tol_outside_its_range_is_exit_2(tmp_path, capsys, meet_tol):
+    # at 0 every meet would be empty and the singlet would score 0 with exit 0; past
+    # 1 - 1/sqrt 2 an eigenvalue could count as shared and as crossing at once
+    doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "singlet_chsh.json").read_text())
+    path = tmp_path / "singlet.json"
+    path.write_text(json.dumps({**doc, "tolerances": {"meet_tol": meet_tol}}))
+    code, _, err = run(["chsh", "--input", str(path)], capsys)
+    assert_bad_input(code, err, str(path), f"tolerance 'meet_tol' must be in (0, 1 - 1/sqrt 2 "
+                     f"= 0.2929]: {meet_tol!r}")
+
+
 def test_chsh_commuting_fixture_passes(capsys):
     code, out, _ = run(["chsh", "--input", "commuting_chsh"], capsys)
     assert code == 0

@@ -1,8 +1,11 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     oracle_correlation,
@@ -33,7 +36,7 @@ from hvsim import (
     projector_meet,
     projector_rank,
 )
-from hvsim.linalg import MEET_TOL, PROJECTOR_TOL, _jacobi, _round_robin
+from hvsim.linalg import MEET_TOL, MEET_TOL_MAX, PROJECTOR_TOL, _jacobi, _round_robin
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -153,6 +156,113 @@ def test_jacobi_matches_numpy_oracle(n):
     np.testing.assert_allclose(raw, np.linalg.eigvalsh(a), atol=1e-11)
     assert max_abs(v @ np.diag(raw) @ v.conj().T - a) <= 1e-12
     assert max_abs(v.conj().T @ v - np.eye(n)) <= 1e-12
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.shape, a.strides, a.tobytes()
+
+
+def _sweeps(a: np.ndarray) -> int:
+    """Sweeps a 2-D _jacobi call takes on a: the loop takes one off-norm per sweep, plus one."""
+    calls = []
+    off_norm = hvsim.linalg._off_norm
+    hvsim.linalg._off_norm = lambda m: calls.append(None) or off_norm(m)
+    try:
+        _jacobi(a)
+    finally:
+        hvsim.linalg._off_norm = off_norm
+    return len(calls) - 1
+
+
+def assert_stack_solves_like_singles(members) -> None:
+    """Each member of the stacked solve has the eigenvalues and eigenvectors, bytes and
+    memory layout, of its own 2-D solve."""
+    raw, vecs = _jacobi(np.stack(members))
+    assert raw.shape == (len(members), members[0].shape[0]) and vecs.shape == (len(members),
+                                                                                *members[0].shape)
+    for member, r, v in zip(members, raw, vecs):
+        single_raw, single_v = _jacobi(member)
+        assert _bits(r) == _bits(single_raw)
+        assert _bits(v) == _bits(single_v)
+
+
+def _slowest(rng, n: int, tries: int = 12) -> np.ndarray:
+    return max((rand_hermitian(rng, n) for _ in range(tries)), key=_sweeps)
+
+
+@pytest.mark.parametrize("case", ["zero-sweep", "most-sweeps", "scaled", "odd-3", "odd-5", "k=1"])
+def test_stacked_jacobi_equals_single_solves_bit_for_bit(case):
+    rng = np.random.default_rng(71)
+    n = 4
+    members = {
+        # a diagonal member converges before the first sweep, beside ones that rotate
+        "zero-sweep": lambda: [np.diag([3.0, -1.0, 0.0, 2.0]).astype(complex),
+                               rand_hermitian(rng, n), rand_hermitian(rng, n)],
+        # the slowest of a dozen is solved between nearly diagonal ones, and finishes last
+        "most-sweeps": lambda: [np.diag([1.0, 2.0, 3.0, 4.0]) + 1e-6 * rand_hermitian(rng, n),
+                                _slowest(rng, n),
+                                np.diag([4.0, 3.0, 2.0, 1.0]) + 1e-6 * rand_hermitian(rng, n)],
+        # each member scales by its own power of two
+        "scaled": lambda: [rand_hermitian(rng, n, 1e300), rand_hermitian(rng, n),
+                           rand_hermitian(rng, n, 1e-300)],
+        "odd-3": lambda: [rand_hermitian(rng, 3) for _ in range(4)],
+        "odd-5": lambda: [rand_hermitian(rng, 5) for _ in range(4)],
+        "k=1": lambda: [rand_hermitian(rng, n)],
+    }[case]()
+    if case == "zero-sweep":
+        assert _sweeps(members[0]) == 0 < min(map(_sweeps, members[1:]))
+    if case == "most-sweeps":
+        assert _sweeps(members[1]) > max(_sweeps(members[0]), _sweeps(members[2]))
+    assert_stack_solves_like_singles(members)
+
+
+def test_stacked_jacobi_equals_single_solves_of_correlation_operators():
+    # the four e + f - I of a CHSH report, at the sizes the meets solve
+    rng = np.random.default_rng(73)
+    for n in (2, 4, 8):
+        ps = [rand_projector(rng, n) for _ in range(4)]
+        assert_stack_solves_like_singles([e + f - np.eye(n) for e in ps[:2] for f in ps[2:]])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    exponents=st.lists(st.integers(-1000, 1000), min_size=1, max_size=5),
+    diagonal=st.lists(st.booleans(), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_solves_equal_single_ones(n, exponents, diagonal, seed):
+    # members from 2**-1000 to 2**1000 in scale, some already diagonal
+    rng = np.random.default_rng(seed)
+    members = []
+    for exponent, flat in zip(exponents, diagonal):
+        m = rand_hermitian(rng, n, np.ldexp(1.0, exponent))
+        members.append(np.diag(np.diag(m)) if flat else m)
+    assert_stack_solves_like_singles(members)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad, message", [
+    (np.full((3, 3), 8e307, dtype=complex), "stack member 1: non-finite eigenvalue inf"),
+    (np.full((3, 3), np.nan, dtype=complex), "stack member 1: off-diagonal norm nan"),
+])
+def test_stacked_jacobi_refuses_a_non_finite_member(bad, message):
+    rng = np.random.default_rng(79)
+    with pytest.raises(ConvergenceFailure, match=f"^{message}"):
+        _jacobi(np.stack([rand_hermitian(rng, 3), bad, rand_hermitian(rng, 3)]))
+
+
+def test_convergence_failure_names_the_member_and_the_knobs(monkeypatch):
+    rng = np.random.default_rng(83)
+    a = rand_hermitian(rng, 6)
+    monkeypatch.setattr(hvsim.linalg, "JACOBI_MAX_SWEEPS", 1)
+    # the diagonal member converges, so the first that does not is member 1
+    with pytest.raises(ConvergenceFailure, match=r"^stack member 1: off-diagonal norm .* "
+                       r"\(JACOBI_OFF_TOL 1e-12 .*\) after 1 sweeps \(JACOBI_MAX_SWEEPS 1\)$"):
+        _jacobi(np.stack([np.diag(np.diag(a)), a, a]))
+    with pytest.raises(ConvergenceFailure, match=r"^off-diagonal norm .*JACOBI_OFF_TOL.*"
+                       r"JACOBI_MAX_SWEEPS"):
+        _jacobi(a)
 
 
 def test_decomposition_rejects_broken_resolution():
@@ -452,6 +562,33 @@ def test_meet_tol_is_not_bridged_by_eigenvalue_clusters(angle):
         f[2 * k:2 * k + 2, 2 * k:2 * k + 2] = _line(angle(1.0 - scale * MEET_TOL))
     assert max_abs(projector_meet(e, f) - oracle_meet(e, f)) < 1e-10
     assert max_abs(correlation_operator(e, f) - oracle_correlation(e, f)) < 1e-10
+
+
+@pytest.mark.parametrize("meet_tol", [0.0, -1.0, math.nan, 0.3, 2.5])
+@pytest.mark.parametrize("call", ["projector_meet", "projector_join", "correlation_operator",
+                                  "chsh_terms"])
+def test_meet_tol_outside_its_range_is_refused(call, meet_tol):
+    # +1, -1 and 0 are disjoint classes only for 0 < meet_tol <= 1 - 1/sqrt 2: at 0.3 an
+    # eigenvalue of 0.7 would count as both shared and cross
+    e, f = _line(0.0), _line(0.4)
+    fn = {
+        "projector_meet": lambda: projector_meet(e, f, meet_tol),
+        "projector_join": lambda: projector_join(e, f, meet_tol),
+        "correlation_operator": lambda: correlation_operator(e, f, meet_tol),
+        "chsh_terms": lambda: hvsim.chsh_terms(ChshConfig(e, e, f, f, PureState([1.0, 0.0])),
+                                               meet_tol),
+    }[call]
+    with pytest.raises(ValueError, match="^meet_tol must be in"):
+        fn()
+
+
+def test_meet_tol_at_the_top_of_its_range_puts_each_eigenvalue_in_one_class():
+    # e + f - I has eigenvalues +-0.7: each is 0.3 > MEET_TOL_MAX from +-1, and mu**2 = 0.49
+    # is below MEET_TOL_MAX * (2 - MEET_TOL_MAX) = 0.5, so both count as crossing (1 - sin t
+    # = 0.286), and the pair's correlation is -I; at 0.3 they would be shared as well
+    e, f = _line(0.0), _line(math.acos(0.7))
+    assert max_abs(correlation_operator(e, f, MEET_TOL_MAX) + np.eye(2)) < 1e-12
+    assert max_abs(projector_meet(e, f, MEET_TOL_MAX)) < 1e-12
 
 
 def test_commutes_examples():

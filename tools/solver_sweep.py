@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Per-call side table of the spectral layer: _jacobi, eigh, SpectralDecomposition
-validation and correlation_operator at n = 2..64.
+validation, correlation_operator and a stacked _jacobi call at n = 2..64.
 
     python3 tools/solver_sweep.py                        # n = 2, 4, 8, 16, 32, 48, 64
     python3 tools/solver_sweep.py --max-n 8              # the small end only
@@ -9,7 +9,9 @@ validation and correlation_operator at n = 2..64.
 Prints one JSON object: the method below and one row per n.
 
 Inputs are the Hermitian part of a standard complex normal matrix and pairs of
-random rank-n/2 projectors, both from numpy.random.default_rng(1000 + n). Each
+random rank-n/2 projectors, both from numpy.random.default_rng(1000 + n). A
+stacked4 input is the four e + f - I of four such pairs, solved as one
+(4, n, n) _jacobi call, as a CHSH report solves its correlation operators. Each
 time is the median over 15 inputs at n <= 16, 5 at n = 32 and 48 and 3 at
 n = 64 of the best of three calls on each input. With n = 48 in range, a last row times the dim-48 operator with
 36 distinct eigenvalues that the cli-reports benchmark workload decomposes.
@@ -91,11 +93,15 @@ def dimension_row(hvsim, n: int) -> dict:
     rng = np.random.default_rng(1000 + n)
     matrices = [hermitian(rng, n) for _ in range(reps(n))]
     pairs = [(projector(rng, n), projector(rng, n)) for _ in range(reps(n))]
+    stacks = [np.stack([e + f - np.eye(n) for e, f in
+                        ((projector(rng, n), projector(rng, n)) for _ in range(4))])
+              for _ in range(reps(n))]
     counts = [sweeps(hvsim.linalg, a) for a in matrices]
     solved = [(a, *hvsim.linalg._jacobi(a)) for a in matrices]
     return {
         "n": n,
         **solver_row(hvsim, matrices),
+        "stacked4_ms": median_ms(hvsim.linalg._jacobi, [(s,) for s in stacks]),
         "correlation_ms": median_ms(hvsim.correlation_operator, pairs),
         "sweeps_min": min(counts),
         "sweeps_max": max(counts),
