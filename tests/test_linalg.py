@@ -36,7 +36,15 @@ from hvsim import (
     projector_meet,
     projector_rank,
 )
-from hvsim.linalg import MEET_TOL, MEET_TOL_MAX, PROJECTOR_TOL, _jacobi, _round_robin
+from hvsim.linalg import (
+    CLUSTER_TOL,
+    JACOBI_OFF_TOL,
+    MEET_TOL,
+    MEET_TOL_MAX,
+    PROJECTOR_TOL,
+    _jacobi,
+    _round_robin,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -156,6 +164,65 @@ def test_jacobi_matches_numpy_oracle(n):
     np.testing.assert_allclose(raw, np.linalg.eigvalsh(a), atol=1e-11)
     assert max_abs(v @ np.diag(raw) @ v.conj().T - a) <= 1e-12
     assert max_abs(v.conj().T @ v - np.eye(n)) <= 1e-12
+
+
+# gaps between neighbouring eigenvalues of the property test's spectra: exact degeneracy,
+# a chain link far inside cluster_tol, gaps on either side of cluster_tol, and a wide gap
+SPECTRUM_GAPS = (0.0, 1e-9, 0.5 * CLUSTER_TOL, 0.9 * CLUSTER_TOL, 1.1 * CLUSTER_TOL,
+                 2.0 * CLUSTER_TOL, None)
+
+
+def _planned_spectrum(rng, gaps) -> np.ndarray:
+    wide = rng.uniform(0.2, 1.0, size=len(gaps))
+    steps = [w if g is None else g for g, w in zip(gaps, wide)]
+    return rng.uniform(-3.0, -1.0) + np.concatenate(([0.0], np.cumsum(steps)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["spectrum", "correlation"]),
+    n=st.integers(2, 16),
+    gaps=st.lists(st.sampled_from(SPECTRUM_GAPS), min_size=15, max_size=15),
+    exponent=st.one_of(st.just(0), st.integers(-1000, 1000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solver_agrees_with_numpy_on_eigenvalues_and_cluster_projectors(kind, n, gaps, exponent,
+                                                                        seed):
+    # planned spectra with degenerate, chained and near-cluster_tol gaps, or e + f - I at
+    # n = 2, 4 and 8, all scaled by 2**exponent
+    rng = np.random.default_rng(seed)
+    if kind == "spectrum":
+        u = rand_unitary(rng, n)
+        a = (u * _planned_spectrum(rng, gaps[:n - 1])) @ u.conj().T
+    else:
+        n = 2 ** (1 + n % 3)
+        a = rand_projector(rng, n) + rand_projector(rng, n) - np.eye(n)
+    a = (a + a.conj().T) / 2.0 * np.ldexp(1.0, exponent)
+    largest = max_abs(a)
+    # Weyl: each solver's eigenvalues lie within its backward error of A's. _jacobi stops
+    # at an off-diagonal norm of JACOBI_OFF_TOL max(1, max|A|); the rounding of either
+    # solver's products is a few ulps of n |A|_2 <= n**2 max|A| per step
+    tol = JACOBI_OFF_TOL * max(1.0, largest) + 100.0 * n * n * np.finfo(float).eps * largest
+    w, u = np.linalg.eigh(a)
+    raw, _ = _jacobi(a)
+    assert np.max(np.abs(raw - w)) <= tol
+
+    dec = eigh(a)
+    ends = np.cumsum(dec.ranks)
+    # eigh cuts where numpy's gap is surely above cluster_tol, and joins where it is surely
+    # at most cluster_tol; a gap within 2 tol of cluster_tol may go either way
+    cut = np.isin(np.arange(1, n), ends[:-1])
+    assert not np.any(~cut & (np.diff(w) > CLUSTER_TOL + 2 * tol))
+    assert not np.any(cut & (np.diff(w) <= CLUSTER_TOL - 2 * tol))
+    for value, p, lo, hi in zip(dec.eigenvalues, dec.projectors, ends - dec.ranks, ends):
+        # each cluster's value lies within its members' span
+        assert w[lo] - tol <= value <= w[hi - 1] + tol
+        # Davis-Kahan: each solver's cluster subspace is within its residual over the gap
+        # to the rest of the spectrum of the true one, so the projectors differ by at most
+        # twice that, plus the rounding of forming them
+        gap = min(w[lo] - w[lo - 1] if lo > 0 else np.inf, w[hi] - w[hi - 1] if hi < n else np.inf)
+        oracle = u[:, lo:hi] @ u[:, lo:hi].conj().T
+        assert max_abs(p - oracle) <= 2.0 * tol / gap + 10.0 * n * np.finfo(float).eps
 
 
 def _bits(a: np.ndarray) -> tuple:
