@@ -66,6 +66,8 @@ _NUMBER_TYPES = frozenset((int, float))  # the Python types json gives a number;
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 0
 CHSH_SLACK = 1e-9
+# hv verify's per-outcome budget, in binomial standard deviations of the empirical frequency
+VERIFY_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
@@ -365,7 +367,7 @@ def run_verify(problem: ProblemFile, operator: str, state: str, samples: int, se
     h = problem.states[state]
     report = sample(ClassicalObservable(dec), h, samples, seed, observable_id=operator,
                     weight_floor=problem.tolerances.weight_floor)
-    budgets = 4.0 * np.sqrt(report.predicted * (1.0 - report.predicted) / float(samples))
+    budgets = VERIFY_SIGMAS * np.sqrt(report.predicted * (1.0 - report.predicted) / float(samples))
     deviations = np.abs(report.empirical - report.predicted)
     within = bool(np.all(deviations <= budgets))
     return {

@@ -20,6 +20,10 @@ from .linalg import SpectralDecomposition, _readonly, max_abs
 from .quantum import RAY_TOL, SNAP_TOL, PureState, spectral_projector
 
 WEIGHT_FLOOR = 1e-12
+# how far a sample report's empirical frequencies may sum from 1
+FREQUENCY_SUM_TOL = 1e-12
+# observables_confusion_equivalent's default: the max-norm distance of the reduced operators
+CONFUSION_TOL = 1e-8
 
 
 def _check_cuts(cuts: np.ndarray) -> None:
@@ -230,7 +234,7 @@ class HiddenSampleReport:
         object.__setattr__(self, "outcomes", _readonly(np.array(self.outcomes, dtype=np.float64)))
         object.__setattr__(self, "predicted", _readonly(np.array(self.predicted, dtype=np.float64)))
         object.__setattr__(self, "empirical", _readonly(np.array(self.empirical, dtype=np.float64)))
-        if abs(float(self.empirical.sum()) - 1.0) > 1e-12:
+        if abs(float(self.empirical.sum()) - 1.0) > FREQUENCY_SUM_TOL:
             raise ValueError("empirical frequencies must sum to 1")
 
 
@@ -299,7 +303,7 @@ def states_confusion_equivalent(h: PureState, k: PureState, tol: float = RAY_TOL
 
 
 def observables_confusion_equivalent(
-    a: ClassicalObservable, b: ClassicalObservable, tol: float = 1e-8
+    a: ClassicalObservable, b: ClassicalObservable, tol: float = CONFUSION_TOL
 ) -> bool:
     """True iff both observables reduce to the same self-adjoint operator."""
     if a.dim != b.dim:

@@ -1,11 +1,25 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-Hermitian eigenpairs via complex Jacobi rotations in Brent-Luk round-robin order:
-a sweep is n - 1 rounds (n for odd n), each rotating n/2 disjoint index pairs at once
-by one dense unitary product, so every pair is rotated once per sweep. Only the public eigh
-clusters them into a SpectralDecomposition; the projector lattice operations
-(meet, join, commutation test) and bell's joint sectors classify raw eigenpairs.
-All values are immutable after construction; every public operation is pure.
+Hermitian eigenpairs (_jacobi) in two stages of complex Jacobi sweeps with Ogita-Aishima
+refinement between them. A sweep is one pass of the Brent-Luk round-robin schedule: n - 1
+rounds (n for odd n), each rotating n/2 disjoint index pairs at once by one dense unitary
+product, so every pair is rotated once per sweep.
+- The loose stage sweeps until the off-diagonal norm is about 1e-3 of the largest entry.
+- Refinement then corrects the eigenvectors with matrix products only: each step forms
+  R = I - X*X and S = X*AX and updates X <- X + X E, dividing by eigenvalue gaps outside an
+  adaptive cluster radius delta = 2 (|offdiag S|_F + |A|_F |R|_F) and only making the
+  vectors orthonormal within it (T. Ogita and K. Aishima, Japan J. Indust. Appl. Math. 35
+  (2018) 1007-1035, and 36 (2019) 435-459 for clusters).
+- The tight stage sweeps again, from (X*AX, X), to JACOBI_OFF_TOL; it resolves the
+  rotations within clusters. Eigenvectors the refinement leaves off the orthonormality
+  bound are dropped, and that solve restarts the tight stage from the loose stage's result.
+The sweep budget JACOBI_MAX_SWEEPS covers both stages; the non-finite refusals apply to
+the final result, and the orthonormality bound to the loose stage's eigenvectors and the
+final ones, of every solve and every stack member.
+
+Only the public eigh clusters eigenpairs into a SpectralDecomposition; the projector
+lattice operations (meet, join, commutation test) and bell's joint sectors classify raw
+eigenpairs. All values are immutable after construction; every public operation is pure.
 """
 
 from __future__ import annotations
@@ -19,6 +33,8 @@ from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
 HERMITIAN_TOL = 1e-10
 PROJECTOR_TOL = 1e-9
+# how far a projector's trace may lie from an integer
+PROJECTOR_TRACE_TOL = 1e-6
 CLUSTER_TOL = 1e-8
 MEET_TOL = 1e-8
 # the widest meet_tol at which the classes +1, -1 and 0 of _pair_meets stay disjoint: 1 - mu
@@ -28,6 +44,12 @@ COMMUTE_TOL = 1e-9
 RESOLUTION_TOL = 1e-8
 JACOBI_OFF_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
+# _jacobi's loose stage stops at this off-diagonal norm, relative like JACOBI_OFF_TOL; at
+# most _REFINE_STEPS Ogita-Aishima steps follow, and a member stops refining after a
+# correction of at most _STEP_TOL, whose square is below the unit roundoff
+_LOOSE_OFF_TOL = 1e-3
+_REFINE_STEPS = 3
+_STEP_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -60,13 +82,14 @@ def ensure_hermitian(matrix, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
 
 def ensure_projector(matrix, tol: float = PROJECTOR_TOL) -> np.ndarray:
-    """Check Hermitian, idempotent within tol (default 1e-9), near-integer trace."""
+    """Check Hermitian, idempotent within tol (default 1e-9), and a trace within
+    PROJECTOR_TRACE_TOL of an integer."""
     p = ensure_hermitian(matrix, tol)
     defect = max_abs(p @ p - p)
     if defect > tol:
         raise ValueError(f"idempotence defect {defect:.3e} exceeds tol {tol:.1e}")
     trace = float(np.trace(p).real)
-    if abs(trace - round(trace)) > 1e-6:
+    if abs(trace - round(trace)) > PROJECTOR_TRACE_TOL:
         raise ValueError(f"projector trace {trace!r} is not near an integer")
     return p
 
@@ -149,11 +172,17 @@ class SpectralDecomposition:
         return np.clip(w / float(np.vdot(vector, vector).real), 0.0, None)
 
 
+def _squares(m: np.ndarray) -> np.ndarray:
+    """|m|**2 entrywise, one row of n * n per member of a stack, or one for a matrix."""
+    n = m.shape[-1]
+    return (np.abs(m) ** 2).reshape(-1, n * n)
+
+
 def _off_norm(a: np.ndarray) -> np.ndarray:
     """Off-diagonal Frobenius norms of the members of a (k, n, n) stack, or the one norm of
     an (n, n) matrix, as a (k,) or (1,) array."""
     n = a.shape[-1]
-    sq = (np.abs(a) ** 2).reshape(-1, n * n)
+    sq = _squares(a)
     sq[:, :: n + 1] = 0.0  # the diagonal
     return np.sqrt(sq.sum(axis=-1))
 
@@ -180,48 +209,168 @@ def _refuse(a: np.ndarray, ids: np.ndarray, flags, message) -> ConvergenceFailur
     return ConvergenceFailure(("" if a.ndim == 2 else f"stack member {ids[i]}: ") + message(i))
 
 
+def _sweep(a: np.ndarray, v: np.ndarray, eye: np.ndarray, rounds) -> tuple:
+    """One pass of the round-robin schedule over a and its eigenvector estimate v: each round
+    annihilates its disjoint pairs at once as a <- J* a J, v <- v J, with J the identity
+    carrying one complex rotation block per pair (the identity block where a[p, q] is
+    already 0). Returns a symmetrized, and v.
+
+    Per-pair values are indexed through the reversed view a.T, whose leading axes are the
+    matrix indices, so that a single matrix and a stack take the same numpy calls."""
+    for p, q, blocks, pairs in rounds:
+        apq = a.T[q, p]
+        mag = np.abs(apq)
+        live = mag != 0.0
+        if not live.any():
+            continue
+        # t = sign(tau) / (|tau| + hypot(1, tau)) for tau = d / 2|a_pq|, multiplied
+        # through by 2|a_pq| so that a tiny |a_pq| cannot overflow tau
+        diag = a.diagonal(0, -2, -1).real.T
+        d = diag[q] - diag[p]
+        t = np.divide(np.copysign(2.0 * mag, d), np.abs(d) + np.hypot(d, 2.0 * mag),
+                      out=np.zeros(mag.shape), where=live)
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = t * c * np.divide(apq, mag, out=np.zeros(mag.shape, dtype=np.complex128),
+                              where=live)
+        j = eye.copy()
+        j.T[blocks] = np.concatenate((c, c, s, -s.conj()))
+        a = j.conj().swapaxes(-1, -2) @ a @ j
+        a.T[pairs] = 0.0
+        v = v @ j
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0, v
+
+
+def _sweep_until(a, v, limit, sweeps, eye, rounds, e, threshold) -> tuple:
+    """Sweep a and v, one matrix or a stack, until each member's off-diagonal norm is at
+    most its entry of limit; sweeps holds the sweeps each member has had so far, and eye
+    is the identity in a's shape. A member that meets its limit is set aside untouched.
+    Returns a, v, sweeps and the off-diagonal norms, in member order.
+
+    Raises ConvergenceFailure, naming the member, at a NaN off-diagonal norm, or when a
+    member that has had JACOBI_MAX_SWEEPS sweeps is still above its limit; the message
+    gives the norm unscaled by 2**e and the member's threshold."""
+    ids, parked = np.arange(len(limit)), []
+    while not all(done := (off := _off_norm(a)) <= limit):
+        stuck = np.isnan(off) | ~done & (sweeps >= JACOBI_MAX_SWEEPS)
+        if any(stuck):
+            raise _refuse(a, ids, stuck, lambda i: (
+                f"off-diagonal norm {np.ldexp(off[i], e[ids[i]]):.3e} above "
+                f"{threshold[ids[i]]:.3e} (JACOBI_OFF_TOL {JACOBI_OFF_TOL:.0e} times the "
+                f"largest entry) after {sweeps[i]} sweeps (JACOBI_MAX_SWEEPS "
+                f"{JACOBI_MAX_SWEEPS})"))
+        if any(done):  # a stack's converged members; a single matrix has left the loop
+            parked.append((ids[done], a[done], v[done], sweeps[done], off[done]))
+            ids, a, v, sweeps, limit, eye = (x[~done] for x in (ids, a, v, sweeps, limit, eye))
+        a, v = _sweep(a, v, eye, rounds)
+        sweeps = sweeps + 1
+    if parked:  # put the stack back in member order
+        ids, a, v, sweeps, off = (np.concatenate(x)
+                                  for x in zip((ids, a, v, sweeps, off), *parked))
+        back = np.argsort(ids)
+        a, v, sweeps, off = a[back], v[back], sweeps[back], off[back]
+    return a, v, sweeps, off
+
+
+def _orthonormality(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """I - V*V for v, one matrix or a stack, after refusing every member with
+    n max|V*V - I| above PROJECTOR_TOL / 2 (a NaN defect fails), naming the first."""
+    n = v.shape[-1]
+    r = np.eye(n) - v.conj().swapaxes(-1, -2) @ v
+    defect = np.abs(r).reshape(-1, n * n).max(axis=-1)
+    orthonormal = n * defect <= PROJECTOR_TOL / 2
+    if not all(orthonormal):
+        raise _refuse(a, np.arange(len(defect)), ~orthonormal, lambda i: (
+            f"eigenvector orthonormality defect {defect[i]:.3e} above "
+            f"{PROJECTOR_TOL / 2 / n:.3e} (PROJECTOR_TOL / 2n)"))
+    return r
+
+
+def _refine(a: np.ndarray, x: np.ndarray, s: np.ndarray, r: np.ndarray) -> tuple:
+    """Ogita-Aishima refinement of the eigenvector estimates x of the Hermitian members of
+    the (m, n, n) stack a. s and r are the first step's S and R: the loose stage's rotated
+    matrix, which is x* a x up to the rounding of its rotations, and I - x* x. Returns
+    (x* a x symmetrized, the refined x, max|I - x* x|) for the refined x, one per member.
+
+    A step sets x <- x + x F from R = I - x* x and S = x* a x, with the eigenvalue
+    estimates l_i = s_ii / (1 - r_ii) and the cluster radius
+    delta = 2 (|offdiag S|_F + |a|_F |R|_F):
+    F_ij = (s_ij + l_j r_ij) / (l_j - l_i) where |l_j - l_i| > delta, and r_ij / 2 for the
+    pairs within delta, the diagonal among them. Outside the clusters the error is squared
+    at each step; within a cluster a step only makes x orthonormal, and leaves the
+    cluster's rotation to the tight stage. A member stops once a step has applied an F of
+    at most _STEP_TOL, whose square is below the unit roundoff, or after _REFINE_STEPS
+    steps; a stopped member is carried along unchanged, so each member's result is that
+    of its own refinement."""
+    n = a.shape[-1]
+    eye = np.eye(n)
+    size = np.sqrt(_squares(a).sum(axis=-1))
+    done = np.zeros(len(a), dtype=bool)
+    for _ in range(_REFINE_STEPS):
+        lam = s.diagonal(0, -2, -1).real / (1.0 - r.diagonal(0, -2, -1).real)
+        radius = 2.0 * (_off_norm(s) + size * np.sqrt(_squares(r).sum(axis=-1)))
+        right = lam[:, None, :]
+        gap = right - lam[:, :, None]  # l_j - l_i at [i, j]
+        f = np.divide(s + right * r, gap, out=r / 2.0, where=np.abs(gap) > radius[:, None, None])
+        x = np.where(done[:, None, None], x, x + x @ f)
+        done = done | (np.abs(f).reshape(-1, n * n).max(axis=-1) <= _STEP_TOL)
+        xh = x.conj().swapaxes(-1, -2)
+        r = eye - xh @ x
+        s = xh @ (a @ x)
+        if all(done):
+            break
+    return (s + s.conj().swapaxes(-1, -2)) / 2.0, x, np.abs(r).reshape(-1, n * n).max(axis=-1)
+
+
 def _jacobi(a: np.ndarray) -> tuple:
     """Ascending eigenvalues and eigenvector columns of a, trusted Hermitian (n, n), or of
     each member of a (k, n, n) stack of them: (k, n) eigenvalues and (k, n, n) vectors.
 
-    A sweep is one pass of the round-robin schedule; each round annihilates its disjoint
-    pairs at once as a <- J* a J, v <- v J, with J the identity carrying one complex
-    rotation block per pair (the identity block where a[p, q] is already 0). A stack
-    rotates together, one batched product per round. A member converges when its
-    off-diagonal Frobenius norm falls below JACOBI_OFF_TOL relative to its largest entry;
-    it is then set aside untouched, so that every member's eigenpairs are bit for bit those
-    of its own 2-D call. ConvergenceFailure, naming the member, follows JACOBI_MAX_SWEEPS
-    sweeps; both are read at call time.
+    Each member is solved in three stages, all on a copy scaled exactly by 2**-e into
+    max|a| < 1 (near the float64 limit a rotation's hypot overflows, and the pair would be
+    zeroed without being rotated):
+    - Loose stage: round-robin sweeps (_sweep) until the member's off-diagonal Frobenius
+      norm is at most _LOOSE_OFF_TOL times max(1, its largest entry). A member already at
+      the tight threshold below, such as any n = 2 or diagonal input, is done here, with
+      the bits of a plain Jacobi solve.
+    - Refinement: Ogita-Aishima steps on the loose eigenvectors, with the adaptive cluster
+      radius (_refine), made of matrix products only. Pairs closer than the radius, such
+      as the members of a cluster, are only made orthonormal.
+    - Tight stage: sweeps again, from (X* A X, X) for the refined X, until the off-diagonal
+      norm is at most JACOBI_OFF_TOL times max(1, the largest entry); this resolves the
+      rotations within clusters. If X misses the orthonormality bound below, the member
+      restarts here from the loose stage's own (a, v) instead.
+    A member that meets a stage's threshold is set aside untouched, and a stack refines
+    with batched products, so that every member's eigenpairs are bit for bit those of
+    its own 2-D call. ConvergenceFailure, naming the member, follows JACOBI_MAX_SWEEPS
+    sweeps of both stages together; both are read at call time.
+    See T. Ogita and K. Aishima, "Iterative refinement for symmetric eigenvalue
+    decomposition", Japan J. Indust. Appl. Math. 35 (2018) 1007-1035, and "... II:
+    clustered eigenvalues", Japan J. Indust. Appl. Math. 36 (2019) 435-459.
 
-    The columns of v are checked once, here, so that projectors built from them need no
-    check of their own. Raises ConvergenceFailure if anything is not finite (a NaN
-    off-diagonal norm, an eigenvalue beyond the float64 range, a NaN defect) and, with
-    E = V*V - I and d = max|E|, unless n d <= PROJECTOR_TOL / 2, for any member. For
-    disjoint column sets S, T and P_S = V_S V_S*:
+    The columns of v are checked here (_orthonormality), so that projectors built from
+    them need no check of their own: the loose stage's, which refinement takes as
+    orthonormal to rounding, and the final ones wherever the tight stage rotated them (a
+    refined X is kept only within the same bound). Raises ConvergenceFailure if anything
+    is not finite (a NaN off-diagonal norm, an eigenvalue beyond the float64 range, a NaN
+    defect) and, with E = V*V - I and d = max|E|, unless n d <= PROJECTOR_TOL / 2, for
+    any member. For disjoint column sets S, T and P_S = V_S V_S*:
     - P_S P_S - P_S = V_S E_SS V_S* and P_S P_T = V_S E_ST V_T*. Each entry is at most
       |V|^2 |E| <= (1 + n d) n d < PROJECTOR_TOL (spectral norms; |E| <= n d bounds it by
       the Frobenius norm, and |V|^2 = |V*V| <= 1 + |E|). So P_S is idempotent within
       PROJECTOR_TOL and P_S, P_T are orthogonal within RESOLUTION_TOL.
     - The P_S of a partition of the columns sum to V V*, which is square and so shares the
       spectrum of V*V: each entry of V V* - I is within n d of 0, inside RESOLUTION_TOL.
-    - trace P_S = |S| + trace E_SS is within n d of an integer, inside 1e-6.
+    - trace P_S = |S| + trace E_SS is within n d of an integer, inside PROJECTOR_TRACE_TOL.
     - Symmetrizing P_S makes it exactly Hermitian.
     Forming and checking the products rounds each entry by about n * 1e-16, far inside
-    the factor-two margin. Observed defects are about 1e-14 at n = 48.
-
-    Per-pair values are indexed through the reversed view a.T, whose leading axes are the
-    matrix indices, so that a single matrix and a stack take the same numpy calls."""
+    the factor-two margin. Observed defects are about 1e-14 at n = 48."""
     n = a.shape[-1]
-    eye = np.eye(n, dtype=np.complex128) + np.zeros(a.shape, dtype=np.complex128)
-    v = eye.copy()
     # one entry per member, (1,) for a single matrix, so that Python's all and any test them
     largest = np.abs(a).reshape(-1, n * n).max(axis=-1)
     threshold = JACOBI_OFF_TOL * np.maximum(1.0, largest)
-    # rotate a copy of each member scaled exactly by 2**-e into max|a| < 1: near the float64
-    # limit a rotation's hypot overflows, and the pair would be zeroed without being rotated
     e = np.maximum(0, np.frexp(largest)[1])
     a = a * np.ldexp(1.0, -e).reshape(a.shape[:-2] + (1, 1))
-    scaled = np.ldexp(threshold, -e)
+    tight = np.ldexp(threshold, -e)
     schedule = _round_robin(n)
     p, q = schedule[:, 0], schedule[:, 1]
     # the (column, row) indices into J.T of J's block entries (p, p), (q, q), (p, q), (q, p),
@@ -229,59 +378,31 @@ def _jacobi(a: np.ndarray) -> tuple:
     cols, rows = np.concatenate((p, q, q, p), axis=1), np.concatenate((p, q, p, q), axis=1)
     h = 2 * p.shape[1]
     rounds = list(zip(p, q, zip(cols, rows), zip(cols[:, h:], rows[:, h:])))
-    ids, parked = np.arange(len(e)), []  # the members rotating, and those set aside
-
-    sweeps = 0
-    while not all(done := (off := _off_norm(a)) <= scaled):
-        stuck = ~done if sweeps >= JACOBI_MAX_SWEEPS else np.isnan(off)
-        if any(stuck):
-            raise _refuse(a, ids, stuck, lambda i: (
-                f"off-diagonal norm {np.ldexp(off[i], e[i]):.3e} above {threshold[i]:.3e} "
-                f"(JACOBI_OFF_TOL {JACOBI_OFF_TOL:.0e} times the largest entry) after "
-                f"{sweeps} sweeps (JACOBI_MAX_SWEEPS {JACOBI_MAX_SWEEPS})"))
-        if any(done):  # a stack's converged members; a single matrix has left the loop
-            parked.append((ids[done], a[done], v[done], e[done]))
-            ids, a, v, e, threshold, scaled, eye = (
-                x[~done] for x in (ids, a, v, e, threshold, scaled, eye))
-        for p, q, blocks, pairs in rounds:
-            apq = a.T[q, p]
-            mag = np.abs(apq)
-            live = mag != 0.0
-            if not live.any():
-                continue
-            # t = sign(tau) / (|tau| + hypot(1, tau)) for tau = d / 2|a_pq|, multiplied
-            # through by 2|a_pq| so that a tiny |a_pq| cannot overflow tau
-            diag = a.diagonal(0, -2, -1).real.T
-            d = diag[q] - diag[p]
-            t = np.divide(np.copysign(2.0 * mag, d), np.abs(d) + np.hypot(d, 2.0 * mag),
-                          out=np.zeros(mag.shape), where=live)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c * np.divide(apq, mag, out=np.zeros(mag.shape, dtype=np.complex128),
-                                  where=live)
-            j = eye.copy()
-            j.T[blocks] = np.concatenate((c, c, s, -s.conj()))
-            a = j.conj().swapaxes(-1, -2) @ a @ j
-            a.T[pairs] = 0.0
-            v = v @ j
-        a = (a + a.conj().swapaxes(-1, -2)) / 2.0
-        sweeps += 1
-
-    if parked:  # put the stack back in member order
-        ids, a, v, e = (np.concatenate(x) for x in zip((ids, a, v, e), *parked))
-        back = np.argsort(ids)
-        ids, a, v, e = ids[back], a[back], v[back], e[back]
+    eye = np.eye(n, dtype=np.complex128) + np.zeros(a.shape, dtype=np.complex128)
+    loose = np.ldexp(_LOOSE_OFF_TOL * np.maximum(1.0, largest), -e)
+    rotated, v, sweeps, off = _sweep_until(a, eye.copy(), loose, np.zeros(len(e), dtype=int),
+                                           eye, rounds, e, threshold)
+    r = _orthonormality(a, v)
+    refine = ~(off <= tight)
+    if any(refine):
+        rotated, v = rotated.reshape(-1, n, n), v.reshape(-1, n, n)
+        s, x, defect = _refine(a.reshape(-1, n, n)[refine], v[refine], rotated[refine],
+                               r.reshape(-1, n, n)[refine])
+        kept = n * defect <= PROJECTOR_TOL / 2  # a NaN defect fails: that member restarts
+        at = np.flatnonzero(refine)[kept]
+        rotated[at], v[at] = s[kept], x[kept]
+        swept = sweeps
+        rotated, v, sweeps, _ = _sweep_until(rotated.reshape(a.shape), v.reshape(a.shape),
+                                             tight, sweeps, eye, rounds, e, threshold)
+        if any(sweeps > swept):  # the rest are as refined, and have met the bound above
+            _orthonormality(a, v)
+    ids = np.arange(len(e))
     with np.errstate(over="ignore"):
-        raw = np.ldexp(a.diagonal(0, -2, -1).real, e.reshape(a.shape[:-2] + (1,)))
+        raw = np.ldexp(rotated.diagonal(0, -2, -1).real, e.reshape(a.shape[:-2] + (1,)))
     infinite = ~np.isfinite(raw).reshape(-1, n)
     if infinite.any():
         raise _refuse(a, ids, infinite.any(axis=-1), lambda i: (
             f"non-finite eigenvalue {raw.reshape(-1, n)[i][infinite[i]][0]}"))
-    defect = np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(n)).reshape(-1, n * n).max(axis=-1)
-    orthonormal = n * defect <= PROJECTOR_TOL / 2  # a NaN defect fails
-    if not all(orthonormal):
-        raise _refuse(a, ids, ~orthonormal, lambda i: (
-            f"eigenvector orthonormality defect {defect[i]:.3e} above "
-            f"{PROJECTOR_TOL / 2 / n:.3e} (PROJECTOR_TOL / 2n)"))
     # sort each member's columns: raw[order] and v[:, order] for a single matrix, in the
     # same memory order; a stack indexes its members by ids as well
     order = np.argsort(raw, axis=-1, kind="stable")

@@ -19,6 +19,8 @@ from .linalg import SpectralDecomposition, _readonly
 
 RAY_TOL = 1e-9
 SNAP_TOL = 1e-9
+# prob returns a value at most this far outside [0, 1] as the nearer end, as rounding
+PROB_CLAMP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,9 @@ def prob(
     e = spectral_projector(dec, events, snap_tol)
     h = state.vector
     value = float(np.vdot(h, e @ h).real / np.vdot(h, h).real)
-    if -1e-12 <= value < 0.0:
+    if -PROB_CLAMP_TOL <= value < 0.0:
         return 0.0
-    if 1.0 < value <= 1.0 + 1e-12:
+    if 1.0 < value <= 1.0 + PROB_CLAMP_TOL:
         return 1.0
     return value
 

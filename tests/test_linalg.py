@@ -230,15 +230,15 @@ def _bits(a: np.ndarray) -> tuple:
 
 
 def _sweeps(a: np.ndarray) -> int:
-    """Sweeps a 2-D _jacobi call takes on a: the loop takes one off-norm per sweep, plus one."""
+    """Sweeps a 2-D _jacobi call takes on a, in its loose and tight stages together."""
     calls = []
-    off_norm = hvsim.linalg._off_norm
-    hvsim.linalg._off_norm = lambda m: calls.append(None) or off_norm(m)
+    sweep = hvsim.linalg._sweep
+    hvsim.linalg._sweep = lambda *args: calls.append(None) or sweep(*args)
     try:
         _jacobi(a)
     finally:
-        hvsim.linalg._off_norm = off_norm
-    return len(calls) - 1
+        hvsim.linalg._sweep = sweep
+    return len(calls)
 
 
 def assert_stack_solves_like_singles(members) -> None:
@@ -289,6 +289,75 @@ def test_stacked_jacobi_equals_single_solves_of_correlation_operators():
     for n in (2, 4, 8):
         ps = [rand_projector(rng, n) for _ in range(4)]
         assert_stack_solves_like_singles([e + f - np.eye(n) for e in ps[:2] for f in ps[2:]])
+
+
+def _counted_refinements(monkeypatch) -> list:
+    """Patch _jacobi's refinement to record, per refined member, whether its eigenvectors
+    missed the orthonormality bound, which sends that member back to its loose result."""
+    missed = []
+    refine = hvsim.linalg._refine
+
+    def counted(a, x, s, r):
+        out = refine(a, x, s, r)
+        missed.extend((a.shape[-1] * out[2] > PROJECTOR_TOL / 2).tolist())
+        return out
+
+    monkeypatch.setattr(hvsim.linalg, "_refine", counted)
+    return missed
+
+
+def test_diagonal_and_two_by_two_inputs_are_not_refined(monkeypatch):
+    # the loose stage leaves them at the tight threshold: a diagonal matrix makes no
+    # sweep, and one sweep zeroes the only pair of a 2 x 2 matrix
+    missed = _counted_refinements(monkeypatch)
+    rng = np.random.default_rng(89)
+    _jacobi(np.diag([3.0, 1.0, 2.0]).astype(complex))
+    _jacobi(rand_hermitian(rng, 2))
+    _jacobi(np.stack([rand_hermitian(rng, 2) for _ in range(3)]))
+    eigh(PAULI_X)
+    assert missed == []
+
+
+def _chained(rng, n: int) -> np.ndarray:
+    """U diag(w) U* with w spread over (-3, 3) and its four lowest 1e-9 apart."""
+    u = rand_unitary(rng, n)
+    w = np.sort(rng.uniform(-3.0, 3.0, size=n))
+    w[:4] = w[0] + 1e-9 * np.arange(4)
+    a = (u * w) @ u.conj().T
+    return (a + a.conj().T) / 2.0
+
+
+def test_a_refinement_that_misses_the_orthonormality_bound_restarts(monkeypatch):
+    # as the refinement converges, its cluster radius shrinks below the chain's 1e-9 gaps,
+    # and dividing by them leaves X off the bound; the solve restarts the tight stage
+    # from the loose stage's result, and meets every gate
+    missed = _counted_refinements(monkeypatch)
+    a = _chained(np.random.default_rng(2), 5)
+    raw, v = _jacobi(a)
+    assert missed == [True]
+    np.testing.assert_allclose(raw, np.linalg.eigvalsh(a), atol=1e-14)
+    assert 5 * max_abs(v.conj().T @ v - np.eye(5)) <= PROJECTOR_TOL / 2
+    # in a stack, the restarted member is still its own 2-D solve
+    missed.clear()
+    assert_stack_solves_like_singles([rand_hermitian(np.random.default_rng(97), 5), a])
+    assert True in missed
+
+
+def test_the_sweep_budget_covers_both_stages(monkeypatch):
+    # the chained input sweeps in the tight stage too; a budget one short of its total
+    # stops it there, after the loose stage's sweeps and the tight stage's together
+    a = _chained(np.random.default_rng(2), 5)
+    total, calls, loose = _sweeps(a), [], []
+    sweep, refine = hvsim.linalg._sweep, hvsim.linalg._refine
+    monkeypatch.setattr(hvsim.linalg, "_sweep", lambda *args: calls.append(None) or sweep(*args))
+    monkeypatch.setattr(hvsim.linalg, "_refine",
+                        lambda *args: loose.append(len(calls)) or refine(*args))
+    monkeypatch.setattr(hvsim.linalg, "JACOBI_MAX_SWEEPS", total - 1)
+    with pytest.raises(ConvergenceFailure, match=f"after {total - 1} sweeps"):
+        _jacobi(a)
+    assert loose[0] < total - 1
+    monkeypatch.setattr(hvsim.linalg, "JACOBI_MAX_SWEEPS", total)
+    _jacobi(a)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

@@ -13,8 +13,13 @@ random rank-n/2 projectors, both from numpy.random.default_rng(1000 + n). A
 stacked4 input is the four e + f - I of four such pairs, solved as one
 (4, n, n) _jacobi call, as a CHSH report solves its correlation operators. Each
 time is the median over 15 inputs at n <= 16, 5 at n = 32 and 48 and 3 at
-n = 64 of the best of three calls on each input. With n = 48 in range, a last row times the dim-48 operator with
-36 distinct eigenvalues that the cli-reports benchmark workload decomposes.
+n = 64 of the best of three calls on each input. At each n >= 16 two more rows
+time one operator five times: a planned one, perfbench's
+planned_operator(default_rng(n), n) with n - n // 4 distinct eigenvalues, as
+the cli-reports benchmark workload decomposes; and a chained one, U diag(w) U*
+with U from default_rng(2000 + n), w spread over (-3, 3) and its four lowest
+1e-9 apart. A solver row's sweeps column holds the sweeps _jacobi used on each
+input.
 The process keeps to one CPU and one BLAS thread, as the benchmark does.
 """
 
@@ -67,14 +72,16 @@ def projector(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def sweeps(linalg, a: np.ndarray) -> int:
-    """Sweeps _jacobi takes on a: its loop tests the off-norm once per sweep, plus once."""
-    off_norm, calls = linalg._off_norm, []
-    linalg._off_norm = lambda m: calls.append(None) or off_norm(m)
+    """Sweeps _jacobi takes on a, in all its stages. A checkout from before the two-stage
+    solver has no _sweep; its one loop tests the off-norm once per sweep, plus once."""
+    name, extra = ("_sweep", 0) if hasattr(linalg, "_sweep") else ("_off_norm", -1)
+    fn, calls = getattr(linalg, name), []
+    setattr(linalg, name, lambda *args: calls.append(None) or fn(*args))
     try:
         linalg._jacobi(a)
     finally:
-        linalg._off_norm = off_norm
-    return len(calls) - 1
+        setattr(linalg, name, fn)
+    return len(calls) + extra
 
 
 def solver_row(hvsim, matrices) -> dict:
@@ -86,6 +93,7 @@ def solver_row(hvsim, matrices) -> dict:
         "eigh_ms": median_ms(hvsim.eigh, [(a,) for a in matrices]),
         "validate_ms": median_ms(hvsim.SpectralDecomposition,
                                  [(d.eigenvalues, d.projectors) for d in decs]),
+        "sweeps": [sweeps(linalg, a) for a in matrices],
     }
 
 
@@ -96,15 +104,12 @@ def dimension_row(hvsim, n: int) -> dict:
     stacks = [np.stack([e + f - np.eye(n) for e, f in
                         ((projector(rng, n), projector(rng, n)) for _ in range(4))])
               for _ in range(reps(n))]
-    counts = [sweeps(hvsim.linalg, a) for a in matrices]
     solved = [(a, *hvsim.linalg._jacobi(a)) for a in matrices]
     return {
         "n": n,
         **solver_row(hvsim, matrices),
         "stacked4_ms": median_ms(hvsim.linalg._jacobi, [(s,) for s in stacks]),
         "correlation_ms": median_ms(hvsim.correlation_operator, pairs),
-        "sweeps_min": min(counts),
-        "sweeps_max": max(counts),
         "max_eigenvalue_error": max(
             float(np.max(np.abs(raw - np.linalg.eigvalsh(a)))) for a, raw, _ in solved),
         "max_orthonormality_defect": max(
@@ -112,13 +117,24 @@ def dimension_row(hvsim, n: int) -> dict:
     }
 
 
-def planned_row(hvsim) -> dict:
-    sys.path.insert(0, str(ROOT / "perfbench"))
+def planned_row(hvsim, n: int) -> dict:
     from inputs import planned_operator
 
-    op = planned_operator(np.random.default_rng(48), 48)
-    return {"n": 48, "input": "perfbench planned_operator(default_rng(48), 48)",
+    op = planned_operator(np.random.default_rng(n), n)
+    return {"n": n, "input": f"perfbench planned_operator(default_rng({n}), {n})",
             "distinct_eigenvalues": len(op.values), **solver_row(hvsim, [op.matrix] * 5)}
+
+
+def chained_row(hvsim, n: int) -> dict:
+    from inputs import unitary
+
+    rng = np.random.default_rng(2000 + n)
+    u = unitary(rng, n)
+    w = np.sort(rng.uniform(-3.0, 3.0, size=n))
+    w[:4] = w[0] + 1e-9 * np.arange(4)
+    a = (u * w) @ u.conj().T
+    return {"n": n, "input": f"chained: four eigenvalues 1e-9 apart, default_rng({2000 + n})",
+            **solver_row(hvsim, [(a + a.conj().T) / 2.0] * 5)}
 
 
 def main() -> None:
@@ -129,9 +145,10 @@ def main() -> None:
     sys.path.insert(0, args.src)
     import hvsim
 
+    sys.path.insert(0, str(ROOT / "perfbench"))
     rows = [dimension_row(hvsim, n) for n in DIMS if n <= args.max_n]
-    if 48 <= args.max_n:
-        rows.append(planned_row(hvsim))
+    rows += [row(hvsim, n) for n in DIMS if 16 <= n <= args.max_n
+             for row in (planned_row, chained_row)]
     method = __doc__.split("\n\n")[3].strip().replace("\n", " ")
     json.dump({"method": method, "rows": rows}, sys.stdout, indent=1)
     sys.stdout.write("\n")
