@@ -348,8 +348,8 @@ def _jacobi(a: np.ndarray) -> tuple:
     clustered eigenvalues", Japan J. Indust. Appl. Math. 36 (2019) 435-459.
 
     The columns of v are checked here (_orthonormality), so that projectors built from
-    them need no check of their own: the loose stage's, which refinement takes as
-    orthonormal to rounding, and the final ones wherever the tight stage rotated them (a
+    them need no check of their own: the loose stage's, before refinement could repair a
+    defect of the rotations, and the final ones wherever the tight stage rotated them (a
     refined X is kept only within the same bound). Raises ConvergenceFailure if anything
     is not finite (a NaN off-diagonal norm, an eigenvalue beyond the float64 range, a NaN
     defect) and, with E = V*V - I and d = max|E|, unless n d <= PROJECTOR_TOL / 2, for
