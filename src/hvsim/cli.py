@@ -594,13 +594,16 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The `hv` parser with every command's subparser, or with only the one named."""
     parser = argparse.ArgumentParser(
         prog="hv",
         description="Run hidden-variable model experiments from a problem file.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, spec in COMMANDS.items():
+        if only not in (None, command):
+            continue
         p = sub.add_parser(command, help=spec.help)
         p.add_argument("--input", required=True, help="problem file path or bundled fixture name")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: HV_SEED, then 0)")
@@ -613,8 +616,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse with only the subparser argv[0] names, which is all a valid invocation needs.
+    Anything else, and arguments that subparser leaves over, goes to the full parser, so
+    that help and every top-level error list all the commands."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     started = time.perf_counter()
     try:
         problem = load_problem(args.input)

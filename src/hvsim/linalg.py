@@ -4,7 +4,8 @@ Hermitian eigenpairs (_jacobi) in two stages of complex Jacobi sweeps with Ogita
 refinement between them. A sweep is one pass of the Brent-Luk round-robin schedule: n - 1
 rounds (n for odd n), each rotating n/2 disjoint index pairs at once by one dense unitary
 product, so every pair is rotated once per sweep.
-- The loose stage sweeps until the off-diagonal norm is about 1e-3 of the largest entry.
+- The loose stage sweeps until the off-diagonal norm is about 2e-2 of the largest entry,
+  before the last, quadratically convergent sweeps, which refinement replaces.
 - Refinement then corrects the eigenvectors with matrix products only: each step forms
   R = I - X*X and S = X*AX and updates X <- X + X E, dividing by eigenvalue gaps outside an
   adaptive cluster radius delta = 2 (|offdiag S|_F + |A|_F |R|_F) and only making the
@@ -24,6 +25,7 @@ eigenpairs. All values are immutable after construction; every public operation 
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,9 +48,12 @@ JACOBI_OFF_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 # _jacobi's loose stage stops at this off-diagonal norm, relative like JACOBI_OFF_TOL; at
 # most _REFINE_STEPS Ogita-Aishima steps follow, and a member stops refining after a
-# correction of at most _STEP_TOL, whose square is below the unit roundoff
-_LOOSE_OFF_TOL = 1e-3
-_REFINE_STEPS = 3
+# correction of at most _STEP_TOL, whose square is below the unit roundoff. A step squares
+# the error, so three or four take 2e-2 to rounding level; the rest of the budget is for
+# pairs closer than the loose off-norm, which refinement only resolves once its cluster
+# radius has shrunk below their gap.
+_LOOSE_OFF_TOL = 2e-2
+_REFINE_STEPS = 12
 _STEP_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
@@ -209,33 +214,49 @@ def _refuse(a: np.ndarray, ids: np.ndarray, flags, message) -> ConvergenceFailur
     return ConvergenceFailure(("" if a.ndim == 2 else f"stack member {ids[i]}: ") + message(i))
 
 
+@functools.lru_cache(maxsize=64)
+def _rounds(n: int) -> tuple:
+    """The rounds of _round_robin(n) as flat indices into a row-major n * n matrix, built
+    once per n: per round, the gather of its pairs' (p, q), (p, p) and (q, q) entries, and
+    the put of (p, q), (q, p), (p, p) and (q, q), whose first half is also the entries a
+    round zeroes."""
+    rounds = []
+    for p, q in _round_robin(n):
+        pq, qp, pp, qq = p * n + q, q * n + p, p * (n + 1), q * (n + 1)
+        rounds.append((_readonly(np.concatenate((pq, pp, qq))),
+                       _readonly(np.concatenate((pq, qp, pp, qq)))))
+    return tuple(rounds)
+
+
 def _sweep(a: np.ndarray, v: np.ndarray, eye: np.ndarray, rounds) -> tuple:
     """One pass of the round-robin schedule over a and its eigenvector estimate v: each round
     annihilates its disjoint pairs at once as a <- J* a J, v <- v J, with J the identity
     carrying one complex rotation block per pair (the identity block where a[p, q] is
     already 0). Returns a symmetrized, and v.
 
-    Per-pair values are indexed through the reversed view a.T, whose leading axes are the
-    matrix indices, so that a single matrix and a stack take the same numpy calls."""
-    for p, q, blocks, pairs in rounds:
-        apq = a.T[q, p]
+    rounds is _rounds(n). Per-pair values are gathered from, and put into, the flat last
+    axis of a and J, so that a single matrix and a stack take the same numpy calls."""
+    flat = a.shape[:-2] + (-1,)
+    for gather, put in rounds:
+        h = len(gather) // 3
+        g = a.reshape(flat)[..., gather]
+        apq = g[..., :h]
         mag = np.abs(apq)
         live = mag != 0.0
         if not live.any():
             continue
         # t = sign(tau) / (|tau| + hypot(1, tau)) for tau = d / 2|a_pq|, multiplied
         # through by 2|a_pq| so that a tiny |a_pq| cannot overflow tau
-        diag = a.diagonal(0, -2, -1).real.T
-        d = diag[q] - diag[p]
+        d = g[..., 2 * h:].real - g[..., h:2 * h].real
         t = np.divide(np.copysign(2.0 * mag, d), np.abs(d) + np.hypot(d, 2.0 * mag),
                       out=np.zeros(mag.shape), where=live)
         c = 1.0 / np.sqrt(1.0 + t * t)
         s = t * c * np.divide(apq, mag, out=np.zeros(mag.shape, dtype=np.complex128),
                               where=live)
         j = eye.copy()
-        j.T[blocks] = np.concatenate((c, c, s, -s.conj()))
+        j.reshape(flat)[..., put] = np.concatenate((s, -s.conj(), c, c), axis=-1)
         a = j.conj().swapaxes(-1, -2) @ a @ j
-        a.T[pairs] = 0.0
+        a.reshape(flat)[..., put[:2 * h]] = 0.0
         v = v @ j
     return (a + a.conj().swapaxes(-1, -2)) / 2.0, v
 
@@ -371,13 +392,7 @@ def _jacobi(a: np.ndarray) -> tuple:
     e = np.maximum(0, np.frexp(largest)[1])
     a = a * np.ldexp(1.0, -e).reshape(a.shape[:-2] + (1, 1))
     tight = np.ldexp(threshold, -e)
-    schedule = _round_robin(n)
-    p, q = schedule[:, 0], schedule[:, 1]
-    # the (column, row) indices into J.T of J's block entries (p, p), (q, q), (p, q), (q, p),
-    # and of the last two alone, which are zeroed in a after each product
-    cols, rows = np.concatenate((p, q, q, p), axis=1), np.concatenate((p, q, p, q), axis=1)
-    h = 2 * p.shape[1]
-    rounds = list(zip(p, q, zip(cols, rows), zip(cols[:, h:], rows[:, h:])))
+    rounds = _rounds(n)
     eye = np.eye(n, dtype=np.complex128) + np.zeros(a.shape, dtype=np.complex128)
     loose = np.ldexp(_LOOSE_OFF_TOL * np.maximum(1.0, largest), -e)
     rotated, v, sweeps, off = _sweep_until(a, eye.copy(), loose, np.zeros(len(e), dtype=int),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import rand_unitary
 import hvsim
 from hvsim import PureState, ensure_hermitian
-from hvsim.cli import COMMANDS, load_problem, main, run_chsh
+from hvsim.cli import COMMANDS, build_parser, load_problem, main, run_chsh
 
 FIXTURES = ("pauli", "singlet_chsh", "commuting_chsh")
 
@@ -582,6 +582,41 @@ def test_samples_flag_only_on_commands_that_read_it(capsys):
         help_text = capsys.readouterr().out
         assert ("--samples" in help_text) == ("samples" in spec.settings)
         assert "--seed" in help_text
+
+
+def _full_parser_output(argv) -> tuple:
+    """Exit code, stdout and stderr of parsing argv with every subparser built."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus", "--input", "pauli"], ["--input", "pauli", "spectra"],
+    ["spectra"], ["spectra", "--input", "x", "--bogus"], ["spectra", "--format", "xml"],
+    ["spectra", "--input", "pauli", "extra"], ["verify", "--input", "pauli", "--samples", "x"],
+    ["chsh", "--input", "commuting_chsh", "--operator", "z"],
+    *([command, "--help"] for command in COMMANDS),
+])
+def test_help_and_usage_errors_read_as_from_the_full_parser(capsys, argv):
+    # main builds only the named command's subparser; the top-level usage line lists every
+    # command, so help and errors must print what the full parser prints
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == _full_parser_output(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectra", "--input", "pauli"], ["prob", "--input", "p.json", "--borel", "b", "--seed", "3"],
+    ["verify", "--samples", "40", "--input", "pauli", "--format", "csv", "--out", "r.csv"],
+    ["roundtrip", "--input", "pauli", "--operator", "x", "--function", "f"],
+    ["chsh", "--in", "singlet_chsh", "--e1", "a", "--state", "s"],
+])
+def test_one_subparser_parses_as_the_full_parser(argv):
+    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize(

@@ -332,7 +332,7 @@ def test_a_refinement_that_misses_the_orthonormality_bound_restarts(monkeypatch)
     # and dividing by them leaves X off the bound; the solve restarts the tight stage
     # from the loose stage's result, and meets every gate
     missed = _counted_refinements(monkeypatch)
-    a = _chained(np.random.default_rng(2), 5)
+    a = _chained(np.random.default_rng(42), 5)
     raw, v = _jacobi(a)
     assert missed == [True]
     np.testing.assert_allclose(raw, np.linalg.eigvalsh(a), atol=1e-14)
@@ -341,6 +341,15 @@ def test_a_refinement_that_misses_the_orthonormality_bound_restarts(monkeypatch)
     missed.clear()
     assert_stack_solves_like_singles([rand_hermitian(np.random.default_rng(97), 5), a])
     assert True in missed
+
+
+def test_refinement_keeps_chained_dim8_spectra_on_the_refined_path(monkeypatch):
+    # no seed's refinement misses the orthonormality bound; with a hand-off at 1e-3 and
+    # three steps, 11 of these 20 did and restarted the tight stage from the loose result
+    missed = _counted_refinements(monkeypatch)
+    for seed in range(20):
+        _jacobi(_chained(np.random.default_rng(seed), 8))
+    assert len(missed) == 20 and sum(missed) == 0
 
 
 def test_the_sweep_budget_covers_both_stages(monkeypatch):

@@ -19,7 +19,9 @@ planned_operator(default_rng(n), n) with n - n // 4 distinct eigenvalues, as
 the cli-reports benchmark workload decomposes; and a chained one, U diag(w) U*
 with U from default_rng(2000 + n), w spread over (-3, 3) and its four lowest
 1e-9 apart. A solver row's sweeps column holds the sweeps _jacobi used on each
-input.
+input; a planned or chained row's restarts column counts the refinements of its
+operator's solve that missed the orthonormality bound (null for a checkout
+without refinement).
 The process keeps to one CPU and one BLAS thread, as the benchmark does.
 """
 
@@ -71,17 +73,40 @@ def projector(rng: np.random.Generator, n: int) -> np.ndarray:
     return (p + p.conj().T) / 2.0
 
 
-def sweeps(linalg, a: np.ndarray) -> int:
-    """Sweeps _jacobi takes on a, in all its stages. A checkout from before the two-stage
-    solver has no _sweep; its one loop tests the off-norm once per sweep, plus once."""
-    name, extra = ("_sweep", 0) if hasattr(linalg, "_sweep") else ("_off_norm", -1)
-    fn, calls = getattr(linalg, name), []
-    setattr(linalg, name, lambda *args: calls.append(None) or fn(*args))
+def counted(linalg, name: str, record, a: np.ndarray) -> None:
+    """Solve a with linalg._jacobi while linalg.<name> is wrapped to pass each call's
+    arguments and result to record."""
+    fn = getattr(linalg, name)
+    setattr(linalg, name, lambda *args: record(args, fn(*args)))
     try:
         linalg._jacobi(a)
     finally:
         setattr(linalg, name, fn)
+
+
+def sweeps(linalg, a: np.ndarray) -> int:
+    """Sweeps _jacobi takes on a, in all its stages. A checkout from before the two-stage
+    solver has no _sweep; its one loop tests the off-norm once per sweep, plus once."""
+    name, extra = ("_sweep", 0) if hasattr(linalg, "_sweep") else ("_off_norm", -1)
+    calls = []
+    counted(linalg, name, lambda args, out: calls.append(None) or out, a)
     return len(calls) + extra
+
+
+def restarts(linalg, a: np.ndarray) -> int | None:
+    """Refinements in _jacobi's solve of a whose eigenvectors missed the orthonormality
+    bound, so that the tight stage restarted from the loose stage's result; None for a
+    checkout without refinement."""
+    if not hasattr(linalg, "_refine"):
+        return None
+    missed = []
+
+    def record(args, out):
+        missed.extend(args[0].shape[-1] * out[2] > linalg.PROJECTOR_TOL / 2)
+        return out
+
+    counted(linalg, "_refine", record, a)
+    return int(sum(missed))
 
 
 def solver_row(hvsim, matrices) -> dict:
@@ -122,7 +147,8 @@ def planned_row(hvsim, n: int) -> dict:
 
     op = planned_operator(np.random.default_rng(n), n)
     return {"n": n, "input": f"perfbench planned_operator(default_rng({n}), {n})",
-            "distinct_eigenvalues": len(op.values), **solver_row(hvsim, [op.matrix] * 5)}
+            "distinct_eigenvalues": len(op.values), **solver_row(hvsim, [op.matrix] * 5),
+            "restarts": restarts(hvsim.linalg, op.matrix)}
 
 
 def chained_row(hvsim, n: int) -> dict:
@@ -133,8 +159,9 @@ def chained_row(hvsim, n: int) -> dict:
     w = np.sort(rng.uniform(-3.0, 3.0, size=n))
     w[:4] = w[0] + 1e-9 * np.arange(4)
     a = (u * w) @ u.conj().T
+    a = (a + a.conj().T) / 2.0
     return {"n": n, "input": f"chained: four eigenvalues 1e-9 apart, default_rng({2000 + n})",
-            **solver_row(hvsim, [(a + a.conj().T) / 2.0] * 5)}
+            **solver_row(hvsim, [a] * 5), "restarts": restarts(hvsim.linalg, a)}
 
 
 def main() -> None:
