@@ -20,12 +20,12 @@ from .linalg import (
     COMMUTE_TOL,
     MEET_TOL,
     SpectralDecomposition,
+    _class_projectors,
     _commutes,
     _ensure_projectors,
     _jacobi,
     _pair_meets,
     _readonly,
-    _span_projector,
     max_abs,
 )
 from .quantum import SNAP_TOL, PureState, spectral_projector
@@ -50,9 +50,8 @@ def correlation_operator(e, f, meet_tol: float = MEET_TOL) -> np.ndarray:
 def _chsh_terms(es, fs, vector: np.ndarray, meet_tol: float) -> np.ndarray:
     """2x2 expectations of the correlation operators of (e, f) for e in es, f in fs, whose
     four e + f - I are solved as one stack."""
-    pairs = [(e, f) for e in es for f in fs]
-    operators = _correlation(np.array([e for e, _ in pairs]), np.array([f for _, f in pairs]),
-                             meet_tol)
+    e, f = np.array([(a, b) for a in es for b in fs]).swapaxes(0, 1)
+    operators = _correlation(e, f, meet_tol)
     return np.array([float(np.vdot(vector, c @ vector).real) for c in operators]).reshape(2, 2)
 
 
@@ -207,29 +206,33 @@ def _commutation(projectors: dict[str, np.ndarray], tol: float) -> dict[tuple[st
 
 def _joint_sectors(
     projectors: dict[str, np.ndarray], commuting: dict, sector_snap_tol: float
-) -> list[Proposition]:
+) -> list:
     """Propositions over the joint sectors sum(2^k P_k) of named projectors, proposition k
     selecting the labels 0..2^K - 1 with bit k set; the first name pair commuting marks False
-    raises NotCommuting. The raw eigenvalues of the sum round to integer sector labels."""
+    raises NotCommuting. The raw eigenvalues of the sum round to integer sector labels.
+    For (m, n, n) stacks of projectors the m sums are one stacked _jacobi call, each member
+    is checked in turn, and the result holds one list of propositions per member."""
     for (a, b), ok in commuting.items():
         if not ok:
             raise NotCommuting(f"{a} and {b} do not commute")
     n_labels = 2 ** len(projectors)
-    raw, vecs = _jacobi(sum((2.0**k) * p for k, p in enumerate(projectors.values())))
-    labels = np.rint(raw)
-    drift = float(np.max(np.abs(raw - labels)))
-    if drift > sector_snap_tol:
-        raise DegenerateLabeling(f"joint eigenvalue drift {drift:.3e} from integer sector label"
-                                 f" exceeds sector_snap_tol {sector_snap_tol:.1e}")
-    if labels.min() < 0 or labels.max() > n_labels - 1:
-        raise DegenerateLabeling(f"sector labels outside 0..{n_labels - 1}")
-    keys = np.unique(labels)
-    sectors = SpectralDecomposition._trusted(keys, [_span_projector(vecs[:, labels == k])
-                                                    for k in keys])
-    return [
-        Proposition(sectors, BorelSet.points([float(m) for m in range(n_labels) if m & (1 << k)]))
-        for k in range(len(projectors))
-    ]
+    events = [BorelSet.points([float(m) for m in range(n_labels) if m & (1 << k)])
+              for k in range(len(projectors))]
+    raws, vecs = _jacobi(sum((2.0**k) * p for k, p in enumerate(projectors.values())))
+    n = raws.shape[-1]
+    members = []
+    for raw, v in zip(raws.reshape(-1, n), vecs.reshape(-1, n, n)):
+        labels = np.rint(raw)
+        drift = float(np.max(np.abs(raw - labels)))
+        if drift > sector_snap_tol:
+            raise DegenerateLabeling(f"joint eigenvalue drift {drift:.3e} from integer sector "
+                                     f"label exceeds sector_snap_tol {sector_snap_tol:.1e}")
+        if labels.min() < 0 or labels.max() > n_labels - 1:
+            raise DegenerateLabeling(f"sector labels outside 0..{n_labels - 1}")
+        keys = np.unique(labels)
+        sectors = SpectralDecomposition._trusted(keys, _class_projectors(v, labels, keys))
+        members.append([Proposition(sectors, borel) for borel in events])
+    return members if raws.ndim == 2 else members[0]
 
 
 def joint_propositions(

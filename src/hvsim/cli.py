@@ -431,15 +431,11 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
         "checks": {"classical_bound_respected": value <= 2.0 + CHSH_SLACK},
     }
 
-    if all(cross_commuting.values()):
-        consistent = True
-        for a, b in pair_names:
-            pair = {a: projectors[a], b: projectors[b]}
-            prop_a, prop_b = _joint_sectors(pair, {(a, b): commuting[a, b]}, tol.sector_snap_tol)
-            consistent &= check_boolean_homomorphism(
-                prop_a, prop_b, tol=tol.homomorphism_tol, snap_tol=tol.snap_tol
-            )
-        result["checks"]["joint_propositions_consistent"] = bool(consistent)
+    if all(cross_commuting.values()):  # the four pairs' e + 2f, solved as one stack
+        e, f = np.array([[projectors[a], projectors[b]] for a, b in pair_names]).swapaxes(0, 1)
+        pairs = _joint_sectors({"e": e, "f": f}, {}, tol.sector_snap_tol)
+        result["checks"]["joint_propositions_consistent"] = all([check_boolean_homomorphism(
+            a, b, tol=tol.homomorphism_tol, snap_tol=tol.snap_tol) for a, b in pairs])
 
     try:
         props = _joint_sectors(projectors, commuting, tol.sector_snap_tol)
@@ -558,17 +554,9 @@ def _csv_rows(results: list[dict]) -> list[list]:
     for idx, result in enumerate(results):
         if result["kind"] == "verify":
             rows.append(["result", "outcome", "predicted", "empirical", "deviation", "budget"])
-            for k, outcome in enumerate(result["outcomes"]):
-                rows.append(
-                    [
-                        idx,
-                        repr(outcome),
-                        repr(result["predicted"][k]),
-                        repr(result["empirical"][k]),
-                        repr(result["deviations"][k]),
-                        repr(result["budgets"][k]),
-                    ]
-                )
+            columns = ("outcomes", "predicted", "empirical", "deviations", "budgets")
+            for values in zip(*(result[column] for column in columns)):
+                rows.append([idx, *map(repr, values)])
         else:
             rows.append(["result", "key", "value"])
             for key, value in result.items():

@@ -18,9 +18,10 @@ The sweep budget JACOBI_MAX_SWEEPS covers both stages; the non-finite refusals a
 the final result, and the orthonormality bound to the loose stage's eigenvectors and the
 final ones, of every solve and every stack member.
 
-Only the public eigh clusters eigenpairs into a SpectralDecomposition; the projector
-lattice operations (meet, join, commutation test) and bell's joint sectors classify raw
-eigenpairs. All values are immutable after construction; every public operation is pure.
+Every projector made from a solve is spanned by one helper, _class_projectors, from a
+class per ascending eigenpair: eigh's clusters, the meet classes of e + f - I, and bell's
+joint sector labels. All values are immutable after construction; every public operation
+is pure.
 """
 
 from __future__ import annotations
@@ -425,10 +426,15 @@ def _jacobi(a: np.ndarray) -> tuple:
     return raw[pick], v.swapaxes(-1, -2)[pick].swapaxes(-1, -2)
 
 
-def _span_projector(v: np.ndarray) -> np.ndarray:
-    """Symmetrized projector V V* onto the span of the orthonormal columns of v."""
-    p = v @ v.conj().T
-    return (p + p.conj().T) / 2.0
+def _class_projectors(vecs: np.ndarray, classes: np.ndarray, keys) -> list[np.ndarray]:
+    """Symmetrized V_c V_c* for each class c in keys, V_c the columns of vecs that classes
+    labels c (0 for none). The labels must be non-decreasing, as each caller's labels of
+    _jacobi's ascending eigenvalues are, so that V_c is a view of adjacent columns."""
+    projectors = []
+    for lo, hi in zip(*(np.searchsorted(classes, keys, side) for side in ("left", "right"))):
+        p = vecs[:, lo:hi] @ vecs[:, lo:hi].conj().T
+        projectors.append((p + p.conj().T) / 2.0)
+    return projectors
 
 
 def eigh(matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
@@ -436,8 +442,9 @@ def eigh(matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
 
     Complex Jacobi iteration in round-robin order (see _jacobi). Sorted eigenvalues at
     most cluster_tol (default 1e-8) apart chain into one cluster (single linkage, so a
-    cluster can span more than cluster_tol), eigenvalue set to their mean, so degenerate
-    eigenspaces come out as single basis-independent projectors.
+    cluster can span more than cluster_tol), eigenvalue set to their mean and projector
+    spanned by _class_projectors, so degenerate eigenspaces come out as single
+    basis-independent projectors.
 
     The input is checked here, at HERMITIAN_TOL (a caller needing another tolerance passes
     ensure_hermitian(matrix, tol)), and the eigenvectors in _jacobi; the decomposition is
@@ -451,7 +458,8 @@ def eigh(matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
     with np.errstate(over="ignore"):  # gaps and sums near the float64 limit may be inf
         cuts = np.flatnonzero(np.diff(raw) > cluster_tol) + 1
         values = [min(max(c.mean(), c[0]), c[-1]) for c in np.split(raw, cuts)]
-    projectors = [_span_projector(v) for v in np.split(vecs, cuts, axis=1)]
+    clusters = np.searchsorted(cuts, np.arange(len(raw)), "right")  # each column's cluster
+    projectors = _class_projectors(vecs, clusters, range(len(values)))
     return SpectralDecomposition._trusted(values, projectors)
 
 
@@ -473,11 +481,12 @@ def _pair_meets(e: np.ndarray, f: np.ndarray, meet_tol: float) -> tuple[np.ndarr
                          f"got {meet_tol!r}")
     n = e.shape[-1]
     mu, vecs = _jacobi(e + f - np.eye(n))
-    masks = (1.0 - mu < meet_tol, 1.0 + mu < meet_tol, mu * mu < meet_tol * (2.0 - meet_tol))
-    vecs = vecs.reshape(-1, n, n)
-    return tuple(_readonly(np.reshape([_span_projector(v[:, m]) for v, m in
-                                       zip(vecs, mask.reshape(-1, n))], e.shape))
-                 for mask in masks)
+    # class +-2 at mu near +-1, 0 near 0 and +-1 between: non-decreasing along ascending mu
+    classes = (np.where(mu * mu < meet_tol * (2.0 - meet_tol), 0.0, np.sign(mu))
+               + (1.0 - mu < meet_tol) - (1.0 + mu < meet_tol))
+    members = zip(vecs.reshape(-1, n, n), classes.reshape(-1, n))
+    return tuple(_readonly(np.reshape(meets, e.shape))
+                 for meets in zip(*(_class_projectors(v, c, (2, -2, 0)) for v, c in members)))
 
 
 def _commutes(e: np.ndarray, f: np.ndarray, tol: float) -> bool:

@@ -18,6 +18,7 @@ from hvsim import (
     BackingMismatch,
     BorelSet,
     ChshConfig,
+    DegenerateLabeling,
     NotCommuting,
     Proposition,
     PropositionQuadruple,
@@ -36,7 +37,7 @@ from hvsim import (
     proposition_from,
     proposition_projector,
 )
-from hvsim.bell import _chsh_combination
+from hvsim.bell import SECTOR_SNAP_TOL, _chsh_combination, _joint_sectors
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -242,6 +243,42 @@ def test_joint_propositions_rejects_noncommuting():
         common_refinement_quadruple(e, e, f, e)
     with pytest.raises(NotCommuting, match="^e1 and f2 do not commute$"):
         common_refinement_quadruple(e, e, e, f)
+
+
+def _sectors(e, f):
+    return _joint_sectors({"e": e, "f": f}, {}, SECTOR_SNAP_TOL)
+
+
+def _sector_error(e, f) -> str:
+    """The DegenerateLabeling message of the joint sectors of e and f, 2-D or stacked."""
+    with pytest.raises(DegenerateLabeling) as info:
+        _sectors(e, f)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_stacked_joint_sectors_equal_single_calls_bit_for_bit(n):
+    rng = np.random.default_rng(151 + n)
+    zero, eye = np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
+    e, f = rand_commuting_projectors(rng, n)
+    members = [rand_commuting_projectors(rng, n), (zero, zero), (eye, eye), (e, eye - f)]
+    stacked = _sectors(*np.array(members).swapaxes(0, 1))
+    assert len(stacked) == len(members)
+    for (a, b), props in zip(members, stacked):
+        single = _sectors(a, b)
+        assert len(props) == len(single) == 2
+        for p, q in zip(props, single):
+            assert p.borel == q.borel
+            for x, y in ((p.backing.eigenvalues, q.backing.eigenvalues),
+                         (p.backing.projectors, q.backing.projectors)):
+                assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
+    # each member is checked in turn, drift and label range both, and a refusal is the one
+    # its own 2-D call raises
+    drift, far, bad = (e, 0.999 * f), (e, 0.99 * f), (-eye, f)
+    for first, *rest in ([drift, far], [bad, drift]):
+        stack = np.array([members[0], first, *rest]).swapaxes(0, 1)
+        assert _sector_error(*stack) == _sector_error(*first) != _sector_error(*rest[0])
+    assert "outside 0..3" in _sector_error(*bad)
 
 
 def test_boolean_homomorphism_trivial_and_constructed():

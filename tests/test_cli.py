@@ -464,6 +464,26 @@ def test_chsh_report_decides_each_pairs_commutation_once(capsys, monkeypatch, fi
     assert len(calls) == 6
 
 
+@pytest.mark.parametrize("fixture", ["commuting_chsh", "singlet_chsh"])
+def test_chsh_report_solves_the_cross_pairs_as_stacks(capsys, monkeypatch, fixture):
+    # the four e + f - I, then the four cross pairs' e + 2f, each as one stack; the
+    # four-way sector solve follows where all six pairs commute, and the singlet's
+    # couples do not, so it makes none
+    calls, jacobi = [], hvsim.linalg._jacobi
+
+    def counted(a):
+        calls.append(a.shape)
+        return jacobi(a)
+
+    for module in (hvsim.linalg, hvsim.bell):  # bell imports _jacobi by name
+        monkeypatch.setattr(module, "_jacobi", counted)
+    code, _, _ = run(["chsh", "--input", fixture], capsys)
+    assert code == (0 if fixture == "commuting_chsh" else 1)
+    n = load_problem(fixture).dimension
+    stacks = [(4, n, n), (4, n, n)]
+    assert calls == (stacks + [(n, n)] if fixture == "commuting_chsh" else stacks)
+
+
 def test_experiment_blocks_run_when_no_names_given(capsys):
     code, out, _ = run(["roundtrip", "--input", "pauli"], capsys)
     assert code == 0

@@ -43,6 +43,7 @@ from hvsim.linalg import (
     MEET_TOL_MAX,
     PROJECTOR_TOL,
     _jacobi,
+    _pair_meets,
     _round_robin,
 )
 
@@ -289,6 +290,33 @@ def test_stacked_jacobi_equals_single_solves_of_correlation_operators():
     for n in (2, 4, 8):
         ps = [rand_projector(rng, n) for _ in range(4)]
         assert_stack_solves_like_singles([e + f - np.eye(n) for e in ps[:2] for f in ps[2:]])
+    # the three meet classes of a stack of pairs are those of each pair's own solve, and
+    # meet and join read one solve of e + f - I = f + e - I, so they are bit-symmetric
+    rng = np.random.default_rng(79)
+    for n in (2, 4, 8):
+        e, f = rand_commuting_projectors(rng, n)
+        pairs = [(rand_projector(rng, n), rand_projector(rng, n)), (e, f), (e, e),
+                 _sharing_a_line(rng, n)]
+        stacked = _pair_meets(np.array([e for e, _ in pairs]), np.array([f for _, f in pairs]),
+                              MEET_TOL)
+        assert projector_rank(stacked[0][3]) == (2 if n == 2 else 1)  # the shared line
+        for i, (e, f) in enumerate(pairs):
+            for meet, single in zip(stacked, _pair_meets(e, f, MEET_TOL), strict=True):
+                assert _bits(meet[i]) == _bits(single)
+            for op in (projector_meet, projector_join):
+                assert _bits(op(e, f)) == _bits(op(f, e))
+
+
+def _sharing_a_line(rng, n: int) -> tuple:
+    """Two rank-2 projectors whose ranges share the line of one unit vector, each spanned
+    by it and a random unit vector orthogonal to it (both the identity at n = 2)."""
+    q = rand_unitary(rng, n)
+    pair = []
+    for _ in range(2):
+        v = np.concatenate([q[:, :1], q[:, 1:] @ rand_unitary(rng, n - 1)[:, :1]], axis=1)
+        p = v @ v.conj().T
+        pair.append((p + p.conj().T) / 2.0)
+    return tuple(pair)
 
 
 def _counted_refinements(monkeypatch) -> list:

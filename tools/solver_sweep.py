@@ -23,6 +23,10 @@ input; a planned or chained row's restarts column counts the refinements of its
 operator's solve that missed the orthonormality bound (null for a checkout
 without refinement).
 The process keeps to one CPU and one BLAS thread, as the benchmark does.
+
+The *_ms columns compare only within one run: on a shared host two runs of the
+same checkout, minutes apart, can differ by more than a change does. Only the
+sweeps and restarts columns compare across runs, and so across checkouts.
 """
 
 from __future__ import annotations
