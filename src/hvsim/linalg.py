@@ -2,8 +2,13 @@
 
 Hermitian eigenpairs (_jacobi) in two stages of complex Jacobi sweeps with Ogita-Aishima
 refinement between them. A sweep is one pass of the Brent-Luk round-robin schedule: n - 1
-rounds (n for odd n), each rotating n/2 disjoint index pairs at once by one dense unitary
-product, so every pair is rotated once per sweep.
+rounds (n for odd n), each rotating n/2 disjoint index pairs at once by a sparse unitary J,
+so every pair is rotated once per sweep. Two consecutive rounds apply together, by one
+dense product with W = J1 J2, which has at most four nonzeros per column; the second
+round's rotations come from entries of J1* a J1 formed as four-term sums. A sweep thus
+makes about n/2 dense unitary products instead of n - 1 (R. P. Brent and F. T. Luk, SIAM
+J. Sci. Stat. Comput. 6 (1985) 69-84; F. G. Van Zee, R. A. van de Geijn and G.
+Quintana-Orti, ACM Trans. Math. Softw. 40 (2014) 18, for accumulating rotations first).
 - The loose stage sweeps until the off-diagonal norm is about 2e-2 of the largest entry,
   before the last, quadratically convergent sweeps, which refinement replaces.
 - Refinement then corrects the eigenvectors with matrix products only: each step forms
@@ -215,57 +220,121 @@ def _refuse(a: np.ndarray, ids: np.ndarray, flags, message) -> ConvergenceFailur
     return ConvergenceFailure(("" if a.ndim == 2 else f"stack member {ids[i]}: ") + message(i))
 
 
+def _slots(p: np.ndarray, q: np.ndarray, n: int) -> tuple:
+    """For a round of pairs (p, q): each index's partner, itself where idle, and the slots in
+    _rotation's coefficient vector of its column's diagonal coefficient, off-diagonal
+    coefficient and that one's conjugate, which are those of 1, 0 and 0 where idle."""
+    h = len(p)
+    k = 2 + np.arange(h)
+    partner, diagonal = np.arange(n), np.zeros(n, dtype=int)
+    off, off_conj = np.ones(n, dtype=int), np.ones(n, dtype=int)
+    partner[p], partner[q] = q, p
+    diagonal[p] = diagonal[q] = k
+    off[p], off[q] = k + h, k + 2 * h
+    off_conj[p], off_conj[q] = k + 3 * h, k + 4 * h
+    return partner, diagonal, off, off_conj
+
+
 @functools.lru_cache(maxsize=64)
 def _rounds(n: int) -> tuple:
-    """The rounds of _round_robin(n) as flat indices into a row-major n * n matrix, built
-    once per n: per round, the gather of its pairs' (p, q), (p, p) and (q, q) entries, and
-    the put of (p, q), (q, p), (p, p) and (q, q), whose first half is also the entries a
-    round zeroes."""
-    rounds = []
-    for p, q in _round_robin(n):
-        pq, qp, pp, qq = p * n + q, q * n + p, p * (n + 1), q * (n + 1)
-        rounds.append((_readonly(np.concatenate((pq, pp, qq))),
-                       _readonly(np.concatenate((pq, qp, pp, qq)))))
-    return tuple(rounds)
+    """The plan of a sweep, built once per n: the rounds of _round_robin(n) in blocks of two
+    consecutive rounds, a sweep's odd last round with an empty second, as flat indices into
+    a row-major n * n matrix and slots of _rotation's coefficient vectors. Per block:
+    - gather: the first round's (p, q), (p, p) and (q, q) entries of a;
+    - terms, left, right: the second round's (p, q), (p, p) and (q, q) entries of J1* a J1
+      are sums of four terms, since each column of J1 has two nonzeros; each term is an
+      entry of a times a conjugated coefficient of J1 for its row and one for its column;
+    - put, w_left, w_right: W = J1 J2, whose column j is J2[j, j] J1[:, j] + J2[m, j]
+      J1[:, m] for j's partner m in the second round, has at most four nonzeros in it;
+      each is a coefficient of the second round times one of the first;
+    - zero: the (p, q) and (q, p) entries of the last round applied, which the block zeroes.
+    An odd n's idle index has structural zeros in W (its partner is itself): the put leaves
+    them out, so that no position of W repeats, and the sums give them a zero coefficient."""
+    schedule = list(_round_robin(n))
+    schedule += [(np.zeros(0, dtype=int),) * 2] * (len(schedule) % 2)
+    col = np.arange(n)
+    blocks = []
+    for (p, q), (p2, q2) in zip(schedule[::2], schedule[1::2]):
+        m, c, o, oc = _slots(p, q, n)
+        m2, c2, o2, _ = _slots(p2, q2, n)
+        i, j = np.concatenate((p2, p2, q2)), np.concatenate((q2, p2, q2))
+        paired = m2 != col  # the indices the second round pairs
+        kept = np.concatenate((np.ones(n, dtype=bool), m != col, paired, paired & (m[m2] != m2)))
+        last = (p2, q2) if len(p2) else (p, q)
+        blocks.append(tuple(_readonly(x) for x in (
+            np.concatenate((p * n + q, p * (n + 1), q * (n + 1))),
+            np.concatenate((i * n + j, i * n + m[j], m[i] * n + j, m[i] * n + m[j])),
+            np.concatenate((c[i], c[i], oc[i], oc[i])),
+            np.concatenate((c[j], o[j], c[j], o[j])),
+            (np.concatenate((col, m, m2, m[m2])) * n + np.tile(col, 4))[kept],
+            np.concatenate((c2, c2, o2, o2))[kept],
+            np.concatenate((c, o, c[m2], o[m2]))[kept],
+            np.concatenate((last[0] * n + last[1], last[1] * n + last[0])))))
+    return tuple(blocks)
 
 
-def _sweep(a: np.ndarray, v: np.ndarray, eye: np.ndarray, rounds) -> tuple:
-    """One pass of the round-robin schedule over a and its eigenvector estimate v: each round
-    annihilates its disjoint pairs at once as a <- J* a J, v <- v J, with J the identity
-    carrying one complex rotation block per pair (the identity block where a[p, q] is
-    already 0). Returns a symmetrized, and v.
+def _rotation(g: np.ndarray, unit: np.ndarray) -> tuple:
+    """The rotations of a round's pairs from their gathered (a_pq, a_pp, a_qq), one row of
+    3h per member, each the block [[c, s], [-conj(s), c]] of J at rows and columns (p, q)
+    that annihilates a_pq (the identity block where a_pq is already 0). Returns the
+    coefficient vector [1, 0, c, -conj(s), s, -s, conj(s)] that _slots indexes, the first
+    two from unit, and whether each pair is live (a_pq != 0)."""
+    h = g.shape[-1] // 3
+    apq = g[..., :h]
+    mag = np.abs(apq)
+    live = mag != 0.0
+    # t = sign(tau) / (|tau| + hypot(1, tau)) for tau = d / 2|a_pq|, multiplied through by
+    # 2|a_pq| so that a tiny |a_pq| cannot overflow tau
+    d = g[..., 2 * h:].real - g[..., h:2 * h].real
+    twice = 2.0 * mag
+    t = np.divide(np.copysign(twice, d), np.abs(d) + np.hypot(d, twice), out=np.zeros(mag.shape),
+                  where=live)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    # the phase a_pq / |a_pq| part by part: a complex division would form 1 / |a_pq|, which
+    # overflows for a subnormal |a_pq|
+    phase = np.zeros(mag.shape, dtype=np.complex128)
+    np.divide(apq.real, mag, out=phase.real, where=live)
+    np.divide(apq.imag, mag, out=phase.imag, where=live)
+    s = t * c * phase
+    conj = s.conj()
+    return np.concatenate((unit, c, -conj, s, -s, conj), axis=-1), live
+
+
+def _sweep(a: np.ndarray, v: np.ndarray, rounds) -> tuple:
+    """One pass of the round-robin schedule over a and its eigenvector estimate v. Each
+    round annihilates its disjoint pairs at once by J, the identity carrying one rotation
+    block per pair; rounds apply two at a time, as a <- W* a W, v <- v W with W = J1 J2:
+    J1's rotations come from a, and J2's from the entries of J1* a J1 they need, formed
+    from a as four-term sums. W is sparse, so a block costs the three dense products of
+    one round, and a sweep of n - 1 rounds (n for odd n) about n/2 blocks. The last round
+    applied has its pairs zeroed. Returns a symmetrized, and v.
 
     rounds is _rounds(n). Per-pair values are gathered from, and put into, the flat last
-    axis of a and J, so that a single matrix and a stack take the same numpy calls."""
+    axis of a and W, so that a single matrix and a stack take the same numpy calls."""
     flat = a.shape[:-2] + (-1,)
-    for gather, put in rounds:
-        h = len(gather) // 3
-        g = a.reshape(flat)[..., gather]
-        apq = g[..., :h]
-        mag = np.abs(apq)
-        live = mag != 0.0
-        if not live.any():
+    unit = np.zeros(a.shape[:-2] + (2,))
+    unit[..., 0] = 1.0
+    for gather, terms, left, right, put, w_left, w_right, zero in rounds:
+        first, live = _rotation(a.reshape(flat)[..., gather], unit)
+        # a sweep's odd last round is alone: J2 = I, whose diagonal slots all read unit's 1
+        second, live2 = unit, live[..., :0]
+        if len(terms):
+            parts = first[..., left] * first[..., right] * a.reshape(flat)[..., terms]
+            second, live2 = _rotation(parts.reshape(flat[:-1] + (4, -1)).sum(axis=-2), unit)
+        if not (live.any() or live2.any()):
             continue
-        # t = sign(tau) / (|tau| + hypot(1, tau)) for tau = d / 2|a_pq|, multiplied
-        # through by 2|a_pq| so that a tiny |a_pq| cannot overflow tau
-        d = g[..., 2 * h:].real - g[..., h:2 * h].real
-        t = np.divide(np.copysign(2.0 * mag, d), np.abs(d) + np.hypot(d, 2.0 * mag),
-                      out=np.zeros(mag.shape), where=live)
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c * np.divide(apq, mag, out=np.zeros(mag.shape, dtype=np.complex128),
-                              where=live)
-        j = eye.copy()
-        j.reshape(flat)[..., put] = np.concatenate((s, -s.conj(), c, c), axis=-1)
-        a = j.conj().swapaxes(-1, -2) @ a @ j
-        a.reshape(flat)[..., put[:2 * h]] = 0.0
-        v = v @ j
+        w = np.zeros(a.shape, dtype=np.complex128)
+        w.reshape(flat)[..., put] = second[..., w_left] * first[..., w_right]
+        a = w.conj().swapaxes(-1, -2) @ a @ w
+        a.reshape(flat)[..., zero] = 0.0
+        v = v @ w
     return (a + a.conj().swapaxes(-1, -2)) / 2.0, v
 
 
-def _sweep_until(a, v, limit, sweeps, eye, rounds, e, threshold) -> tuple:
+def _sweep_until(a, v, limit, sweeps, rounds, e, threshold) -> tuple:
     """Sweep a and v, one matrix or a stack, until each member's off-diagonal norm is at
-    most its entry of limit; sweeps holds the sweeps each member has had so far, and eye
-    is the identity in a's shape. A member that meets its limit is set aside untouched.
+    most its entry of limit; sweeps holds the sweeps each member has had so far. A member
+    that meets its limit is set aside untouched.
     Returns a, v, sweeps and the off-diagonal norms, in member order.
 
     Raises ConvergenceFailure, naming the member, at a NaN off-diagonal norm, or when a
@@ -282,8 +351,8 @@ def _sweep_until(a, v, limit, sweeps, eye, rounds, e, threshold) -> tuple:
                 f"{JACOBI_MAX_SWEEPS})"))
         if any(done):  # a stack's converged members; a single matrix has left the loop
             parked.append((ids[done], a[done], v[done], sweeps[done], off[done]))
-            ids, a, v, sweeps, limit, eye = (x[~done] for x in (ids, a, v, sweeps, limit, eye))
-        a, v = _sweep(a, v, eye, rounds)
+            ids, a, v, sweeps, limit = (x[~done] for x in (ids, a, v, sweeps, limit))
+        a, v = _sweep(a, v, rounds)
         sweeps = sweeps + 1
     if parked:  # put the stack back in member order
         ids, a, v, sweeps, off = (np.concatenate(x)
@@ -396,8 +465,8 @@ def _jacobi(a: np.ndarray) -> tuple:
     rounds = _rounds(n)
     eye = np.eye(n, dtype=np.complex128) + np.zeros(a.shape, dtype=np.complex128)
     loose = np.ldexp(_LOOSE_OFF_TOL * np.maximum(1.0, largest), -e)
-    rotated, v, sweeps, off = _sweep_until(a, eye.copy(), loose, np.zeros(len(e), dtype=int),
-                                           eye, rounds, e, threshold)
+    rotated, v, sweeps, off = _sweep_until(a, eye, loose, np.zeros(len(e), dtype=int), rounds,
+                                           e, threshold)
     r = _orthonormality(a, v)
     refine = ~(off <= tight)
     if any(refine):
@@ -409,7 +478,7 @@ def _jacobi(a: np.ndarray) -> tuple:
         rotated[at], v[at] = s[kept], x[kept]
         swept = sweeps
         rotated, v, sweeps, _ = _sweep_until(rotated.reshape(a.shape), v.reshape(a.shape),
-                                             tight, sweeps, eye, rounds, e, threshold)
+                                             tight, sweeps, rounds, e, threshold)
         if any(sweeps > swept):  # the rest are as refined, and have met the bound above
             _orthonormality(a, v)
     ids = np.arange(len(e))

@@ -43,8 +43,11 @@ from hvsim.linalg import (
     MEET_TOL_MAX,
     PROJECTOR_TOL,
     _jacobi,
+    _off_norm,
     _pair_meets,
     _round_robin,
+    _rounds,
+    _sweep,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -133,6 +136,82 @@ def test_round_robin_rounds_are_disjoint_and_a_sweep_holds_each_pair_once(n):
         assert np.all(p < q) and np.all(q < n)  # the dummy index n of odd n never appears
         swept += zip(p.tolist(), q.tolist())
     assert sorted(swept) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+@pytest.mark.parametrize("n", [*range(2, 10), 48])
+def test_a_sweep_applies_its_rounds_in_pairs_with_no_repeated_position(n):
+    # one block per two rounds and one for an odd last round; the put of W = J1 J2 names
+    # each position once, also around an odd n's idle index
+    blocks = _rounds(n)
+    assert len(blocks) == (len(_round_robin(n)) + 1) // 2
+    for block in blocks:
+        put = block[4]  # the positions of W
+        assert len(np.unique(put)) == len(put) <= 4 * n
+
+
+def _one_round_per_product_sweep(a: np.ndarray, v: np.ndarray) -> tuple:
+    """A sweep that applies each round by its own three dense products, J* a J and v J, its
+    rotations gathered from the matrix the previous round left: the paired sweep's oracle.
+    The phase a_pq / |a_pq| is divided part by part, as _rotation divides it, since the
+    members that converge first reach subnormal couplings while the others sweep on."""
+    n = a.shape[-1]
+    flat = a.shape[:-2] + (-1,)
+    eye = np.eye(n, dtype=np.complex128) + np.zeros(a.shape, dtype=np.complex128)
+    for p, q in _round_robin(n):
+        h = len(p)
+        pq, qp, pp, qq = p * n + q, q * n + p, p * (n + 1), q * (n + 1)
+        g = a.reshape(flat)[..., np.concatenate((pq, pp, qq))]
+        apq = g[..., :h]
+        mag = np.abs(apq)
+        live = mag != 0.0
+        if not live.any():
+            continue
+        d = g[..., 2 * h:].real - g[..., h:2 * h].real
+        t = np.divide(np.copysign(2.0 * mag, d), np.abs(d) + np.hypot(d, 2.0 * mag),
+                      out=np.zeros(mag.shape), where=live)
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        phase = np.zeros(mag.shape, dtype=np.complex128)
+        np.divide(apq.real, mag, out=phase.real, where=live)
+        np.divide(apq.imag, mag, out=phase.imag, where=live)
+        s = t * c * phase
+        j = eye.copy()
+        j.reshape(flat)[..., np.concatenate((pq, qp, pp, qq))] = np.concatenate(
+            (s, -s.conj(), c, c), axis=-1)
+        a = j.conj().swapaxes(-1, -2) @ a @ j
+        a.reshape(flat)[..., np.concatenate((pq, qp))] = 0.0
+        v = v @ j
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0, v
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    stacked=st.booleans(),
+    blocks=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_paired_sweep_agrees_with_one_round_per_product(n, stacked, blocks, seed):
+    # each member is block diagonal over a random partition of the indices into up to three
+    # classes, so that rounds hold pairs that are exactly 0, and scaled to max|a| = 1 as
+    # _jacobi scales; every sweep starts both from the paired sweep's last result
+    rng = np.random.default_rng(seed)
+    members = []
+    for _ in range(3 if stacked else 1):
+        a = rand_hermitian(rng, n)
+        label = rng.integers(blocks, size=n)
+        a[label[:, None] != label] = 0.0
+        members.append(a / max_abs(a))
+    a = np.stack(members) if stacked else members[0]
+    v = np.eye(n, dtype=np.complex128) + np.zeros(a.shape, dtype=np.complex128)
+    tol = 4.0 * n * np.finfo(float).eps  # times max|a| = 1
+    for _ in range(20):
+        want_a, want_v = _one_round_per_product_sweep(a, v)
+        a, v = _sweep(a, v, _rounds(n))
+        assert max_abs(a - want_a) <= tol
+        assert max_abs(v - want_v) <= tol
+        assert np.max(np.abs(_off_norm(a) - _off_norm(want_a))) <= tol
+        if np.all(_off_norm(a) <= JACOBI_OFF_TOL):
+            break
 
 
 def test_jacobi_on_diagonal_input_only_sorts():
@@ -591,6 +670,51 @@ def test_jacobi_rotates_entries_near_the_float64_limit():
     assert dec.eigenvalues == pytest.approx([-np.sqrt(113) * 1e307, np.sqrt(113) * 1e307])
     # and symmetrizing a diagonal of 1.7e308 overflows unless each half is taken first
     assert eigh(np.diag([1.7e308, -1.7e308])).eigenvalues.tolist() == [-1.7e308, 1.7e308]
+
+
+def _weyl_tol(a: np.ndarray) -> float:
+    """How far the solver's eigenvalues may lie from numpy's: its stopping off-norm plus a
+    few ulps of n |A|_2 <= n**2 max|A| per product, as in the property test above."""
+    n, largest = len(a), max_abs(a)
+    return JACOBI_OFF_TOL * max(1.0, largest) + 100.0 * n * n * np.finfo(float).eps * largest
+
+
+@pytest.mark.parametrize("z", [1e-310 * (1 + 1j), 1e-310, 1e-310j, 2e-308 * (1 + 1j)])
+def test_eigh_rotates_a_subnormal_coupling(z):
+    # each coupling is subnormal once scaled by 2**-3 into max|a| < 1; dividing a_pq by
+    # |a_pq| as complex numbers forms 1 / |a_pq|, which overflows, and the solve failed
+    # with an off-diagonal norm of nan
+    a = np.array([[1, 0.5, 0, 0], [0.5, 2, 0, 0], [0, 0, 3, z], [0, 0, np.conj(z), 4]],
+                 dtype=complex)
+    dec = eigh(a)
+    assert dec.ranks == (1, 1, 1, 1)
+    assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(a))) <= _weyl_tol(a)
+
+
+# binary exponents of matrix entries: the subnormal range, just above it, mid-range, near 1,
+# and the largest the test draws; beside an entry of exponent 0, one of exponent -1050 is a
+# subnormal coupling
+ENTRY_EXPONENTS = (-1074, -1060, -1050, -1030, -1022, -1000, -500, -1, 0, 1, 500, 1018)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    exponents=st.lists(st.one_of(st.sampled_from(ENTRY_EXPONENTS), st.integers(-1074, 1018)),
+                       min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eigh_agrees_with_numpy_on_entries_from_subnormal_to_1e307(n, exponents, seed):
+    # each entry pair a complex normal times 2**e, e drawn per entry from the example's
+    # exponents: subnormal (2**-1074 is the least) up to about 1e307 (2**1018 times a
+    # normal draw), mixed within one matrix; no RuntimeWarning may be raised
+    rng = np.random.default_rng(seed)
+    e = rng.choice(exponents, size=(n, n))
+    a = rand_hermitian(rng, n, 1.0) * np.ldexp(1.0, np.triu(e) + np.triu(e, 1).T)
+    dec = eigh(a)
+    # each cluster's mean lies within its span, at most n cluster_tol, of each member
+    expanded = np.repeat(dec.eigenvalues, dec.ranks)
+    assert np.max(np.abs(expanded - np.linalg.eigvalsh(a))) <= _weyl_tol(a) + CLUSTER_TOL * n
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -19,14 +19,17 @@ planned_operator(default_rng(n), n) with n - n // 4 distinct eigenvalues, as
 the cli-reports benchmark workload decomposes; and a chained one, U diag(w) U*
 with U from default_rng(2000 + n), w spread over (-3, 3) and its four lowest
 1e-9 apart. A solver row's sweeps column holds the sweeps _jacobi used on each
-input; a planned or chained row's restarts column counts the refinements of its
+input, and its products_per_sweep column the dense n x n products one sweep
+makes, three per entry of linalg._rounds(n) (null for a checkout without it); a
+planned or chained row's restarts column counts the refinements of its
 operator's solve that missed the orthonormality bound (null for a checkout
 without refinement).
 The process keeps to one CPU and one BLAS thread, as the benchmark does.
 
 The *_ms columns compare only within one run: on a shared host two runs of the
 same checkout, minutes apart, can differ by more than a change does. Only the
-sweeps and restarts columns compare across runs, and so across checkouts.
+sweeps, products_per_sweep and restarts columns are counts, which compare
+across runs, and so across checkouts.
 """
 
 from __future__ import annotations
@@ -113,11 +116,19 @@ def restarts(linalg, a: np.ndarray) -> int | None:
     return int(sum(missed))
 
 
+def products_per_sweep(linalg, n: int) -> int | None:
+    """Dense n x n products in one sweep: a <- J* a J and v <- v J, three per entry of
+    _rounds(n), which holds one per round or one per pair of rounds; None for a checkout
+    without _rounds."""
+    return 3 * len(linalg._rounds(n)) if hasattr(linalg, "_rounds") else None
+
+
 def solver_row(hvsim, matrices) -> dict:
     linalg = hvsim.linalg
     decs = [hvsim.eigh(a) for a in matrices]
     return {
         "reps": len(matrices),
+        "products_per_sweep": products_per_sweep(linalg, len(matrices[0])),
         "jacobi_ms": median_ms(linalg._jacobi, [(a,) for a in matrices]),
         "eigh_ms": median_ms(hvsim.eigh, [(a,) for a in matrices]),
         "validate_ms": median_ms(hvsim.SpectralDecomposition,
