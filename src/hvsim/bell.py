@@ -10,6 +10,7 @@ identity. Commuting projectors admit such propositions constructively via a join
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -28,7 +29,7 @@ from .linalg import (
     _readonly,
     max_abs,
 )
-from .quantum import SNAP_TOL, PureState, spectral_projector
+from .quantum import SNAP_TOL, PureState, _event_projectors, spectral_projector
 from .hidden import Proposition, _check_cuts, _fiber_partition
 
 SECTOR_SNAP_TOL = 1e-6
@@ -204,6 +205,14 @@ def _commutation(projectors: dict[str, np.ndarray], tol: float) -> dict[tuple[st
     return {(a, b): _commutes(p, q, tol) for (a, p), (b, q) in combinations(projectors.items(), 2)}
 
 
+@lru_cache(maxsize=8)
+def _sector_events(count: int) -> tuple[BorelSet, ...]:
+    """For k < count, the labels 0..2^count - 1 with bit k set, as a set of points. Kept per
+    count, so the propositions of every joint sector solve of one size share these sets."""
+    return tuple(BorelSet.points([float(m) for m in range(2**count) if m & (1 << k)])
+                 for k in range(count))
+
+
 def _joint_sectors(
     projectors: dict[str, np.ndarray], commuting: dict, sector_snap_tol: float
 ) -> list:
@@ -216,8 +225,7 @@ def _joint_sectors(
         if not ok:
             raise NotCommuting(f"{a} and {b} do not commute")
     n_labels = 2 ** len(projectors)
-    events = [BorelSet.points([float(m) for m in range(n_labels) if m & (1 << k)])
-              for k in range(len(projectors))]
+    events = _sector_events(len(projectors))
     raws, vecs = _jacobi(sum((2.0**k) * p for k, p in enumerate(projectors.values())))
     n = raws.shape[-1]
     members = []
@@ -271,6 +279,16 @@ def common_refinement_quadruple(
     return PropositionQuadruple(*_joint_sectors(named, commuting, sector_snap_tol))
 
 
+@lru_cache(maxsize=128)
+def _boolean_events(a: BorelSet, b: BorelSet) -> tuple[BorelSet, ...]:
+    """A, B, A', B', then S & T and then S | T for S in (A, A') and T in (B, B'), row-major.
+    Kept per pair: the same pairs recur (joint propositions all carry _sector_events), and a
+    BorelSet is an immutable value, so an equal key stands for equal sets."""
+    sets_a, sets_b = (a, a.complement()), (b, b.complement())
+    pairs = [(s, t) for s in sets_a for t in sets_b]
+    return (a, b, sets_a[1], sets_b[1], *(s & t for s, t in pairs), *(s | t for s, t in pairs))
+
+
 def check_boolean_homomorphism(
     a: Proposition,
     b: Proposition,
@@ -283,28 +301,17 @@ def check_boolean_homomorphism(
     mapped projectors, every pairwise union to the join, and complements to
     orthocomplements. The projectors come from one validated backing, so they
     commute and their meets are products, and the joins I minus products of
-    complements.
+    complements. The twelve event sets are derived once per pair of Borel sets, and
+    their projectors come from one classification of the backing's eigenvalues.
     """
     if not _same_backing(a.backing, b.backing):
         raise BackingMismatch("propositions do not share a backing")
-    dec = a.backing
-    eye = np.eye(dec.dim)
-
-    def eps(events: BorelSet) -> np.ndarray:
-        return spectral_projector(dec, events, snap_tol)
-
-    ea = eps(a.borel)
-    eb = eps(b.borel)
-    es = (ea, eye - ea)
-    fs = (eb, eye - eb)
-    sets_a = (a.borel, a.borel.complement())
-    sets_b = (b.borel, b.borel.complement())
-
-    residuals = []
-    for i, set_a in enumerate(sets_a):
-        for j, set_b in enumerate(sets_b):
-            residuals.append(max_abs(eps(set_a & set_b) - es[i] @ fs[j]))
-            residuals.append(max_abs(eps(set_a | set_b) - (eye - es[1 - i] @ fs[1 - j])))
-    residuals.append(max_abs(eps(sets_a[1]) - es[1]))
-    residuals.append(max_abs(eps(sets_b[1]) - fs[1]))
-    return max(residuals) <= tol
+    n = a.backing.dim
+    eye = np.eye(n)
+    p = _event_projectors(a.backing, _boolean_events(a.borel, b.borel), snap_tol)
+    complements = eye - p[:2]
+    es, fs = np.stack([p[:2], complements], axis=1)
+    meets = (es[:, None] @ fs[None, :]).reshape(4, n, n)
+    # the join of S and T is I minus the meet of their complements, the reversed meet
+    want = np.concatenate([complements, meets, eye - meets[::-1]])
+    return max_abs(p[2:] - want) <= tol

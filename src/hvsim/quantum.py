@@ -70,6 +70,21 @@ def spectral_projector(
     return _readonly(out)
 
 
+def _event_projectors(
+    dec: SpectralDecomposition, events, snap_tol: float = SNAP_TOL
+) -> np.ndarray:
+    """(k, n, n) stack of spectral_projector(dec, e, snap_tol) for the k events e.
+
+    Each eigenvalue is classified against each event by spectral_projector's rule, and the
+    (k, m) 0/1 mask times the m flattened projectors gives every sum in one product; BLAS
+    adds each selected projector in eigenvalue order, as the loop does. For one event the
+    loop is cheaper."""
+    lams = [float(lam) for lam in dec.eigenvalues]
+    mask = np.array([[e.contains(lam, snap_tol) for lam in lams] for e in events], dtype=np.float64)
+    n = dec.dim
+    return (mask @ dec.projectors.reshape(len(lams), n * n)).reshape(-1, n, n)
+
+
 def prob(
     dec: SpectralDecomposition,
     state: PureState,

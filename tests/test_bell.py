@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     rand_borel,
@@ -37,7 +39,9 @@ from hvsim import (
     proposition_from,
     proposition_projector,
 )
-from hvsim.bell import SECTOR_SNAP_TOL, _chsh_combination, _joint_sectors
+from hvsim.bell import (SECTOR_SNAP_TOL, _boolean_events, _chsh_combination, _joint_sectors,
+                        _sector_events)
+from hvsim.quantum import SNAP_TOL, spectral_projector
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -301,17 +305,16 @@ def test_boolean_homomorphism_disjoint_events():
     assert max_abs(proposition_projector(Proposition(dec, a.borel & b.borel))) == 0.0
 
 
-def test_boolean_homomorphism_fails_when_snapping_puts_an_eigenvalue_in_both_sets():
+def _snapped_pair() -> tuple[Proposition, Proposition]:
     # 1 + 7e-10 snaps into [0, 1] and into [1 + 1.5e-9, 2], whose intersection is empty,
     # so the product of the two projectors is not the projector of the intersection
     dec = eigh(np.diag([1.0 + 7e-10, 5.0]).astype(complex))
     a = proposition_from(dec, BorelSet.interval(0.0, 1.0, True, True))
     b = proposition_from(dec, BorelSet.interval(1.0 + 1.5e-9, 2.0, True, True))
-    assert (a.borel & b.borel).is_empty
-    assert not check_boolean_homomorphism(a, b)
+    return a, b
 
 
-def test_boolean_homomorphism_that_holds_returns_true_whatever_the_commutator():
+def _tilted_points() -> tuple[Proposition, Proposition]:
     # the public constructor accepts e0 e0*, v v*, e2 e2* with v 5e-9 off e1: the projectors
     # of points 0 and 1 then commute only to about 5e-9, above the default commute_tol 1e-9,
     # yet every meet and join residual is within the default tol 1e-8
@@ -319,9 +322,89 @@ def test_boolean_homomorphism_that_holds_returns_true_whatever_the_commutator():
     e = np.eye(3)
     prs = np.array([np.outer(e[0], e[0]), np.outer(v, v), np.outer(e[2], e[2])])
     dec = SpectralDecomposition(np.array([0.0, 1.0, 2.0]), prs)
-    a, b = Proposition(dec, BorelSet.point(0.0)), Proposition(dec, BorelSet.point(1.0))
+    return Proposition(dec, BorelSet.point(0.0)), Proposition(dec, BorelSet.point(1.0))
+
+
+def test_boolean_homomorphism_fails_when_snapping_puts_an_eigenvalue_in_both_sets():
+    a, b = _snapped_pair()
+    assert (a.borel & b.borel).is_empty
+    assert not check_boolean_homomorphism(a, b)
+
+
+def test_boolean_homomorphism_that_holds_returns_true_whatever_the_commutator():
+    a, b = _tilted_points()
     assert not commutes(proposition_projector(a), proposition_projector(b))
     assert check_boolean_homomorphism(a, b)
+
+
+def _loop_residual(a: Proposition, b: Proposition) -> float:
+    """The largest meet, join and complement residual of two propositions, from one
+    spectral_projector call and one 2-D product per event set: the reference for the
+    check's stacked form, which must give the same float."""
+    dec = a.backing
+    eye = np.eye(dec.dim)
+
+    def eps(events: BorelSet) -> np.ndarray:
+        return spectral_projector(dec, events, SNAP_TOL)
+
+    ea, eb = eps(a.borel), eps(b.borel)
+    es, fs = (ea, eye - ea), (eb, eye - eb)
+    sets_a, sets_b = (a.borel, a.borel.complement()), (b.borel, b.borel.complement())
+    residuals = []
+    for i, set_a in enumerate(sets_a):
+        for j, set_b in enumerate(sets_b):
+            residuals.append(max_abs(eps(set_a & set_b) - es[i] @ fs[j]))
+            residuals.append(max_abs(eps(set_a | set_b) - (eye - es[1 - i] @ fs[1 - j])))
+    residuals.append(max_abs(eps(sets_a[1]) - es[1]))
+    residuals.append(max_abs(eps(sets_b[1]) - fs[1]))
+    return max(residuals)
+
+
+def _pinned_cases():
+    rng = np.random.default_rng(163)
+    for n in range(2, 17):
+        yield joint_propositions(*rand_commuting_projectors(rng, n))
+        # a pair 1e-11 off commuting, which commute_tol 1e-8 admits
+        e, f = rand_commuting_projectors(rng, n)
+        d = 1e-11 * rand_hermitian(rng, n)
+        yield joint_propositions(e + (d + d.conj().T) / 2, f, commute_tol=1e-8)
+    yield _snapped_pair()
+    yield _tilted_points()
+
+
+def test_boolean_homomorphism_decides_at_the_loop_residual_exactly():
+    # the check holds at tol = r and fails one float below, so its residual is r to the bit
+    positive = 0
+    for a, b in _pinned_cases():
+        r = _loop_residual(a, b)
+        assert check_boolean_homomorphism(a, b, tol=r)
+        if r > 0:
+            positive += 1
+            assert not check_boolean_homomorphism(a, b, tol=np.nextafter(r, 0))
+    assert positive > 30
+
+
+def test_boolean_event_sets_equal_a_fresh_construction_and_are_kept():
+    rng = np.random.default_rng(167)
+    for a, b in [(rand_borel(rng), rand_borel(rng)) for _ in range(5)] + [
+            (BorelSet.empty(), BorelSet.reals()), (BorelSet.point(1.0), BorelSet.point(1.0))]:
+        sets_a, sets_b = (a, ~a), (b, ~b)
+        pairs = [(s, t) for s in sets_a for t in sets_b]
+        fresh = (a, b, ~a, ~b, *(s & t for s, t in pairs), *(s | t for s, t in pairs))
+        got = _boolean_events(a, b)
+        assert got == fresh
+        # an equal key built anew finds the same sets
+        assert _boolean_events(BorelSet(a.intervals), BorelSet(b.intervals)) is got
+    for count in (1, 2, 4):
+        fresh = tuple(BorelSet.points([float(m) for m in range(2**count) if m & (1 << k)])
+                      for k in range(count))
+        assert _sector_events(count) == fresh
+        assert _sector_events(count) is _sector_events(count)
+    # so every pair of joint propositions carries the same two event sets
+    e, f = rand_commuting_projectors(rng, 4)
+    g, h = rand_commuting_projectors(rng, 8)
+    for p, q in zip(joint_propositions(e, f), joint_propositions(g, h)):
+        assert p.borel is q.borel
 
 
 def test_boolean_homomorphism_requires_shared_backing():
@@ -392,3 +475,19 @@ def test_fiber_functions_cells_at_near_eigenstates(seed):
             assert functions.pointwise_identity_holds()
             terms = chsh_terms(ChshConfig(*projectors, h))
             assert max_abs(functions.integrals() - terms) < 1e-9
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(n=st.sampled_from([4, 8]), seed=st.integers(0, 2**32 - 1))
+def test_fiber_integrals_equal_chsh_terms_on_shared_backing_quadruples(n, seed):
+    rng = np.random.default_rng(seed)
+    u = rand_unitary(rng, n)
+    projectors = [(u * b) @ u.conj().T for b in rng.integers(0, 2, size=(4, n))]
+    quad = common_refinement_quadruple(*projectors)
+    h = rand_state(rng, n)
+    functions = fiber_chsh_functions(quad, h)
+    assert functions.pointwise_identity_holds()
+    assert max_abs(functions.integrals() - chsh_terms(ChshConfig(*projectors, h))) < 1e-9
+    for a in (quad.a1, quad.a2):
+        for b in (quad.b1, quad.b2):
+            assert check_boolean_homomorphism(a, b)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rand_borel, rand_hermitian, rand_piecewise_affine, rand_state
+from conftest import rand_borel, rand_hermitian, rand_piecewise_affine, rand_state, rand_unitary
 from hvsim import (
     BorelSet,
     DimensionMismatch,
@@ -16,6 +16,7 @@ from hvsim import (
     prob,
     spectral_projector,
 )
+from hvsim.quantum import SNAP_TOL, _event_projectors
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = PureState([1.0, 1.0])
@@ -53,6 +54,31 @@ def test_spectral_projector_extremes():
     dec = eigh(PAULI_Z)
     assert max_abs(spectral_projector(dec, BorelSet.reals()) - np.eye(2)) == 0.0
     assert max_abs(spectral_projector(dec, BorelSet.empty())) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 24, 48])
+def test_event_projectors_equal_spectral_projector_bit_for_bit(n):
+    rng = np.random.default_rng(211 + n)
+    # one simple spectrum and one with repeated eigenvalues, so projectors of rank above 1
+    u = rand_unitary(rng, n)
+    planned = (u * rng.integers(-2, 3, size=n).astype(float)) @ u.conj().T
+    for op in (rand_hermitian(rng, n), (planned + planned.conj().T) / 2):
+        dec = eigh(op)
+        lams = [float(x) for x in dec.eigenvalues]
+        events = [BorelSet.empty(), BorelSet.reals(), BorelSet.points(lams[::2]),
+                  rand_borel(rng), rand_borel(rng, avoid=lams)]
+        for lam in lams[:6]:
+            # an endpoint within snap_tol of an eigenvalue, on either side, open or closed
+            near = lam + float(rng.uniform(-0.9, 0.9)) * SNAP_TOL
+            closed = bool(rng.integers(0, 2))
+            events += [BorelSet.interval(near, near + 1.0, closed, True),
+                       BorelSet.interval(near - 1.0, near, True, closed),
+                       BorelSet.point(near)]
+        got = _event_projectors(dec, events)
+        assert got.shape == (len(events), n, n) and got.dtype == np.complex128
+        for g, e in zip(got, events):
+            want = spectral_projector(dec, e)
+            np.testing.assert_array_equal(g.view(np.int64), want.view(np.int64))
 
 
 def test_spectral_projector_halfline_on_z():
