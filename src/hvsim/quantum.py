@@ -63,26 +63,25 @@ def spectral_projector(
     Eigenvalues within snap_tol (default 1e-9) of a finite interval endpoint
     are treated as lying exactly on it, so the endpoint flag decides.
     """
-    out = np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    for lam, proj in zip(dec.eigenvalues, dec.projectors):
-        if events.contains(float(lam), snap_tol):
-            out += proj
-    return _readonly(out)
+    return _readonly(_event_projectors(dec, (events,), snap_tol)[0])
 
 
 def _event_projectors(
     dec: SpectralDecomposition, events, snap_tol: float = SNAP_TOL
 ) -> np.ndarray:
-    """(k, n, n) stack of spectral_projector(dec, e, snap_tol) for the k events e.
+    """(k, n, n) stack of the sums of the spectral projectors whose eigenvalues lie in each
+    of the k events.
 
-    Each eigenvalue is classified against each event by spectral_projector's rule, and the
-    (k, m) 0/1 mask times the m flattened projectors gives every sum in one product; BLAS
-    adds each selected projector in eigenvalue order, as the loop does. For one event the
-    loop is cheaper."""
-    lams = [float(lam) for lam in dec.eigenvalues]
-    mask = np.array([[e.contains(lam, snap_tol) for lam in lams] for e in events], dtype=np.float64)
-    n = dec.dim
-    return (mask @ dec.projectors.reshape(len(lams), n * n)).reshape(-1, n, n)
+    Each eigenvalue is classified against each event, and the (k, m) 0/1 mask times the m
+    flattened projectors gives every sum in one matrix product, whose products by 0 and 1
+    are exact. The mask has at least two rows, so one event takes the same matrix product
+    as many: numpy would take a one-row product as a matrix-vector product, which BLAS
+    may add in another order."""
+    lams = dec.eigenvalues.tolist()
+    k, n = len(events), dec.dim
+    mask = np.zeros((max(k, 2), len(lams)), dtype=np.complex128)
+    mask[:k] = [[e.contains(lam, snap_tol) for lam in lams] for e in events]
+    return (mask @ dec.projectors.reshape(len(lams), n * n))[:k].reshape(k, n, n)
 
 
 def prob(

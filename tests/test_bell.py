@@ -340,7 +340,12 @@ def test_boolean_homomorphism_that_holds_returns_true_whatever_the_commutator():
 def _loop_residual(a: Proposition, b: Proposition) -> float:
     """The largest meet, join and complement residual of two propositions, from one
     spectral_projector call and one 2-D product per event set: the reference for the
-    check's stacked form, which must give the same float."""
+    check's stacked form, which must give the same float.
+
+    Both forms take their projectors from the same masked matrix product and their meets
+    from the same gemm, one call per pair of matrices. So they agree to the bit wherever a
+    gemm's entries do not depend on how many rows it is given, as with OpenBLAS 0.3.31's
+    SkylakeX, Haswell, Sandybridge and Katmai kernels, on which this was run."""
     dec = a.backing
     eye = np.eye(dec.dim)
 

@@ -77,8 +77,13 @@ def test_event_projectors_equal_spectral_projector_bit_for_bit(n):
         got = _event_projectors(dec, events)
         assert got.shape == (len(events), n, n) and got.dtype == np.complex128
         for g, e in zip(got, events):
+            # one event takes the same matrix product as many, so the bits agree wherever
+            # a gemm adds each entry's terms in an order that does not depend on the row count
             want = spectral_projector(dec, e)
             np.testing.assert_array_equal(g.view(np.int64), want.view(np.int64))
+            # the sum itself, in whatever order BLAS adds it
+            chosen = [p for lam, p in zip(lams, dec.projectors) if e.contains(lam, SNAP_TOL)]
+            np.testing.assert_allclose(want, sum(chosen, np.zeros((n, n))), rtol=0, atol=1e-13)
 
 
 def test_spectral_projector_halfline_on_z():
