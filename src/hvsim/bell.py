@@ -29,7 +29,7 @@ from .linalg import (
     _readonly,
     max_abs,
 )
-from .quantum import SNAP_TOL, PureState, _event_projectors, spectral_projector
+from .quantum import SNAP_TOL, PureState, _event_projectors
 from .hidden import Proposition, _check_cuts, _fiber_partition
 
 SECTOR_SNAP_TOL = 1e-6
@@ -131,10 +131,8 @@ class PropositionQuadruple:
         return self.a1.backing
 
     def projectors(self, snap_tol: float = SNAP_TOL) -> tuple[np.ndarray, ...]:
-        return tuple(
-            spectral_projector(p.backing, p.borel, snap_tol)
-            for p in (self.a1, self.a2, self.b1, self.b2)
-        )
+        events = [p.borel for p in (self.a1, self.a2, self.b1, self.b2)]
+        return tuple(_readonly(_event_projectors(self.backing, events, snap_tol)))
 
     def config(self, state: PureState, snap_tol: float = SNAP_TOL) -> ChshConfig:
         e1, e2, f1, f2 = self.projectors(snap_tol)

@@ -58,7 +58,7 @@ from .linalg import (
     ensure_projector,
     max_abs,
 )
-from .quantum import SNAP_TOL, PureState, functional_calculus, prob
+from .quantum import SNAP_TOL, PureState, _event_projectors, _quadratic_prob, functional_calculus, prob
 
 # the ProblemFile table a name key refers to; the other keys (operator, e1..f2) name operators
 _TABLES = {"state": "states", "borel": "borel_sets", "function": "functions"}
@@ -351,7 +351,8 @@ def run_quantile(problem: ProblemFile, operator: str, state: str) -> dict:
     dec = _decompose(problem, operator)
     h = problem.states[state]
     q = quantile_function(dec, h, weight_floor=tol.weight_floor)
-    atom_probs = [prob(dec, h, BorelSet.point(float(v)), snap_tol=tol.snap_tol) for v in q.values]
+    atoms = _event_projectors(dec, [BorelSet.point(float(v)) for v in q.values], tol.snap_tol)
+    atom_probs = [_quadratic_prob(e, h.vector) for e in atoms]
     defect = max(abs(float(l) - p) for l, p in zip(q.lengths(), atom_probs))
     return {
         "cuts": _floats(q.cuts),

@@ -17,7 +17,7 @@ import numpy as np
 from .borel import BorelSet, Interval, PiecewiseAffineFunction, compose_functions, preimage
 from .errors import DimensionMismatch, OutOfDomain
 from .linalg import SpectralDecomposition, _readonly, max_abs
-from .quantum import RAY_TOL, SNAP_TOL, PureState, spectral_projector
+from .quantum import RAY_TOL, SNAP_TOL, PureState, _event_projectors, spectral_projector
 
 WEIGHT_FLOOR = 1e-12
 # how far a sample report's empirical frequencies may sum from 1
@@ -189,20 +189,17 @@ def fiber_subset(
 def reduced_operator(obs: ClassicalObservable, snap_tol: float = SNAP_TOL) -> np.ndarray:
     """The self-adjoint operator an observable reduces to.
 
-    Rebuilt from threshold propositions: for each possible outcome u, the
-    projector of the proposition "outcome <= u" is accumulated, and the
-    operator is the sum of outcomes times the projector jumps. Round trip:
-    an observable with no post map reduces to its backing operator, and a
-    post map lands on the functional calculus of the backing.
+    Rebuilt from threshold propositions: one masked product gives the projectors of
+    "outcome <= u" (of its preimage under a post map) for every outcome u, and the
+    operator is the sum of outcomes times the projector jumps, in outcome order. Round
+    trip: no post map reduces to the backing operator, a post map to its functional calculus.
     """
     outcomes = obs.outcome_values()
-    dim = obs.dim
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    prev = np.zeros((dim, dim), dtype=np.complex128)
-    for u in outcomes:
-        below = BorelSet.at_most(float(u))
-        events = below if obs.post is None else preimage(obs.post, below)
-        e_u = spectral_projector(obs.backing, events, snap_tol)
+    below = [BorelSet.at_most(float(u)) for u in outcomes]
+    events = below if obs.post is None else [preimage(obs.post, b) for b in below]
+    total = np.zeros((obs.dim, obs.dim), dtype=np.complex128)
+    prev = 0
+    for u, e_u in zip(outcomes, _event_projectors(obs.backing, events, snap_tol)):
         total += float(u) * (e_u - prev)
         prev = e_u
     return _readonly(total)

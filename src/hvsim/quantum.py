@@ -74,9 +74,9 @@ def _event_projectors(
 
     Each eigenvalue is classified against each event, and the (k, m) 0/1 mask times the m
     flattened projectors gives every sum in one matrix product, whose products by 0 and 1
-    are exact. The mask has at least two rows, so one event takes the same matrix product
-    as many: numpy would take a one-row product as a matrix-vector product, which BLAS
-    may add in another order."""
+    are exact. The mask has at least two rows, so one event takes a matrix product, not the
+    matrix-vector product numpy takes for one row; a row's bits may still depend on the row
+    count (OpenBLAS 0.3.31: not on SkylakeX, Haswell, Katmai; they do on Sandybridge)."""
     lams = dec.eigenvalues.tolist()
     k, n = len(events), dec.dim
     mask = np.zeros((max(k, 2), len(lams)), dtype=np.complex128)
@@ -90,12 +90,14 @@ def prob(
     events: BorelSet,
     snap_tol: float = SNAP_TOL,
 ) -> float:
-    """Probability that a measurement outcome lands in the event set:
-    <h, E h> / <h, h> for the event's spectral projector E."""
+    """Probability that a measurement outcome lands in the event set."""
     if dec.dim != state.dim:
         raise DimensionMismatch(f"operator dim {dec.dim} vs state dim {state.dim}")
-    e = spectral_projector(dec, events, snap_tol)
-    h = state.vector
+    return _quadratic_prob(spectral_projector(dec, events, snap_tol), state.vector)
+
+
+def _quadratic_prob(e: np.ndarray, h: np.ndarray) -> float:
+    """<h, E h> / <h, h> for an event's spectral projector E, clamped within PROB_CLAMP_TOL."""
     value = float(np.vdot(h, e @ h).real / np.vdot(h, h).real)
     if -PROB_CLAMP_TOL <= value < 0.0:
         return 0.0

@@ -345,7 +345,7 @@ def _loop_residual(a: Proposition, b: Proposition) -> float:
     Both forms take their projectors from the same masked matrix product and their meets
     from the same gemm, one call per pair of matrices. So they agree to the bit wherever a
     gemm's entries do not depend on how many rows it is given, as with OpenBLAS 0.3.31's
-    SkylakeX, Haswell, Sandybridge and Katmai kernels, on which this was run."""
+    SkylakeX, Haswell and Katmai kernels; with its Sandybridge kernel they do depend on it."""
     dec = a.backing
     eye = np.eye(dec.dim)
 

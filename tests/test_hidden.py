@@ -294,6 +294,38 @@ def test_reduction_matches_functional_calculus_random():
         assert max_abs(reduced_operator(obs) - functional_calculus(dec, g)) < 1e-8
 
 
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1), breaks=st.integers(0, 3),
+       spread=st.sampled_from([0.0, 3e-9]))
+def test_reduced_operator_round_trips_on_clustered_spectra(n, seed, breaks, spread):
+    # a planned spectrum of a few distinct values, so clusters of rank above 1, one of them
+    # spread over `spread` (below cluster_tol), and a post map breaking on eigenvalues, with
+    # jumps, flat pieces and reassigned breakpoint values. A breakpoint within snap_tol of an
+    # eigenvalue but not on it is not round-tripped: the preimages snap the eigenvalue onto
+    # the breakpoint, and functional_calculus does not
+    rng = np.random.default_rng(seed)
+    distinct = np.sort(rng.choice(np.arange(-6.0, 7.0), size=int(rng.integers(1, min(n, 6) + 1)),
+                                  replace=False))
+    values = np.sort(np.concatenate([distinct, rng.choice(distinct, size=n - len(distinct))]))
+    lowest = values == values[0]
+    values[lowest] += spread * rng.random(int(lowest.sum()))
+    u = rand_unitary(rng, n)
+    dec = eigh((u * values) @ u.conj().T)
+    lams = [float(x) for x in dec.eigenvalues]
+    bps = sorted(rng.choice(lams, size=min(breaks, len(lams)), replace=False))
+    pieces = [(float(rng.choice([0.0, -1.5, -0.5, 0.5, 2.0])), float(rng.uniform(-3, 3)))
+              for _ in range(len(bps) + 1)]
+    # at each breakpoint: its left limit, its right limit or a value of its own
+    at = [float(rng.choice([m * b + c for m, c in pieces[i:i + 2]] + [rng.uniform(-3, 3)]))
+          for i, b in enumerate(bps)]
+    g = PiecewiseAffineFunction(tuple(float(b) for b in bps), tuple(pieces), tuple(at))
+    tol = Tolerances().roundtrip_tol
+    obs = ClassicalObservable(dec)
+    for got, target in ((reduced_operator(obs), dec.operator()),
+                        (reduced_operator(compose(g, obs)), functional_calculus(dec, g))):
+        assert max_abs(got - target) <= tol * max(1.0, max_abs(target))
+
+
 def test_fiber_integral_examples():
     ident = PiecewiseAffineFunction.identity()
     z_obs = ClassicalObservable(eigh(PAULI_Z))

@@ -1,21 +1,35 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_borel, rand_hermitian, rand_piecewise_affine, rand_state, rand_unitary
 from hvsim import (
     BorelSet,
+    ClassicalObservable,
     DimensionMismatch,
+    Interval,
     PiecewiseAffineFunction,
+    Proposition,
+    PropositionQuadruple,
     PureState,
     cdf,
+    compose,
     eigh,
     expectation,
+    fiber_subset,
     functional_calculus,
     max_abs,
     preimage,
     prob,
+    quantile_function,
+    reduced_operator,
     spectral_projector,
 )
+from hvsim.cli import ProblemFile, Tolerances, run_quantile
+from hvsim.hidden import _fiber_partition
 from hvsim.quantum import SNAP_TOL, _event_projectors
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -78,12 +92,118 @@ def test_event_projectors_equal_spectral_projector_bit_for_bit(n):
         assert got.shape == (len(events), n, n) and got.dtype == np.complex128
         for g, e in zip(got, events):
             # one event takes the same matrix product as many, so the bits agree wherever
-            # a gemm adds each entry's terms in an order that does not depend on the row count
+            # a gemm adds each entry's terms in an order that does not depend on the row count:
+            # OpenBLAS 0.3.31's SkylakeX, Haswell and Katmai kernels do, its Sandybridge kernel
+            # does not, and there n = 48 fails
             want = spectral_projector(dec, e)
             np.testing.assert_array_equal(g.view(np.int64), want.view(np.int64))
             # the sum itself, in whatever order BLAS adds it
             chosen = [p for lam, p in zip(lams, dec.projectors) if e.contains(lam, SNAP_TOL)]
             np.testing.assert_allclose(want, sum(chosen, np.zeros((n, n))), rtol=0, atol=1e-13)
+
+
+def _reduced_operator_loop(obs: ClassicalObservable) -> np.ndarray:
+    """reduced_operator with one spectral_projector per outcome: the oracle for the bits
+    of its one _event_projectors call."""
+    dim = obs.dim
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    prev = np.zeros((dim, dim), dtype=np.complex128)
+    for u in obs.outcome_values():
+        below = BorelSet.at_most(float(u))
+        events = below if obs.post is None else preimage(obs.post, below)
+        e_u = spectral_projector(obs.backing, events, SNAP_TOL)
+        total += float(u) * (e_u - prev)
+        prev = e_u
+    return total
+
+
+def _atom_probabilities_loop(dec, state: PureState) -> list[float]:
+    """hv quantile's atom probabilities as one prob per atom: the oracle for their bits."""
+    values = quantile_function(dec, state).values
+    return [prob(dec, state, BorelSet.point(float(v)), snap_tol=SNAP_TOL) for v in values]
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 24, 48])
+def test_batched_event_callers_equal_their_per_event_loops_bit_for_bit(n):
+    # each caller's rows come from one product of many rows and the oracles' from products
+    # of two, so, as in the test above, the bits agree only on a kernel whose rows do not
+    # depend on the row count: OpenBLAS's Sandybridge kernel fails n = 5 to 48
+    rng = np.random.default_rng(401 + n)
+    u = rand_unitary(rng, n)
+    planned = (u * rng.integers(-3, 4, size=n).astype(float)) @ u.conj().T
+    for op in (rand_hermitian(rng, n), (planned + planned.conj().T) / 2):
+        dec = eigh(op)
+        lams = [float(x) for x in dec.eigenvalues]
+        # a jump and a flat piece, with the breakpoint on an eigenvalue
+        g = PiecewiseAffineFunction((lams[len(lams) // 2],), ((-0.5, 1.0), (0.0, 4.0)), (2.5,))
+        obs = ClassicalObservable(dec)
+        for o in (obs, compose(g, obs)):
+            _assert_same_bits(reduced_operator(o), _reduced_operator_loop(o))
+
+        h = rand_state(rng, n)
+        problem = ProblemFile(n, Tolerances(), {"a": op}, {"h": h}, {}, {}, [], "<test>", "")
+        got = run_quantile(problem, "a", "h")["atom_probabilities"]
+        _assert_same_bits(got, _atom_probabilities_loop(dec, h))
+
+        # the second proposition carries a bit-equal decomposition of its own
+        props = (Proposition(dec, BorelSet.points(lams[::2])),
+                 Proposition(eigh(op), rand_borel(rng)),
+                 Proposition(dec, BorelSet.at_most(lams[-1] - 0.5)),
+                 Proposition(dec, rand_borel(rng, avoid=lams)))
+        got = PropositionQuadruple(*props).projectors()
+        assert len(got) == 4 and not any(p.flags.writeable for p in got)
+        for p, prop in zip(got, props):
+            _assert_same_bits(p, spectral_projector(dec, prop.borel))
+
+
+_NEAR = (0.0, SNAP_TOL / 2, SNAP_TOL, math.nextafter(SNAP_TOL, math.inf))
+
+
+def _piece(kind: str, at: float, other: float, closed: bool) -> Interval:
+    """An open, closed, point or unbounded piece with one endpoint at `at`."""
+    lo, hi = sorted((at, other))
+    return {"open": Interval(lo, hi), "closed": Interval(lo, hi, True, True),
+            "point": Interval(at, at, True, True), "below": Interval(-math.inf, at, False, closed),
+            "above": Interval(at, math.inf, closed, False)}[kind]
+
+
+_PIECE = st.tuples(st.integers(0, 7), st.sampled_from(_NEAR), st.sampled_from((-1.0, 1.0)),
+                   st.sampled_from(("open", "closed", "point", "below", "above")),
+                   st.sampled_from(_NEAR + (0.5,)), st.sampled_from((-1.0, 1.0)), st.booleans())
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       events=st.lists(st.lists(_PIECE, min_size=1, max_size=3), min_size=1, max_size=4))
+def test_events_with_endpoints_within_snap_tol_of_eigenvalues(n, seed, events):
+    # each endpoint is an eigenvalue offset by 0, snap_tol / 2, snap_tol or just past it; an
+    # open or closed piece's other end is offset from the same eigenvalue, or 0.5 away
+    rng = np.random.default_rng(seed)
+    u = rand_unitary(rng, n)
+    dec = eigh((u * rng.integers(-4, 5, size=n).astype(float)) @ u.conj().T)
+    lams = [float(x) for x in dec.eigenvalues]
+    sets = [BorelSet(tuple(
+        _piece(kind, lams[i % len(lams)] + sign * off, lams[i % len(lams)] + other_sign * other,
+               closed)
+        for i, off, sign, kind, other, other_sign, closed in pieces)) for pieces in events]
+    h = rand_state(rng, n)
+    kept, cuts = _fiber_partition(dec.weights(h.vector))
+    for e, got in zip(sets, _event_projectors(dec, sets)):
+        chosen = [e.contains(lam, SNAP_TOL) for lam in lams]
+        want = sum((p for p, c in zip(dec.projectors, chosen) if c), np.zeros((n, n)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        # the fiber cells are those of the eigenvalues the event selects, no more and no fewer
+        subset = fiber_subset(Proposition(dec, e), h)
+        cells = [Interval(cuts[k], cuts[k + 1], False, cuts[k + 1] != 1.0)
+                 for k, m in enumerate(kept) if chosen[m]]
+        assert subset == BorelSet(tuple(cells))
+        assert abs(subset.measure() - prob(dec, h, e)) <= 1e-10
 
 
 def test_spectral_projector_halfline_on_z():
