@@ -4,7 +4,10 @@ Two couples of projectors define four correlation operators, each from the meets
 a cross pair, which one eigensolve of e + f - I gives; the CHSH combination of their
 expectations is bounded by 2 whenever the couples come from propositions over one
 shared backing, because the corresponding fiber functions satisfy a pointwise
-identity. Commuting projectors admit such propositions constructively via a joint relabeling.
+identity. Commuting projectors admit such propositions constructively via a joint
+relabeling: the spectral projectors of sum(2^k P_k) at its integer labels. A pair's four
+come from matrix products alone, as Lagrange cubics in e + 2f purified by McWeeny steps;
+a quadruple's sixteen from one eigensolve.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import BackingMismatch, DegenerateLabeling, DimensionMismatch, NotC
 from .linalg import (
     COMMUTE_TOL,
     MEET_TOL,
+    PROJECTOR_TRACE_TOL,
     SpectralDecomposition,
     _class_projectors,
     _commutes,
@@ -27,12 +31,16 @@ from .linalg import (
     _jacobi,
     _pair_meets,
     _readonly,
+    _squares,
     max_abs,
 )
 from .quantum import SNAP_TOL, PureState, _event_projectors
 from .hidden import Proposition, _check_cuts, _fiber_partition
 
 SECTOR_SNAP_TOL = 1e-6
+# the widest sector_snap_tol at which a pair's purified sectors keep the projector checks:
+# at a label drift d they are idempotent within 2187 d^4 (see _pair_sectors), 1.4e-10 here
+SECTOR_SNAP_TOL_MAX = 5e-4
 HOMOMORPHISM_TOL = 1e-8
 
 
@@ -206,39 +214,122 @@ def _commutation(projectors: dict[str, np.ndarray], tol: float) -> dict[tuple[st
 @lru_cache(maxsize=8)
 def _sector_events(count: int) -> tuple[BorelSet, ...]:
     """For k < count, the labels 0..2^count - 1 with bit k set, as a set of points. Kept per
-    count, so the propositions of every joint sector solve of one size share these sets."""
+    count, so the propositions of every joint sector build of one size share these sets."""
     return tuple(BorelSet.points([float(m) for m in range(2**count) if m & (1 << k)])
                  for k in range(count))
+
+
+# six times the Lagrange cubics on the nodes 0..3, one row per label, as coefficients of
+# 1, x, x^2 and x^3: integers, so the contraction rounds only its sums and the division by 6
+_LAGRANGE = np.array([[6.0, -11.0, 6.0, -1.0],
+                      [0.0, 18.0, -15.0, 3.0],
+                      [0.0, -9.0, 12.0, -3.0],
+                      [0.0, 2.0, -3.0, 1.0]])
+_PAIR_LABELS = np.arange(4.0)
+_MCWEENY_STEPS = 2
+
+
+def _pair_sectors(a: np.ndarray) -> list:
+    """(labels, sectors, drift, in range) per member of e + 2f, (n, n) or an (m, n, n) stack,
+    from matrix products only: the labels whose sector has a trace of at least 1/2, their
+    sectors, the largest drift among them and whether their traces lie within
+    PROJECTOR_TRACE_TOL of integers and sum to n within it.
+
+    P_l = L_l(a) for the Lagrange cubic L_l on the nodes 0..3, whose coefficients are exact
+    rationals (_LAGRANGE), from [I, a, a^2, a^3] by one contraction; then _MCWEENY_STEPS
+    steps P <- 3P^2 - 2P^3, each two stacked products, and symmetrization. Each P_l is a
+    function of a, so the four commute. On an eigenvalue within d of a label, L_l is within
+    3d of 0 or 1 (the largest |L_l'| on the nodes is 3), and each step squares such an error
+    e into 3e^2, so two steps leave the sectors idempotent within 2187 d^4 of rounding: inside
+    PROJECTOR_TOL for d up to 8e-4, and the drift rule keeps d below SECTOR_SNAP_TOL_MAX. An
+    eigenvalue far from every label gives traces that miss the integers or n, such as the
+    traces of order 1e6 of an eigenvalue at -1.
+    (R. McWeeny, Rev. Mod. Phys. 32 (1960) 335; N. J. Higham, Functions of Matrices, SIAM 2008.)"""
+    n = a.shape[-1]
+    a = a.reshape(-1, n, n)
+    powers = np.empty((len(a), 4, n, n), dtype=np.complex128)
+    powers[:, 0], powers[:, 1] = np.eye(n), a
+    powers[:, 2] = a @ a
+    powers[:, 3] = powers[:, 2] @ a
+    flat = powers.reshape(-1, 4, n * n).view(np.float64)  # real coefficients act on each part
+    p = (_LAGRANGE @ flat).view(np.complex128).reshape(powers.shape) / 6.0
+    for _ in range(_MCWEENY_STEPS):
+        p2 = p @ p
+        p = 3.0 * p2 - 2.0 * (p2 @ p)
+    p = (p + p.conj().swapaxes(-1, -2)) / 2.0
+    residual = a[:, None] @ p - _PAIR_LABELS[:, None, None] * p  # (a - l I) P_l
+    traces = np.trace(p, axis1=-2, axis2=-1).real
+    kept = traces >= 0.5  # a NaN trace is not kept, so the kept ones fall short of n
+    t = np.where(kept, traces, 0.0)
+    defect = np.maximum(np.abs(t - np.rint(t)).max(axis=-1), np.abs(t.sum(axis=-1) - n))
+    drift = np.where(kept, np.sqrt(_squares(residual).sum(axis=-1)).reshape(-1, 4), 0.0)
+    return [(_PAIR_LABELS[k], sectors[k], w, d <= PROJECTOR_TRACE_TOL)
+            for sectors, k, w, d in zip(p, kept, drift.max(axis=-1), defect)]
+
+
+def _eigen_sectors(a: np.ndarray, n_labels: int) -> list:
+    """(labels, sectors, drift, in range) per member of sum(2^k P_k), (n, n) or an (m, n, n)
+    stack, from one _jacobi call: the labels its eigenvalues round to, their sectors spanned
+    by _class_projectors, the largest drift and whether every label lies in 0..n_labels - 1.
+    A sector's drift |(a - l I) P_l|_F is the root sum of squares of its eigenvalues'
+    distances from l, by the orthonormality _jacobi checks."""
+    n = a.shape[-1]
+    raws, vecs = _jacobi(a)
+    members = []
+    for raw, v in zip(raws.reshape(-1, n), vecs.reshape(-1, n, n)):
+        labels = np.rint(raw)
+        keys, classes = np.unique(labels, return_inverse=True)
+        drift = np.sqrt(np.bincount(classes, (raw - labels) ** 2)).max()
+        in_range = 0.0 <= keys[0] and keys[-1] <= n_labels - 1
+        members.append((keys, _class_projectors(v, labels, keys), drift, in_range))
+    return members
 
 
 def _joint_sectors(
     projectors: dict[str, np.ndarray], commuting: dict, sector_snap_tol: float
 ) -> list:
-    """Propositions over the joint sectors sum(2^k P_k) of named projectors, proposition k
-    selecting the labels 0..2^K - 1 with bit k set; the first name pair commuting marks False
-    raises NotCommuting. The raw eigenvalues of the sum round to integer sector labels.
-    For (m, n, n) stacks of projectors the m sums are one stacked _jacobi call, each member
-    is checked in turn, and the result holds one list of propositions per member."""
+    """Propositions over the joint sectors of named projectors P_k: the spectral projectors
+    P_l of sum(2^k P_k) at the integer labels l, proposition k selecting the labels
+    0..2^K - 1 with bit k set; the first name pair commuting marks False raises NotCommuting.
+    For (m, n, n) stacks of projectors the m sums are built together, each member is checked
+    in turn, and the result holds one list of propositions per member.
+
+    The construction is split by label count:
+    - a pair (labels 0..3): e + 2f's sectors are purified Lagrange cubics in e + 2f, made of
+      matrix products only (_pair_sectors). The labels kept are those whose sector has a
+      trace of at least 1/2, and the label range is a trace check: the kept traces must lie
+      within PROJECTOR_TRACE_TOL of integers and sum to n within it.
+    - more projectors (labels 0..15 for four): one _jacobi call, whose eigenvalues round to
+      the labels (_eigen_sectors). Lagrange cubics on 16 nodes would amplify a label's drift
+      about a thousandfold, and peeling label bits by Newton-Schulz iterations measured no
+      faster than the solve at n = 4.
+    Either way one drift rule refuses a member with DegenerateLabeling: |(A - l I) P_l|_F
+    above sector_snap_tol for a kept label l. For an exact spectral projector this bounds the
+    largest distance of the sector's eigenvalues from l, and overstates it by at most the
+    square root of the sector's rank. A member's label range is checked before its drift,
+    and both refusals fail on NaN. Every joint sector path comes here, so sector_snap_tol is
+    checked here: a pair's sectors keep their promises only for 0 <= it <= SECTOR_SNAP_TOL_MAX."""
+    if not 0.0 <= sector_snap_tol <= SECTOR_SNAP_TOL_MAX:  # NaN fails too
+        raise ValueError(f"sector_snap_tol must be in [0, {SECTOR_SNAP_TOL_MAX:.0e}], "
+                         f"got {sector_snap_tol!r}")
     for (a, b), ok in commuting.items():
         if not ok:
             raise NotCommuting(f"{a} and {b} do not commute")
     n_labels = 2 ** len(projectors)
     events = _sector_events(len(projectors))
-    raws, vecs = _jacobi(sum((2.0**k) * p for k, p in enumerate(projectors.values())))
-    n = raws.shape[-1]
+    joint = sum((2.0**k) * p for k, p in enumerate(projectors.values()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        built = _pair_sectors(joint) if n_labels == 4 else _eigen_sectors(joint, n_labels)
     members = []
-    for raw, v in zip(raws.reshape(-1, n), vecs.reshape(-1, n, n)):
-        labels = np.rint(raw)
-        drift = float(np.max(np.abs(raw - labels)))
-        if drift > sector_snap_tol:
+    for keys, sectors, drift, in_range in built:
+        if not in_range:
+            raise DegenerateLabeling(f"sector labels outside 0..{n_labels - 1}")
+        if not drift <= sector_snap_tol:
             raise DegenerateLabeling(f"joint eigenvalue drift {drift:.3e} from integer sector "
                                      f"label exceeds sector_snap_tol {sector_snap_tol:.1e}")
-        if labels.min() < 0 or labels.max() > n_labels - 1:
-            raise DegenerateLabeling(f"sector labels outside 0..{n_labels - 1}")
-        keys = np.unique(labels)
-        sectors = SpectralDecomposition._trusted(keys, _class_projectors(v, labels, keys))
-        members.append([Proposition(sectors, borel) for borel in events])
-    return members if raws.ndim == 2 else members[0]
+        dec = SpectralDecomposition._trusted(keys, sectors)
+        members.append([Proposition(dec, borel) for borel in events])
+    return members if joint.ndim == 3 else members[0]
 
 
 def joint_propositions(

@@ -45,11 +45,13 @@ class Interval:
 
     def contains(self, x: float, snap_tol: float = 0.0) -> bool:
         """Point membership; within snap_tol of a finite endpoint, the point is
-        treated as lying exactly on it and the inclusion flag decides."""
+        treated as lying exactly on it and the inclusion flag decides. Within snap_tol
+        of both, it lies on the nearer one, the lower on a tie."""
         if snap_tol > 0.0:
-            if not math.isinf(self.lo) and abs(x - self.lo) <= snap_tol:
+            to_lo, to_hi = abs(x - self.lo), abs(x - self.hi)
+            if to_lo <= snap_tol and to_lo <= to_hi and not math.isinf(self.lo):
                 return self.lo_closed
-            if not math.isinf(self.hi) and abs(x - self.hi) <= snap_tol:
+            if to_hi <= snap_tol and not math.isinf(self.hi):
                 return self.hi_closed
         above = self.lo < x or (x == self.lo and self.lo_closed)
         below = x < self.hi or (x == self.hi and self.hi_closed)
@@ -238,6 +240,14 @@ class PiecewiseAffineFunction:
             return self.breakpoint_values[i]
         slope, intercept = self.pieces[i]
         return slope * x + intercept
+
+    def snapped(self, x: float, snap_tol: float) -> float:
+        """g at x, or at the breakpoint nearest x where that lies within snap_tol: the value
+        preimages give x, since membership snaps x onto an endpoint within snap_tol."""
+        x = float(x)
+        i = bisect_left(self.breakpoints, x)
+        near = [b for b in self.breakpoints[max(i - 1, 0):i + 1] if abs(x - b) <= snap_tol]
+        return self(min(near, key=lambda b: abs(x - b)) if near else x)
 
     def piece_at(self, x: float) -> tuple[float, float]:
         """(slope, intercept) of the cell containing x; at a breakpoint, the left cell."""

@@ -28,6 +28,7 @@ from . import __version__
 from .bell import (
     HOMOMORPHISM_TOL,
     SECTOR_SNAP_TOL,
+    SECTOR_SNAP_TOL_MAX,
     PropositionQuadruple,
     _chsh_combination,
     _chsh_terms,
@@ -251,13 +252,17 @@ def load_problem(source: str) -> ProblemFile:
             raise LoadError(
                 f"{display}: tolerance {key!r} must be finite and non-negative: {value!r}"
             )
-        # eigh refuses a cluster_tol of 0, and the meets a meet_tol outside
-        # (0, MEET_TOL_MAX]; say so here, naming the file and the key
+        # eigh refuses a cluster_tol of 0, the meets a meet_tol outside (0, MEET_TOL_MAX]
+        # and the joint sectors a sector_snap_tol above SECTOR_SNAP_TOL_MAX; say so here,
+        # naming the file and the key
         if key == "cluster_tol" and overrides[key] == 0.0:
             raise LoadError(f"{display}: tolerance {key!r} must be positive: {value!r}")
         if key == "meet_tol" and not 0.0 < overrides[key] <= MEET_TOL_MAX:
             raise LoadError(f"{display}: tolerance {key!r} must be in "
                             f"(0, 1 - 1/sqrt 2 = {MEET_TOL_MAX:.4g}]: {value!r}")
+        if key == "sector_snap_tol" and not overrides[key] <= SECTOR_SNAP_TOL_MAX:
+            raise LoadError(f"{display}: tolerance {key!r} must be in "
+                            f"[0, {SECTOR_SNAP_TOL_MAX:.0e}]: {value!r}")
     tolerances = replace(Tolerances(), **overrides)
 
     operators = {
@@ -398,7 +403,7 @@ def run_roundtrip(problem: ProblemFile, operator: str, function: str | None) -> 
         if not all(math.isfinite(g(lam)) for lam in dec.eigenvalues):
             raise LoadError(f"{problem.source}: function {function!r} is not finite on the "
                             f"spectrum of operator {operator!r}")
-        target = functional_calculus(dec, g)
+        target = functional_calculus(dec, g, tol.snap_tol)
         residual = max_abs(reduced_operator(compose(g, obs), snap_tol=tol.snap_tol) - target)
         result["post_residual"] = residual
         result["checks"]["post_roundtrip_ok"] = _residual_ok(residual, tol.roundtrip_tol, target)
@@ -432,7 +437,7 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
         "checks": {"classical_bound_respected": value <= 2.0 + CHSH_SLACK},
     }
 
-    if all(cross_commuting.values()):  # the four pairs' e + 2f, solved as one stack
+    if all(cross_commuting.values()):  # the four pairs' sectors, built from products as one stack
         e, f = np.array([[projectors[a], projectors[b]] for a, b in pair_names]).swapaxes(0, 1)
         pairs = _joint_sectors({"e": e, "f": f}, {}, tol.sector_snap_tol)
         result["checks"]["joint_propositions_consistent"] = all([check_boolean_homomorphism(

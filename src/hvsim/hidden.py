@@ -115,11 +115,14 @@ class ClassicalObservable:
     def dim(self) -> int:
         return self.backing.dim
 
-    def outcome_values(self) -> np.ndarray:
-        """Distinct possible outcomes over all states, sorted increasing."""
+    def outcome_values(self, snap_tol: float = SNAP_TOL) -> np.ndarray:
+        """Distinct possible outcomes over all states, sorted increasing. An eigenvalue
+        within snap_tol (default 1e-9) of a breakpoint of the post map takes the breakpoint's
+        value, as its preimages snap it onto the breakpoint."""
         if self.post is None:
             return self.backing.eigenvalues
-        return np.array(sorted({self.post(float(v)) for v in self.backing.eigenvalues}))
+        lams = self.backing.eigenvalues.tolist()
+        return np.array(sorted({self.post.snapped(v, snap_tol) for v in lams}))
 
     def outcome_quantile(
         self, state: PureState, weight_floor: float = WEIGHT_FLOOR
@@ -192,9 +195,10 @@ def reduced_operator(obs: ClassicalObservable, snap_tol: float = SNAP_TOL) -> np
     Rebuilt from threshold propositions: one masked product gives the projectors of
     "outcome <= u" (of its preimage under a post map) for every outcome u, and the
     operator is the sum of outcomes times the projector jumps, in outcome order. Round
-    trip: no post map reduces to the backing operator, a post map to its functional calculus.
+    trip: no post map reduces to the backing operator, a post map to its functional calculus
+    at the same snap_tol.
     """
-    outcomes = obs.outcome_values()
+    outcomes = obs.outcome_values(snap_tol)
     below = [BorelSet.at_most(float(u)) for u in outcomes]
     events = below if obs.post is None else [preimage(obs.post, b) for b in below]
     total = np.zeros((obs.dim, obs.dim), dtype=np.complex128)

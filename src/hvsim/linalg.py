@@ -24,9 +24,10 @@ the final result, and the orthonormality bound to the loose stage's eigenvectors
 final ones, of every solve and every stack member.
 
 Every projector made from a solve is spanned by one helper, _class_projectors, from a
-class per ascending eigenpair: eigh's clusters, the meet classes of e + f - I, and bell's
-joint sector labels. All values are immutable after construction; every public operation
-is pure.
+class per ascending eigenpair: eigh's clusters, the meet classes of e + f - I, and the
+joint sector labels of bell's quadruples. The joint sectors of a pair come from no solve:
+bell builds them from matrix products, as purified polynomials in e + 2f. All values are
+immutable after construction; every public operation is pure.
 """
 
 from __future__ import annotations
@@ -127,7 +128,9 @@ class SpectralDecomposition:
     The public constructor checks all of this, each projector through
     ensure_projector. eigh and bell's joint sectors build through _trusted
     instead, which checks nothing: their projectors come from eigenvectors
-    _jacobi has checked once, which is enough for all of the above (see _jacobi).
+    _jacobi has checked once, which is enough for all of the above (see _jacobi),
+    or, for a pair's joint sectors, from purified polynomials whose traces and
+    label drift bell checks (see bell._pair_sectors).
     """
 
     eigenvalues: np.ndarray
@@ -157,7 +160,8 @@ class SpectralDecomposition:
     @classmethod
     def _trusted(cls, eigenvalues, projectors) -> SpectralDecomposition:
         """The same read-only arrays as the public constructor, with no checks: for
-        projectors built from the columns of eigenvectors _jacobi has checked."""
+        projectors built from the columns of eigenvectors _jacobi has checked, and for
+        bell's checked pair sectors."""
         dec = object.__new__(cls)
         object.__setattr__(dec, "eigenvalues", _readonly(np.array(eigenvalues, dtype=np.float64)))
         object.__setattr__(dec, "projectors", _readonly(np.array(projectors, dtype=np.complex128)))

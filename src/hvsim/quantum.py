@@ -119,8 +119,10 @@ def cdf(
 
 
 def functional_calculus(
-    dec: SpectralDecomposition, g: PiecewiseAffineFunction
+    dec: SpectralDecomposition, g: PiecewiseAffineFunction, snap_tol: float = SNAP_TOL
 ) -> np.ndarray:
-    """The operator with g applied to the spectrum, eigenspaces unchanged."""
-    values = np.array([g(float(lam)) for lam in dec.eigenvalues])
+    """The operator with g applied to the spectrum, eigenspaces unchanged. An eigenvalue
+    within snap_tol (default 1e-9) of a breakpoint takes the breakpoint's value, as event
+    membership snaps it onto the breakpoint."""
+    values = np.array([g.snapped(lam, snap_tol) for lam in dec.eigenvalues.tolist()])
     return _readonly(np.einsum("k,kij->ij", values, dec.projectors))

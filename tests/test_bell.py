@@ -39,8 +39,8 @@ from hvsim import (
     proposition_from,
     proposition_projector,
 )
-from hvsim.bell import (SECTOR_SNAP_TOL, _boolean_events, _chsh_combination, _joint_sectors,
-                        _sector_events)
+from hvsim.bell import (SECTOR_SNAP_TOL, SECTOR_SNAP_TOL_MAX, _boolean_events,
+                        _chsh_combination, _joint_sectors, _sector_events)
 from hvsim.quantum import SNAP_TOL, spectral_projector
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -283,6 +283,109 @@ def test_stacked_joint_sectors_equal_single_calls_bit_for_bit(n):
         stack = np.array([members[0], first, *rest]).swapaxes(0, 1)
         assert _sector_error(*stack) == _sector_error(*first) != _sector_error(*rest[0])
     assert "outside 0..3" in _sector_error(*bad)
+
+
+def _conjugated(rng, e, f, commutator: float) -> np.ndarray:
+    """f conjugated by exp(i eps H) for a random Hermitian H, eps scaled so that ef - fe
+    reaches about `commutator` (to first order in eps), symmetrized."""
+    n = len(e)
+    w, v = np.linalg.eigh(rand_hermitian(rng, n))
+
+    def turned(eps):
+        u = (v * np.exp(1j * eps * w)) @ v.conj().T
+        g = u @ f @ u.conj().T
+        return (g + g.conj().T) / 2.0
+
+    slope = max_abs(e @ turned(1e-3) - turned(1e-3) @ e) / 1e-3
+    return turned(commutator / slope if slope > 0.0 else commutator)
+
+
+def _drift(a: np.ndarray, dec: SpectralDecomposition) -> float:
+    """The largest |(A - l I) P_l|_F over a decomposition's sectors."""
+    return max(np.linalg.norm(a @ p - lab * p) for lab, p in zip(dec.eigenvalues, dec.projectors))
+
+
+# commutators of the near-commuting pairs, all admitted at a commute_tol of 1e-6; 1.9e-7 and
+# 2.9e-7 are those of the generic families on which products of the projectors missed the
+# 1e-8 resolution check
+NEAR_COMMUTATORS = (0.0, 1e-11, 1e-9, 1e-8, 1e-7, 1.9e-7, 2.9e-7, 9e-7)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+       commutator=st.sampled_from(NEAR_COMMUTATORS))
+def test_pair_sectors_of_near_commuting_pairs(n, seed, commutator):
+    rng = np.random.default_rng(seed)
+    e, f = rand_commuting_projectors(rng, n)
+    f = _conjugated(rng, e, f, commutator)
+    assert max_abs(e @ f - f @ e) <= 1e-6
+    a = e + 2.0 * f
+    props = joint_propositions(e, f, commute_tol=1e-6)
+    dec = props[0].backing
+    # the public constructor checks every promise _trusted takes on trust: resolution of I,
+    # idempotence, traces near integers and orthogonality
+    SpectralDecomposition(dec.eigenvalues, dec.projectors)
+    # Davis-Kahan: each sector and numpy's eigenprojector of the eigenvalues rounding to its
+    # label are within their commutator residuals with A over the gap to the other labels
+    w, v = np.linalg.eigh(a)
+    labels = np.rint(w)
+    assert list(dec.eigenvalues) == sorted(set(labels))
+    for lab, p in zip(dec.eigenvalues, dec.projectors):
+        inside = labels == lab
+        q = v[:, inside] @ v[:, inside].conj().T
+        gap = np.min(np.abs(w[~inside][:, None] - w[inside]), initial=np.inf)
+        residual = sum(np.linalg.norm(a @ x - x @ a, 2) for x in (p, q))
+        assert max_abs(p - q) <= residual / gap + 10.0 * n * np.finfo(float).eps
+    # the drift rule at the default sector_snap_tol: f scaled by 1 + s moves labels 2 and 3
+    # by 2s, a drift of 2s sqrt(rank) in the Frobenius norm, on top of the pair's own, which
+    # is second order in the commutator; below 5e-4 sector_snap_tol it cannot cross the
+    # 0.1% either side tried here
+    top = max(p.trace().real for lab, p in zip(dec.eigenvalues, dec.projectors) if lab >= 2)
+    own = _drift(a, dec)
+    assert own <= 1e-4 * SECTOR_SNAP_TOL
+    for side in (0.999, 1.001):
+        s = side * (SECTOR_SNAP_TOL - own) / (2.0 * math.sqrt(round(top)))
+        if side < 1.0:
+            scaled = _sectors(e, (1.0 + s) * f)[0].backing
+            assert np.array_equal(scaled.eigenvalues, dec.eigenvalues)
+            assert _drift(e + 2.0 * (1.0 + s) * f, scaled) <= SECTOR_SNAP_TOL
+        else:
+            assert "exceeds sector_snap_tol" in _sector_error(e, (1.0 + s) * f)
+
+
+def test_pair_sectors_keep_the_projector_checks_up_to_the_widest_sector_snap_tol():
+    # at a label drift just under SECTOR_SNAP_TOL_MAX the purified sectors still pass every
+    # check of the public constructor; a wider or NaN sector_snap_tol is refused up front
+    rng = np.random.default_rng(163)
+    for n in (2, 4, 8, 16):
+        e, f = rand_commuting_projectors(rng, n)
+        s = 0.999 * SECTOR_SNAP_TOL_MAX / (2.0 * math.sqrt(n))
+        dec = _joint_sectors({"e": e, "f": (1.0 + s) * f}, {}, SECTOR_SNAP_TOL_MAX)[0].backing
+        SpectralDecomposition(dec.eigenvalues, dec.projectors)
+    for tol in (-1e-9, 2 * SECTOR_SNAP_TOL_MAX, math.nan):
+        for call in (lambda: joint_propositions(e, f, sector_snap_tol=tol),
+                     lambda: common_refinement_quadruple(e, f, e, f, sector_snap_tol=tol)):
+            with pytest.raises(ValueError, match=r"^sector_snap_tol must be in \[0, 5e-04\]"):
+                call()
+
+
+def test_quadruple_drift_rule_is_the_frobenius_norm_of_each_sector():
+    # f2 scaled by 1 + s moves each label with bit 3 set by 8s; each such sector of rank r
+    # drifts 8s sqrt(r), so the largest rank decides, just as for a pair
+    u = rand_unitary(np.random.default_rng(157), 6)
+    family = [(u * bits) @ u.conj().T for bits in ((1, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 1),
+                                                     (0, 0, 1, 0, 0, 1), (1, 1, 1, 1, 0, 0))]
+    e1, e2, f1, f2 = ((p + p.conj().T) / 2.0 for p in family)
+    named = {"e1": e1, "e2": e2, "f1": f1, "f2": f2}
+    # column labels 11, 11, 12, 8, 0 and 6: the sectors with bit 3 set have ranks 2, 1 and 1
+    for side, admitted in ((0.999, True), (1.001, False)):
+        s = side * SECTOR_SNAP_TOL / (8.0 * math.sqrt(2.0))
+        call = lambda: _joint_sectors({**named, "f2": (1.0 + s) * f2}, {}, SECTOR_SNAP_TOL)
+        if admitted:
+            assert list(call()[0].backing.eigenvalues) == [0.0, 6.0, 8.0, 11.0, 12.0]
+        else:
+            with pytest.raises(DegenerateLabeling, match="exceeds sector_snap_tol"):
+                call()
 
 
 def test_boolean_homomorphism_trivial_and_constructed():

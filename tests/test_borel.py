@@ -53,6 +53,21 @@ def test_membership_flags_and_snapping():
     assert b.contains(1e-12, snap_tol=1e-9)
     assert not b.contains(1.0 - 1e-12, snap_tol=1e-9)
     assert b.contains(1.0 - 1e-12)  # exact membership without snapping
+    # within snap_tol of both ends of a short piece, the nearer end's flag decides, the lower
+    # end's on a tie: a preimage piece [-3.6e-15, 0) beside a breakpoint at 0
+    short = Interval(-3.6e-15, 0.0, True, False)
+    assert not short.contains(-3.2e-16, snap_tol=1e-9)
+    assert short.contains(-3.4e-15, snap_tol=1e-9)
+    assert short.contains(-1.8e-15, snap_tol=1e-9)
+    assert not Interval(-INF, 0.0, False, False).contains(-1e-10, snap_tol=1e-9)
+
+
+def test_snapped_takes_the_nearest_breakpoint_within_snap_tol():
+    g = PiecewiseAffineFunction((0.0, 1.0), ((1.0, 0.0), (2.0, 0.0), (3.0, 0.0)), (5.0, 6.0))
+    assert [g.snapped(x, 1e-9) for x in (-1e-9, 1e-9, 1.0 - 1e-9, 0.5, 3.0)] == [
+        5.0, 5.0, 6.0, 1.0, 9.0]
+    assert g.snapped(-2e-9, 1e-9) == g(-2e-9)
+    assert g.snapped(1e-12, 0.0) == g(1e-12) == 2e-12
 
 
 def test_set_operations_pointwise_random():

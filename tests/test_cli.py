@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_unitary
 import hvsim
-from hvsim import PureState, ensure_hermitian
+from hvsim import PureState, eigh, ensure_hermitian
 from hvsim.cli import COMMANDS, build_parser, load_problem, main, run_chsh
 
 FIXTURES = ("pauli", "singlet_chsh", "commuting_chsh")
@@ -213,6 +213,20 @@ def test_chsh_meet_tol_outside_its_range_is_exit_2(tmp_path, capsys, meet_tol):
     code, _, err = run(["chsh", "--input", str(path)], capsys)
     assert_bad_input(code, err, str(path), f"tolerance 'meet_tol' must be in (0, 1 - 1/sqrt 2 "
                      f"= 0.2929]: {meet_tol!r}")
+
+
+@pytest.mark.parametrize("sector_snap_tol, code", [(5e-4, 0), (5.1e-4, 2), (1.0, 2)])
+def test_chsh_sector_snap_tol_above_its_range_is_exit_2(tmp_path, capsys, sector_snap_tol, code):
+    # past 5e-4 a pair's purified sectors could miss the projector checks
+    doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "commuting_chsh.json").read_text())
+    path = tmp_path / "commuting.json"
+    path.write_text(json.dumps({**doc, "tolerances": {"sector_snap_tol": sector_snap_tol}}))
+    got, _, err = run(["chsh", "--input", str(path)], capsys)
+    if code:
+        assert_bad_input(got, err, str(path), f"tolerance 'sector_snap_tol' must be in "
+                         f"[0, 5e-04]: {sector_snap_tol!r}")
+    else:
+        assert got == 0
 
 
 def test_chsh_commuting_fixture_passes(capsys):
@@ -466,9 +480,9 @@ def test_chsh_report_decides_each_pairs_commutation_once(capsys, monkeypatch, fi
 
 @pytest.mark.parametrize("fixture", ["commuting_chsh", "singlet_chsh"])
 def test_chsh_report_solves_the_cross_pairs_as_stacks(capsys, monkeypatch, fixture):
-    # the four e + f - I, then the four cross pairs' e + 2f, each as one stack; the
-    # four-way sector solve follows where all six pairs commute, and the singlet's
-    # couples do not, so it makes none
+    # the four e + f - I as one stack; the four cross pairs' e + 2f take their sectors from
+    # products, with no solve; the four-way sector solve follows where all six pairs
+    # commute, and the singlet's couples do not, so it makes none
     calls, jacobi = [], hvsim.linalg._jacobi
 
     def counted(a):
@@ -480,8 +494,7 @@ def test_chsh_report_solves_the_cross_pairs_as_stacks(capsys, monkeypatch, fixtu
     code, _, _ = run(["chsh", "--input", fixture], capsys)
     assert code == (0 if fixture == "commuting_chsh" else 1)
     n = load_problem(fixture).dimension
-    stacks = [(4, n, n), (4, n, n)]
-    assert calls == (stacks + [(n, n)] if fixture == "commuting_chsh" else stacks)
+    assert calls == ([(4, n, n), (n, n)] if fixture == "commuting_chsh" else [(4, n, n)])
 
 
 def test_experiment_blocks_run_when_no_names_given(capsys):
@@ -868,6 +881,32 @@ def test_roundtrip_affine_on_three_levels(tmp_path, capsys):
     assert code == 0
     section = json.loads(out)["results"][0]
     assert section["checks"]["post_roundtrip_ok"]
+
+
+def test_roundtrip_snaps_an_eigenvalue_onto_a_breakpoint_within_snap_tol(tmp_path, capsys):
+    # a planned spectrum -7, -7, -5..8 whose eigenvalue 0 is computed off 0 (-3.2e-16 with
+    # OpenBLAS's SkylakeX kernels, 1.2e-16 with Sandybridge's), and g with a jump at 0 valued
+    # 4: the target and the reduction both give that eigenvalue g(0) = 4 (the target used to
+    # evaluate g at -3.2e-16, giving 1, a residual of 0.62)
+    rng = np.random.default_rng(16)
+    q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    w = np.arange(-7.0, 9.0)
+    w[1] = -7.0
+    a = (q * w) @ q.conj().T
+    doc = {
+        "dimension": 16,
+        "operators": {"a": _complex_rows((a + a.conj().T) / 2)},
+        "functions": {"g": {"breakpoints": [0], "pieces": [[-0.5, 1], [2, -3]],
+                            "breakpoint_values": [4]}},
+    }
+    path = tmp_path / "dim16.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(["roundtrip", "--input", str(path), "--operator", "a", "--function", "g"],
+                       capsys)
+    section = json.loads(out)["results"][0]
+    assert 0.0 < abs(float(eigh(load_problem(str(path)).operators["a"]).eigenvalues[6])) < 1e-15
+    assert code == 0 and section["checks"]["post_roundtrip_ok"]
+    assert section["post_residual"] <= 1e-13
 
 
 def test_chsh_all_identity_projectors_scores_two(tmp_path, capsys):

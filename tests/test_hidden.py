@@ -32,6 +32,7 @@ from hvsim import (
 )
 from hvsim.cli import Tolerances
 from hvsim.hidden import WEIGHT_FLOOR, _cell_counts, _fiber_partition
+from hvsim.quantum import SNAP_TOL
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -296,13 +297,14 @@ def test_reduction_matches_functional_calculus_random():
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1), breaks=st.integers(0, 3),
-       spread=st.sampled_from([0.0, 3e-9]))
-def test_reduced_operator_round_trips_on_clustered_spectra(n, seed, breaks, spread):
+       spread=st.sampled_from([0.0, 3e-9]),
+       offset=st.sampled_from([0.0, 0.5 * SNAP_TOL, -0.5 * SNAP_TOL, 0.99 * SNAP_TOL, -SNAP_TOL]))
+def test_reduced_operator_round_trips_on_clustered_spectra(n, seed, breaks, spread, offset):
     # a planned spectrum of a few distinct values, so clusters of rank above 1, one of them
-    # spread over `spread` (below cluster_tol), and a post map breaking on eigenvalues, with
-    # jumps, flat pieces and reassigned breakpoint values. A breakpoint within snap_tol of an
-    # eigenvalue but not on it is not round-tripped: the preimages snap the eigenvalue onto
-    # the breakpoint, and functional_calculus does not
+    # spread over `spread` (below cluster_tol), and a post map breaking on eigenvalues, or
+    # within snap_tol of them, with jumps, flat pieces and reassigned breakpoint values. Both
+    # the preimages and functional_calculus snap an eigenvalue within snap_tol onto the
+    # breakpoint
     rng = np.random.default_rng(seed)
     distinct = np.sort(rng.choice(np.arange(-6.0, 7.0), size=int(rng.integers(1, min(n, 6) + 1)),
                                   replace=False))
@@ -312,7 +314,7 @@ def test_reduced_operator_round_trips_on_clustered_spectra(n, seed, breaks, spre
     u = rand_unitary(rng, n)
     dec = eigh((u * values) @ u.conj().T)
     lams = [float(x) for x in dec.eigenvalues]
-    bps = sorted(rng.choice(lams, size=min(breaks, len(lams)), replace=False))
+    bps = sorted(rng.choice(lams, size=min(breaks, len(lams)), replace=False) + offset)
     pieces = [(float(rng.choice([0.0, -1.5, -0.5, 0.5, 2.0])), float(rng.uniform(-3, 3)))
               for _ in range(len(bps) + 1)]
     # at each breakpoint: its left limit, its right limit or a value of its own
