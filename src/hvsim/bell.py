@@ -34,7 +34,7 @@ from .linalg import (
     _squares,
     max_abs,
 )
-from .quantum import SNAP_TOL, PureState, _event_projectors
+from .quantum import SNAP_TOL, PureState, _event_projectors, _event_table
 from .hidden import Proposition, _check_cuts, _fiber_partition
 
 SECTOR_SNAP_TOL = 1e-6
@@ -196,14 +196,9 @@ def fiber_chsh_functions(
     """Restrict the quadruple's four correlation functions to the fiber of a state."""
     dec = quad.backing
     kept, cuts = _fiber_partition(dec.weights(state.vector))
-    lambdas = dec.eigenvalues[kept]
-
-    def side(p: Proposition) -> np.ndarray:
-        return np.array([1 if p.borel.contains(float(lam), snap_tol) else -1 for lam in lambdas])
-
-    sa = (side(quad.a1), side(quad.a2))
-    sb = (side(quad.b1), side(quad.b2))
-    return FiberChshFunctions(cuts, [[s * t for t in sb] for s in sa])
+    events = [p.borel for p in (quad.a1, quad.a2, quad.b1, quad.b2)]
+    sides = np.where(_event_table(events, dec.eigenvalues, snap_tol)[:, kept], 1, -1)
+    return FiberChshFunctions(cuts, sides[:2, None] * sides[None, 2:])
 
 
 def _commutation(projectors: dict[str, np.ndarray], tol: float) -> dict[tuple[str, str], bool]:

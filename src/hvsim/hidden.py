@@ -17,7 +17,8 @@ import numpy as np
 from .borel import BorelSet, Interval, PiecewiseAffineFunction, compose_functions, preimage
 from .errors import DimensionMismatch, OutOfDomain
 from .linalg import SpectralDecomposition, _readonly, max_abs
-from .quantum import RAY_TOL, SNAP_TOL, PureState, _event_projectors, spectral_projector
+from .quantum import (RAY_TOL, SNAP_TOL, PureState, _event_projectors, _event_table,
+                      spectral_projector)
 
 WEIGHT_FLOOR = 1e-12
 # how far a sample report's empirical frequencies may sum from 1
@@ -125,25 +126,27 @@ class ClassicalObservable:
         return np.array(sorted({self.post.snapped(v, snap_tol) for v in lams}))
 
     def outcome_quantile(
-        self, state: PureState, weight_floor: float = WEIGHT_FLOOR
+        self, state: PureState, weight_floor: float = WEIGHT_FLOOR, snap_tol: float = SNAP_TOL
     ) -> QuantileStep:
         """Quantile of the outcome distribution at a state, equal post-images merged;
-        eigenvalues weighing at most weight_floor (default 1e-12) are dropped first."""
+        eigenvalues weighing at most weight_floor (default 1e-12) are dropped first. The
+        post map snaps as in outcome_values, within snap_tol (default 1e-9) of a breakpoint."""
         base = quantile_function(self.backing, state, weight_floor)
         if self.post is None:
             return base
         totals: dict[float, float] = {}
         for v, length in zip(base.values, base.lengths()):
-            img = self.post(float(v))
+            img = self.post.snapped(float(v), snap_tol)
             totals[img] = totals.get(img, 0.0) + float(length)
         values = np.array(sorted(totals))
         kept, cuts = _fiber_partition(np.array([totals[v] for v in values]), 0.0)
         return QuantileStep(cuts, values[kept])
 
-    def evaluate(self, state: PureState, t: float) -> float:
-        """Pointwise value on the fiber of the state: post applied after the quantile."""
+    def evaluate(self, state: PureState, t: float, snap_tol: float = SNAP_TOL) -> float:
+        """Pointwise value on the fiber of the state: post applied after the quantile,
+        snapping as in outcome_values within snap_tol (default 1e-9) of a breakpoint."""
         v = quantile_function(self.backing, state).evaluate(t)
-        return float(self.post(v)) if self.post is not None else v
+        return self.post.snapped(v, snap_tol) if self.post is not None else v
 
 
 def compose(g: PiecewiseAffineFunction, obs: ClassicalObservable) -> ClassicalObservable:
@@ -181,9 +184,10 @@ def fiber_subset(
     weight at most 1e-12 are dropped); the total length is the event probability.
     """
     kept, cuts = _fiber_partition(prop.backing.weights(state.vector))
+    inside = _event_table((prop.borel,), prop.backing.eigenvalues, snap_tol)[0].tolist()
     parts = []
-    for k, lam in enumerate(prop.backing.eigenvalues[kept]):
-        if prop.borel.contains(float(lam), snap_tol):
+    for k, m in enumerate(kept.tolist()):
+        if inside[m]:
             top = float(cuts[k + 1])
             parts.append(Interval(float(cuts[k]), top, False, top != 1.0))
     return BorelSet(tuple(parts))
@@ -210,11 +214,17 @@ def reduced_operator(obs: ClassicalObservable, snap_tol: float = SNAP_TOL) -> np
 
 
 def fiber_integral(
-    g: PiecewiseAffineFunction, obs: ClassicalObservable, state: PureState
+    g: PiecewiseAffineFunction,
+    obs: ClassicalObservable,
+    state: PureState,
+    snap_tol: float = SNAP_TOL,
 ) -> float:
-    """Exact Lebesgue integral of g composed with the observable over one fiber."""
-    q = obs.outcome_quantile(state)
-    return float(sum(g(float(v)) * float(l) for v, l in zip(q.values, q.lengths())))
+    """Exact Lebesgue integral of g composed with the observable over one fiber. An outcome
+    within snap_tol (default 1e-9) of a breakpoint of g or of the post map takes the
+    breakpoint's value, as in functional_calculus and reduced_operator."""
+    q = obs.outcome_quantile(state, snap_tol=snap_tol)
+    return float(sum(g.snapped(float(v), snap_tol) * float(l)
+                     for v, l in zip(q.values, q.lengths())))
 
 
 @dataclass(frozen=True)

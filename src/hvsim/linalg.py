@@ -106,12 +106,27 @@ def ensure_projector(matrix, tol: float = PROJECTOR_TOL) -> np.ndarray:
     return p
 
 
+@functools.lru_cache(maxsize=32)
+def _checked_projector(shape: tuple, raw: bytes) -> np.ndarray:
+    """ensure_projector of the complex128 matrix with this shape and these bytes, kept per
+    content: a failed check raises and is not kept, and a kept result is read-only."""
+    return ensure_projector(np.frombuffer(raw, dtype=np.complex128).reshape(shape))
+
+
 def _ensure_projectors(*matrices) -> tuple[np.ndarray, ...]:
-    ps = tuple(ensure_projector(m) for m in matrices)
+    """ensure_projector of each operand at PROJECTOR_TOL, in order, then one dimension.
+
+    The bell layer hands the same four projectors to several calls of one analysis, so each
+    check is kept by content (_checked_projector, the last 32): a matrix changed in place
+    is a new key and is checked again."""
+    ps = []
+    for m in matrices:
+        a = np.asarray(m, dtype=np.complex128)
+        ps.append(_checked_projector(a.shape, a.tobytes()))
     dims = {p.shape[0] for p in ps}
     if len(dims) != 1:
         raise DimensionMismatch(f"operands have mixed dimensions {sorted(dims)}")
-    return ps
+    return tuple(ps)
 
 
 def projector_rank(p: np.ndarray) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,16 +73,34 @@ def _event_projectors(
     """(k, n, n) stack of the sums of the spectral projectors whose eigenvalues lie in each
     of the k events.
 
-    Each eigenvalue is classified against each event, and the (k, m) 0/1 mask times the m
-    flattened projectors gives every sum in one matrix product, whose products by 0 and 1
-    are exact. The mask has at least two rows, so one event takes a matrix product, not the
-    matrix-vector product numpy takes for one row; a row's bits may still depend on the row
-    count (OpenBLAS 0.3.31: not on SkylakeX, Haswell, Katmai; they do on Sandybridge)."""
-    lams = dec.eigenvalues.tolist()
-    k, n = len(events), dec.dim
-    mask = np.zeros((max(k, 2), len(lams)), dtype=np.complex128)
-    mask[:k] = [[e.contains(lam, snap_tol) for lam in lams] for e in events]
-    return (mask @ dec.projectors.reshape(len(lams), n * n))[:k].reshape(k, n, n)
+    Each eigenvalue is classified against each event (_event_table), and the (k, m) 0/1 mask
+    times the m flattened projectors gives every sum in one matrix product, whose products
+    by 0 and 1 are exact. The mask has at least two rows, so one event takes a matrix
+    product, not the matrix-vector product numpy takes for one row; a row's bits may still
+    depend on the row count (OpenBLAS 0.3.31: not on SkylakeX, Haswell, Katmai; they do on
+    Sandybridge)."""
+    table = _event_table(events, dec.eigenvalues, snap_tol)
+    (k, m), n = table.shape, dec.dim
+    mask = np.zeros((max(k, 2), m), dtype=np.complex128)
+    mask[:k] = table
+    return (mask @ dec.projectors.reshape(m, n * n))[:k].reshape(k, n, n)
+
+
+def _event_table(events, eigenvalues: np.ndarray, snap_tol: float) -> np.ndarray:
+    """Read-only (k, m) bool table: whether each of the m eigenvalues lies in each of the k
+    events, by BorelSet.contains at snap_tol. The one place events classify eigenvalues.
+
+    An analysis asks again about the same events and spectrum (a quadruple's sector events,
+    a backing shared by many states), so each table is kept by content (_classified, the
+    last 64). The key holds the eigenvalues as floats: equal floats, 0.0 and -0.0 among
+    them, lie in the same events."""
+    return _classified(tuple(events), tuple(eigenvalues.tolist()), snap_tol)
+
+
+@lru_cache(maxsize=64)
+def _classified(events: tuple, lams: tuple, snap_tol: float) -> np.ndarray:
+    table = np.array([[e.contains(lam, snap_tol) for lam in lams] for e in events], dtype=bool)
+    return _readonly(table.reshape(len(events), len(lams)))
 
 
 def prob(

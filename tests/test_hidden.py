@@ -366,6 +366,66 @@ def test_fiber_integral_matches_expectations_random():
         )
 
 
+def _dim16_with_a_zero_computed_below_it():
+    """hv's dim-16 CI operator (planned spectrum -7, -7, -5..8, default_rng(16)), whose
+    eigenvalue 0 is computed as -3.2e-16, the state on its eigenvector, and g with a
+    breakpoint at 0 valued 4 between the pieces (-0.5, 1) and (2, -3)."""
+    rng = np.random.default_rng(16)
+    q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    w = np.arange(-7.0, 9.0)
+    w[1] = -7.0
+    a = (q * w) @ q.conj().T
+    dec = eigh((a + a.conj().T) / 2)
+    k = int(np.argmin(np.abs(dec.eigenvalues)))
+    assert -SNAP_TOL < dec.eigenvalues[k] < 0.0
+    h = PureState(dec.projectors[k] @ rng.standard_normal(16))
+    g = PiecewiseAffineFunction((0.0,), ((-0.5, 1.0), (2.0, -3.0)), (4.0,))
+    return dec, h, g
+
+
+def test_fiber_side_snaps_the_post_map_onto_a_breakpoint_as_the_operators_do():
+    # the eigenvalue lies within snap_tol of g's breakpoint, so <h, g(A) h> and the reduced
+    # operator give it g(0) = 4, and so must the fiber: not g(-3.2e-16) = 1
+    dec, h, g = _dim16_with_a_zero_computed_below_it()
+    obs = ClassicalObservable(dec)
+    post = compose(g, obs)
+    for operator in (functional_calculus(dec, g), reduced_operator(post)):
+        assert float(np.vdot(h.vector, operator @ h.vector).real) == pytest.approx(4.0)
+    assert fiber_integral(g, obs, h) == pytest.approx(4.0)
+    assert fiber_integral(PiecewiseAffineFunction.identity(), post, h) == pytest.approx(4.0)
+    assert post.outcome_quantile(h).values.tolist() == [4.0]
+    assert post.evaluate(h, 0.5) == 4.0
+    # at snap_tol 0 nothing snaps, and g is taken at the computed eigenvalue
+    assert fiber_integral(g, obs, h, snap_tol=0.0) == pytest.approx(1.0)
+    assert post.outcome_quantile(h, snap_tol=0.0).values.tolist() == [pytest.approx(1.0)]
+    assert post.evaluate(h, 0.5, snap_tol=0.0) == pytest.approx(1.0)
+
+
+_LEAKAGE = st.floats(-17.0, -5.0).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), leak=_LEAKAGE)
+def test_fiber_measures_equal_probabilities_at_near_eigenstates(n, seed, leak):
+    # an eigenvector of a spectrum with clusters, leaking into the others; every event made
+    # of eigenvalues (points, half lines, the spectrum less one) and two random ones
+    rng = np.random.default_rng(seed)
+    u = rand_unitary(rng, n)
+    dec = eigh((u * rng.integers(-3, 4, size=n).astype(float)) @ u.conj().T)
+    h = PureState(u[:, int(rng.integers(0, n))] + leak * rand_state(rng, n).vector)
+    lams = [float(x) for x in dec.eigenvalues]
+    events = [BorelSet.reals(), rand_borel(rng), rand_borel(rng, avoid=lams)]
+    for lam in lams:
+        events += [BorelSet.point(lam), BorelSet.at_most(lam), ~BorelSet.point(lam)]
+    tol = Tolerances().pushforward_tol
+    q = quantile_function(dec, h)
+    for e in events:
+        p = prob(dec, h, e)
+        assert abs(fiber_subset(proposition_from(dec, e), h).measure() - p) <= tol
+        cells = sum(float(c) for v, c in zip(q.values, q.lengths()) if e.contains(v, SNAP_TOL))
+        assert abs(cells - p) <= tol
+
+
 def test_compose_identity_and_collapse():
     z_obs = ClassicalObservable(eigh(PAULI_Z))
     same = compose(PiecewiseAffineFunction.identity(), z_obs)

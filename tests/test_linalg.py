@@ -42,6 +42,8 @@ from hvsim.linalg import (
     MEET_TOL,
     MEET_TOL_MAX,
     PROJECTOR_TOL,
+    _checked_projector,
+    _ensure_projectors,
     _jacobi,
     _off_norm,
     _pair_meets,
@@ -948,6 +950,62 @@ def test_ensure_projector_trace_check_fires_at_a_loosened_tol():
     # and its trace 8.0000072 is not near an integer
     with pytest.raises(ValueError, match=r"projector trace 8\.0000072\d* is not near an integer"):
         ensure_projector((1 + 0.9e-6) * np.eye(8), tol=1e-6)
+
+
+def test_kept_projector_checks_follow_the_content():
+    # a projector changed in place after a call is a new key, so it is checked again
+    p = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    q = rand_projector(np.random.default_rng(77), 3)
+    assert commutes(p, p)
+    checked = _ensure_projectors(p, q)
+    assert _ensure_projectors(p, q)[0] is checked[0]
+    assert not any(a.flags.writeable for a in checked)
+    p[1, 1] = 0.5
+    with pytest.raises(ValueError, match="idempotence defect"):
+        commutes(p, p)
+    # the kept array is the one a fresh check returns, and no view of the input
+    np.testing.assert_array_equal(checked[0], np.diag([1.0, 0.0, 0.0]))
+    np.testing.assert_array_equal(checked[1], ensure_projector(q))
+
+
+def test_failed_projector_checks_are_not_kept():
+    # the same message on every call, each from a check of its own
+    bad = np.diag([0.5, 0.5]).astype(complex)
+    with pytest.raises(ValueError) as fresh:
+        ensure_projector(bad)
+    _ensure_projectors(np.eye(2))
+    kept = _checked_projector.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError) as again:
+            projector_meet(np.eye(2), bad)
+        assert str(again.value) == str(fresh.value)
+    assert _checked_projector.cache_info().currsize == kept
+
+
+def test_kept_projector_checks_report_the_first_failing_operand_then_the_dimensions():
+    ok2, ok3 = np.eye(2, dtype=complex), np.diag([1.0, 0.0, 1.0]).astype(complex)
+    not_hermitian = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    not_idempotent = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    for _ in range(2):  # the second round finds ok2 and ok3 kept
+        with pytest.raises(NotHermitian):
+            _ensure_projectors(ok2, not_hermitian, not_idempotent)
+        with pytest.raises(ValueError, match="idempotence"):
+            _ensure_projectors(ok2, not_idempotent, not_hermitian)
+        # per-operand checks come before the mixed-dimension refusal
+        with pytest.raises(ValueError, match="idempotence"):
+            _ensure_projectors(ok2, ok3, not_idempotent)
+        with pytest.raises(DimensionMismatch, match="mixed dimensions"):
+            _ensure_projectors(ok2, ok3)
+
+
+def test_kept_projector_checks_stay_within_their_bound():
+    rng = np.random.default_rng(78)
+    bound = _checked_projector.cache_info().maxsize
+    assert bound == 32
+    for _ in range(300):
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        _ensure_projectors(np.outer(v, v.conj()) / np.vdot(v, v).real)
+        assert _checked_projector.cache_info().currsize <= bound
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from hvsim import (
     compose,
     eigh,
     expectation,
+    fiber_chsh_functions,
     fiber_subset,
     functional_calculus,
     max_abs,
@@ -30,7 +31,7 @@ from hvsim import (
 )
 from hvsim.cli import ProblemFile, Tolerances, run_quantile
 from hvsim.hidden import _fiber_partition
-from hvsim.quantum import SNAP_TOL, _event_projectors
+from hvsim.quantum import SNAP_TOL, _classified, _event_projectors, _event_table
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = PureState([1.0, 1.0])
@@ -162,6 +163,69 @@ def test_batched_event_callers_equal_their_per_event_loops_bit_for_bit(n):
             _assert_same_bits(p, spectral_projector(dec, prop.borel))
 
 
+def _event_projectors_loop(dec, events) -> np.ndarray:
+    """_event_projectors with its mask built by a contains loop per call, as before the
+    classification was kept: the oracle for its bits."""
+    lams, n = dec.eigenvalues.tolist(), dec.dim
+    mask = np.zeros((max(len(events), 2), len(lams)), dtype=np.complex128)
+    mask[:len(events)] = [[e.contains(lam, SNAP_TOL) for lam in lams] for e in events]
+    return (mask @ dec.projectors.reshape(len(lams), n * n))[:len(events)].reshape(-1, n, n)
+
+
+def _fiber_subset_loop(prop: Proposition, state: PureState) -> BorelSet:
+    kept, cuts = _fiber_partition(prop.backing.weights(state.vector))
+    parts = []
+    for k, lam in enumerate(prop.backing.eigenvalues[kept]):
+        if prop.borel.contains(float(lam), SNAP_TOL):
+            top = float(cuts[k + 1])
+            parts.append(Interval(float(cuts[k]), top, False, top != 1.0))
+    return BorelSet(tuple(parts))
+
+
+def _fiber_signs_loop(quad: PropositionQuadruple, state: PureState) -> list:
+    lambdas = quad.backing.eigenvalues[_fiber_partition(quad.backing.weights(state.vector))[0]]
+
+    def side(p: Proposition) -> np.ndarray:
+        return np.array([1 if p.borel.contains(float(lam), SNAP_TOL) else -1 for lam in lambdas])
+
+    return [[side(a) * side(b) for b in (quad.b1, quad.b2)] for a in (quad.a1, quad.a2)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_kept_classification_equals_the_contains_loops_bit_for_bit(n):
+    # each caller of the kept table, twice (a fresh table, then the kept one), against its
+    # loop; events near the eigenvalues and a spectrum with clusters included
+    rng = np.random.default_rng(601 + n)
+    u = rand_unitary(rng, n)
+    planned = (u * rng.integers(-2, 3, size=n).astype(float)) @ u.conj().T
+    for op in (rand_hermitian(rng, n), (planned + planned.conj().T) / 2):
+        dec = eigh(op)
+        lams = [float(x) for x in dec.eigenvalues]
+        near = lams[0] + float(rng.uniform(-0.9, 0.9)) * SNAP_TOL
+        events = [BorelSet.points(lams[::2]), BorelSet.at_most(near), rand_borel(rng),
+                  rand_borel(rng, avoid=lams), BorelSet.interval(near, lams[-1], True, False)]
+        quad = PropositionQuadruple(*(Proposition(dec, e) for e in events[1:]))
+        h = rand_state(rng, n)
+        for _ in range(2):
+            _assert_same_bits(_event_projectors(dec, events), _event_projectors_loop(dec, events))
+            for e in events:
+                assert fiber_subset(Proposition(dec, e), h) == _fiber_subset_loop(
+                    Proposition(dec, e), h)
+            got = fiber_chsh_functions(quad, h).signs
+            assert got.dtype == np.int8
+            np.testing.assert_array_equal(got, _fiber_signs_loop(quad, h))
+
+
+def test_kept_classification_stays_within_its_bound():
+    bound = _classified.cache_info().maxsize
+    assert bound == 64
+    events = (BorelSet.at_most(0.0), BorelSet.point(1.0))
+    for k in range(300):
+        table = _event_table(events, np.array([-1.0, 0.5 * k, 1.0]), SNAP_TOL)
+        assert table.tolist() == [[True, k == 0, False], [False, k == 2, True]]
+        assert _classified.cache_info().currsize <= bound
+
+
 _NEAR = (0.0, SNAP_TOL / 2, SNAP_TOL, math.nextafter(SNAP_TOL, math.inf))
 
 
@@ -194,6 +258,9 @@ def test_events_with_endpoints_within_snap_tol_of_eigenvalues(n, seed, events):
         for i, off, sign, kind, other, other_sign, closed in pieces)) for pieces in events]
     h = rand_state(rng, n)
     kept, cuts = _fiber_partition(dec.weights(h.vector))
+    table = _event_table(sets, dec.eigenvalues, SNAP_TOL)
+    assert table.dtype == bool and not table.flags.writeable
+    assert table.tolist() == [[e.contains(lam, SNAP_TOL) for lam in lams] for e in sets]
     for e, got in zip(sets, _event_projectors(dec, sets)):
         chosen = [e.contains(lam, SNAP_TOL) for lam in lams]
         want = sum((p for p, c in zip(dec.projectors, chosen) if c), np.zeros((n, n)))
