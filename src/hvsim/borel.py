@@ -234,20 +234,22 @@ class PiecewiseAffineFunction:
         return cls((threshold,), ((0.0, below), (0.0, at_and_above)), (at_and_above,))
 
     def __call__(self, x: float) -> float:
-        x = float(x)
-        i = bisect_left(self.breakpoints, x)
-        if i < len(self.breakpoints) and self.breakpoints[i] == x:
-            return self.breakpoint_values[i]
-        slope, intercept = self.pieces[i]
-        return slope * x + intercept
+        return self.snapped(x, 0.0)
 
     def snapped(self, x: float, snap_tol: float) -> float:
-        """g at x, or at the breakpoint nearest x where that lies within snap_tol: the value
-        preimages give x, since membership snaps x onto an endpoint within snap_tol."""
-        x = float(x)
-        i = bisect_left(self.breakpoints, x)
-        near = [b for b in self.breakpoints[max(i - 1, 0):i + 1] if abs(x - b) <= snap_tol]
-        return self(min(near, key=lambda b: abs(x - b)) if near else x)
+        """g at x, or at the breakpoint nearest x where that lies within snap_tol, the lower
+        one on a tie: the value preimages give x, since membership snaps x onto an endpoint
+        within snap_tol. A breakpoint equal to x is always taken, even at a snap_tol of 0,
+        below 0 or NaN."""
+        x, tol = float(x), snap_tol if snap_tol > 0.0 else 0.0
+        bps = self.breakpoints
+        i = bisect_left(bps, x)  # bps[i - 1] < x <= bps[i]
+        if i < len(bps) and bps[i] - x <= tol and (i == 0 or bps[i] - x < x - bps[i - 1]):
+            return self.breakpoint_values[i]
+        if i and x - bps[i - 1] <= tol:
+            return self.breakpoint_values[i - 1]
+        slope, intercept = self.pieces[i]
+        return slope * x + intercept
 
     def piece_at(self, x: float) -> tuple[float, float]:
         """(slope, intercept) of the cell containing x; at a breakpoint, the left cell."""

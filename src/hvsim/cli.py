@@ -247,7 +247,8 @@ def load_problem(source: str) -> ProblemFile:
         if not _is_number(value):
             raise LoadError(f"{display}: tolerance {key!r} is not a number: {value!r}")
         overrides[key] = _to_float(value)
-        # a NaN tolerance would pass every `defect > tol` check
+        # refused here, naming the file and the key: not every library call refuses a NaN,
+        # infinite or negative tolerance (a NaN snap_tol snaps nothing)
         if not 0.0 <= overrides[key] < math.inf:
             raise LoadError(
                 f"{display}: tolerance {key!r} must be finite and non-negative: {value!r}"

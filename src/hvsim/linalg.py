@@ -88,7 +88,7 @@ def ensure_hermitian(matrix, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Check M = M* within tol (max norm, default 1e-10); return (M + M*)/2."""
     m = as_complex_matrix(matrix)
     defect = max_abs(m - m.conj().T)
-    if defect > tol:
+    if not defect <= tol:  # NaN fails too
         raise NotHermitian(f"self-adjointness defect {defect:.3e} exceeds tol {tol:.1e}")
     return _readonly(m / 2.0 + m.conj().T / 2.0)  # halved first: m + M* can overflow
 
@@ -98,7 +98,7 @@ def ensure_projector(matrix, tol: float = PROJECTOR_TOL) -> np.ndarray:
     PROJECTOR_TRACE_TOL of an integer."""
     p = ensure_hermitian(matrix, tol)
     defect = max_abs(p @ p - p)
-    if defect > tol:
+    if not defect <= tol:  # NaN fails too
         raise ValueError(f"idempotence defect {defect:.3e} exceeds tol {tol:.1e}")
     trace = float(np.trace(p).real)
     if abs(trace - round(trace)) > PROJECTOR_TRACE_TOL:
@@ -350,6 +350,16 @@ def _sweep(a: np.ndarray, v: np.ndarray, rounds) -> tuple:
     return (a + a.conj().swapaxes(-1, -2)) / 2.0, v
 
 
+def _member_order(ids: np.ndarray, parked: list, *arrays) -> tuple:
+    """The rows of arrays, for the members ids of a stack still in a loop, joined with those
+    of the (ids, *arrays) tuples parked, set aside from it, and put back in member order."""
+    if not parked:
+        return arrays
+    ids, *arrays = (np.concatenate(x) for x in zip((ids, *arrays), *parked))
+    back = np.argsort(ids)
+    return tuple(x[back] for x in arrays)
+
+
 def _sweep_until(a, v, limit, sweeps, rounds, e, threshold) -> tuple:
     """Sweep a and v, one matrix or a stack, until each member's off-diagonal norm is at
     most its entry of limit; sweeps holds the sweeps each member has had so far. A member
@@ -373,12 +383,7 @@ def _sweep_until(a, v, limit, sweeps, rounds, e, threshold) -> tuple:
             ids, a, v, sweeps, limit = (x[~done] for x in (ids, a, v, sweeps, limit))
         a, v = _sweep(a, v, rounds)
         sweeps = sweeps + 1
-    if parked:  # put the stack back in member order
-        ids, a, v, sweeps, off = (np.concatenate(x)
-                                  for x in zip((ids, a, v, sweeps, off), *parked))
-        back = np.argsort(ids)
-        a, v, sweeps, off = a[back], v[back], sweeps[back], off[back]
-    return a, v, sweeps, off
+    return _member_order(ids, parked, a, v, sweeps, off)
 
 
 def _orthonormality(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -395,11 +400,14 @@ def _orthonormality(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return r
 
 
-def _refine(a: np.ndarray, x: np.ndarray, s: np.ndarray, r: np.ndarray) -> tuple:
-    """Ogita-Aishima refinement of the eigenvector estimates x of the Hermitian members of
-    the (m, n, n) stack a. s and r are the first step's S and R: the loose stage's rotated
-    matrix, which is x* a x up to the rounding of its rotations, and I - x* x. Returns
-    (x* a x symmetrized, the refined x, max|I - x* x|) for the refined x, one per member.
+def _refine(a: np.ndarray, x: np.ndarray, s: np.ndarray, r: np.ndarray, done: np.ndarray
+            ) -> tuple:
+    """Ogita-Aishima refinement of the eigenvector estimates x of a, trusted Hermitian, one
+    matrix or a stack. s and r are the first step's S and R: the loose stage's rotated
+    matrix, which is x* a x up to the rounding of its rotations, and I - x* x. done, (1,)
+    for a single matrix, marks the members the loose stage left at the tight threshold,
+    which are not refined. Returns (x* a x symmetrized, the refined x, max|I - x* x|) for
+    the refined x, one per member; a member marked done returns its own s, x and defect.
 
     A step sets x <- x + x F from R = I - x* x and S = x* a x, with the eigenvalue
     estimates l_i = s_ii / (1 - r_ii) and the cluster radius
@@ -409,25 +417,31 @@ def _refine(a: np.ndarray, x: np.ndarray, s: np.ndarray, r: np.ndarray) -> tuple
     at each step; within a cluster a step only makes x orthonormal, and leaves the
     cluster's rotation to the tight stage. A member stops once a step has applied an F of
     at most _STEP_TOL, whose square is below the unit roundoff, or after _REFINE_STEPS
-    steps; a stopped member is carried along unchanged, so each member's result is that
-    of its own refinement."""
+    steps. A stack's member is parked, set aside untouched, before the first step that it
+    does not take, as in _sweep_until, so that each member's result and work are those of
+    its own refinement."""
     n = a.shape[-1]
     eye = np.eye(n)
     size = np.sqrt(_squares(a).sum(axis=-1))
-    done = np.zeros(len(a), dtype=bool)
+    ids, parked = np.arange(len(done)), []
     for _ in range(_REFINE_STEPS):
+        if all(done):
+            break
+        if any(done):  # a stack's stopped members; a single matrix has left the loop
+            parked.append((ids[done], s[done], x[done], r[done]))
+            ids, a, x, s, r, size = (y[~done] for y in (ids, a, x, s, r, size))
         lam = s.diagonal(0, -2, -1).real / (1.0 - r.diagonal(0, -2, -1).real)
         radius = 2.0 * (_off_norm(s) + size * np.sqrt(_squares(r).sum(axis=-1)))
-        right = lam[:, None, :]
-        gap = right - lam[:, :, None]  # l_j - l_i at [i, j]
-        f = np.divide(s + right * r, gap, out=r / 2.0, where=np.abs(gap) > radius[:, None, None])
-        x = np.where(done[:, None, None], x, x + x @ f)
-        done = done | (np.abs(f).reshape(-1, n * n).max(axis=-1) <= _STEP_TOL)
+        right = lam[..., None, :]
+        gap = right - lam[..., :, None]  # l_j - l_i at [i, j]
+        f = np.divide(s + right * r, gap, out=r / 2.0,
+                      where=np.abs(gap) > radius.reshape(s.shape[:-2] + (1, 1)))
+        x = x + x @ f
+        done = np.abs(f).reshape(-1, n * n).max(axis=-1) <= _STEP_TOL
         xh = x.conj().swapaxes(-1, -2)
         r = eye - xh @ x
         s = xh @ (a @ x)
-        if all(done):
-            break
+    s, x, r = _member_order(ids, parked, s, x, r)
     return (s + s.conj().swapaxes(-1, -2)) / 2.0, x, np.abs(r).reshape(-1, n * n).max(axis=-1)
 
 
@@ -448,11 +462,14 @@ def _jacobi(a: np.ndarray) -> tuple:
     - Tight stage: sweeps again, from (X* A X, X) for the refined X, until the off-diagonal
       norm is at most JACOBI_OFF_TOL times max(1, the largest entry); this resolves the
       rotations within clusters. If X misses the orthonormality bound below, the member
-      restarts here from the loose stage's own (a, v) instead.
-    A member that meets a stage's threshold is set aside untouched, and a stack refines
-    with batched products, so that every member's eigenpairs are bit for bit those of
-    its own 2-D call. ConvergenceFailure, naming the member, follows JACOBI_MAX_SWEEPS
-    sweeps of both stages together; both are read at call time.
+      restarts here from the loose stage's own (a, v) instead: one select per member
+      picks the refined pair or the loose one.
+    A stack sweeps and refines with batched products. A member that meets a stage's
+    threshold, or stops refining, is set aside untouched in that step, and the stack is
+    put back in member order after each loop (_member_order), so that every member's
+    eigenpairs, and its sweeps and refinement steps, are those of its own 2-D call.
+    ConvergenceFailure, naming the member, follows JACOBI_MAX_SWEEPS sweeps of both
+    stages together; both are read at call time.
     See T. Ogita and K. Aishima, "Iterative refinement for symmetric eigenvalue
     decomposition", Japan J. Indust. Appl. Math. 35 (2018) 1007-1035, and "... II:
     clustered eigenvalues", Japan J. Indust. Appl. Math. 36 (2019) 435-459.
@@ -487,17 +504,15 @@ def _jacobi(a: np.ndarray) -> tuple:
     rotated, v, sweeps, off = _sweep_until(a, eye, loose, np.zeros(len(e), dtype=int), rounds,
                                            e, threshold)
     r = _orthonormality(a, v)
-    refine = ~(off <= tight)
-    if any(refine):
-        rotated, v = rotated.reshape(-1, n, n), v.reshape(-1, n, n)
-        s, x, defect = _refine(a.reshape(-1, n, n)[refine], v[refine], rotated[refine],
-                               r.reshape(-1, n, n)[refine])
-        kept = n * defect <= PROJECTOR_TOL / 2  # a NaN defect fails: that member restarts
-        at = np.flatnonzero(refine)[kept]
-        rotated[at], v[at] = s[kept], x[kept]
+    met = off <= tight  # such as any n = 2 or diagonal member
+    if not all(met):
+        s, x, defect = _refine(a, v, rotated, r, met)
+        # a refined member within the orthonormality bound goes on from its refined pair;
+        # one that misses it (a NaN defect fails too), and one already met, from the loose
+        kept = (~met & (n * defect <= PROJECTOR_TOL / 2)).reshape(a.shape[:-2] + (1, 1))
+        rotated, v = np.where(kept, s, rotated), np.where(kept, x, v)
         swept = sweeps
-        rotated, v, sweeps, _ = _sweep_until(rotated.reshape(a.shape), v.reshape(a.shape),
-                                             tight, sweeps, rounds, e, threshold)
+        rotated, v, sweeps, _ = _sweep_until(rotated, v, tight, sweeps, rounds, e, threshold)
         if any(sweeps > swept):  # the rest are as refined, and have met the bound above
             _orthonormality(a, v)
     ids = np.arange(len(e))
@@ -540,7 +555,7 @@ def eigh(matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
     SpectralDecomposition constructor, and a mean kept inside its cluster keeps the
     eigenvalues strictly increasing.
     """
-    if cluster_tol <= 0:
+    if not cluster_tol > 0:  # NaN fails too
         raise ValueError("cluster_tol must be positive")
     raw, vecs = _jacobi(ensure_hermitian(matrix))
     with np.errstate(over="ignore"):  # gaps and sums near the float64 limit may be inf

@@ -1,4 +1,6 @@
 import math
+import struct
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -68,6 +70,59 @@ def test_snapped_takes_the_nearest_breakpoint_within_snap_tol():
         5.0, 5.0, 6.0, 1.0, 9.0]
     assert g.snapped(-2e-9, 1e-9) == g(-2e-9)
     assert g.snapped(1e-12, 0.0) == g(1e-12) == 2e-12
+
+
+def _two_routine_call(g, x):
+    """The earlier __call__: g at x, taking the breakpoint value only at a breakpoint."""
+    x = float(x)
+    i = bisect_left(g.breakpoints, x)
+    if i < len(g.breakpoints) and g.breakpoints[i] == x:
+        return g.breakpoint_values[i]
+    slope, intercept = g.pieces[i]
+    return slope * x + intercept
+
+
+def _two_routine_snapped(g, x, snap_tol):
+    """The earlier snapped: the nearest neighbouring breakpoint within snap_tol, the first
+    on a tie, evaluated by the earlier __call__, which bisects again."""
+    x = float(x)
+    i = bisect_left(g.breakpoints, x)
+    near = [b for b in g.breakpoints[max(i - 1, 0):i + 1] if abs(x - b) <= snap_tol]
+    return _two_routine_call(g, min(near, key=lambda b: abs(x - b)) if near else x)
+
+
+def test_one_evaluation_routine_equals_the_two_it_replaced():
+    # breakpoints 2e-9 apart put their midpoint at a tie for a snap_tol of 1e-9; the others
+    # sit alone, at the float64 limit, at 0 and beside subnormals
+    functions = [
+        PiecewiseAffineFunction.identity(),
+        PiecewiseAffineFunction.step(0.0, -1.0, 2.0),
+        PiecewiseAffineFunction((0.0, 2e-9, 1.0), ((1.0, 0.5), (-3.0, 0.0), (2.0, 1.0), (0.0, 7.0)),
+                                (5.0, 6.0, -4.0)),
+        PiecewiseAffineFunction((-1e308, -5e-324, 5e-324, 1e308),
+                                ((1.0, 0.0), (0.0, 3.0), (2.0, 0.0), (-1.0, 1.0), (0.0, -2.0)),
+                                (9.0, 8.0, 7.0, 6.0)),
+    ]
+    tols = (0.0, 5e-10, 1e-9, 2e-9, 1e-6, 0.5, 2.0, -1.0, math.nan, INF)
+    cases = 0
+    for g in functions:
+        xs = [0.0, -0.0, math.nan, INF, -INF, 0.5, -3.0, 1e-9, 1e300]
+        for b, c in zip(g.breakpoints, g.breakpoints[1:]):
+            xs.append(b + (c - b) / 2.0)
+        for b in g.breakpoints:
+            for offset in (0.0, 1e-12, 5e-10, 1e-9, 2e-9, 1e-6, 0.25, 0.5, 2.0):
+                for x in (b + offset, b - offset):
+                    xs += [x, math.nextafter(x, INF), math.nextafter(x, -INF)]
+        for x in xs:
+            assert _bits(g(x)) == _bits(_two_routine_call(g, x))
+            for tol in tols:
+                assert _bits(g.snapped(x, tol)) == _bits(_two_routine_snapped(g, x, tol))
+                cases += 1
+    assert cases > 4000
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
 
 
 def test_set_operations_pointwise_random():

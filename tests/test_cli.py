@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_unitary
+from conftest import counted_refinements, rand_unitary
 import hvsim
 from hvsim import PureState, eigh, ensure_hermitian
 from hvsim.cli import COMMANDS, build_parser, load_problem, main, run_chsh
@@ -841,6 +841,53 @@ def test_spectra_random_dim8_fixture_file(tmp_path, capsys):
     assert code == 0
     section = json.loads(out)["results"][0]
     assert section["reconstruction_residual"] < 1e-8
+
+
+def _solver_edge_case(name: str) -> np.ndarray:
+    """The operator of one of the solver's edge cases, unsymmetrized:
+    - kept, restarted: a chained cluster of four eigenvalues 1e-9 apart, at dim 8 and at
+      dim 5 (test_linalg's _chained(default_rng(42), 5)); the tight stage resolves it. The
+      refinement of the dim-8 one is kept, and that of the dim-5 one misses the
+      orthonormality bound and restarts from the loose stage's result;
+    - idle: at odd n each round leaves one index idle, which a paired sweep must keep out
+      of W's put;
+    - subnormal: the coupling 1e-310 (1 + i) is subnormal, and stays so once scaled."""
+    if name == "kept":
+        rng = np.random.default_rng(1)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        return (q * [-3.0, -2.0, -1.0, 1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 3e-9, 2.0]) @ q.conj().T
+    if name == "restarted":
+        rng = np.random.default_rng(42)
+        u = rand_unitary(rng, 5)
+        w = np.sort(rng.uniform(-3.0, 3.0, size=5))
+        w[:4] = w[0] + 1e-9 * np.arange(4)
+        return (u * w) @ u.conj().T
+    if name == "idle":
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
+        return (q * [-2.0, -1.0, -1.0, 0.5, 3.0, 3.0, 3.0]) @ q.conj().T
+    z = 1e-310 * (1 + 1j)
+    return np.array([[1, 0.5, 0, 0], [0.5, 2, 0, 0], [0, 0, 3, z], [0, 0, np.conj(z), 4]])
+
+
+@pytest.mark.parametrize("name, multiplicities, restarted", [
+    ("kept", [1, 1, 1, 4, 1], False),
+    ("restarted", [4, 1], True),
+    ("idle", [1, 2, 1, 3], False),
+    ("subnormal", [1, 1, 1, 1], False),
+])
+def test_spectra_and_roundtrip_on_the_solvers_edge_cases(tmp_path, capsys, monkeypatch, name,
+                                                         multiplicities, restarted):
+    a = _solver_edge_case(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"dimension": len(a),
+                                "operators": {name: _complex_rows((a + a.conj().T) / 2)}}))
+    missed = counted_refinements(monkeypatch)
+    code, out, _ = run(["spectra", "--input", str(path), "--operator", name], capsys)
+    assert code == 0
+    assert json.loads(out)["results"][0]["multiplicities"] == multiplicities
+    assert run(["roundtrip", "--input", str(path), "--operator", name], capsys)[0] == 0
+    assert any(missed) == restarted
 
 
 def test_dim48_spectra_report_is_identical_across_processes(tmp_path):

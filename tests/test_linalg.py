@@ -4,10 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    counted_refinements,
     oracle_correlation,
     oracle_meet,
     rand_commuting_projectors,
@@ -310,6 +311,56 @@ def test_solver_agrees_with_numpy_on_eigenvalues_and_cluster_projectors(kind, n,
         assert max_abs(p - oracle) <= bound + 10.0 * n * np.finfo(float).eps
 
 
+# the links within a planned cluster, at most cluster_tol, and the cuts between clusters,
+# above it; None is a wide cut
+CLUSTER_LINKS = (0.5 * CLUSTER_TOL, 0.9 * CLUSTER_TOL)
+CLUSTER_CUTS = (1.1 * CLUSTER_TOL, 2.0 * CLUSTER_TOL, None)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+# the largest n, in chains of four and of three, with every link and cut at its narrowest
+@example(n=16, chains=[4] * 16, links=[0.9 * CLUSTER_TOL] * 15, cuts=[1.1 * CLUSTER_TOL] * 15,
+         seed=16)
+@example(n=15, chains=[3] * 16, links=[0.9 * CLUSTER_TOL] * 15, cuts=[1.1 * CLUSTER_TOL] * 15,
+         seed=15)
+@given(
+    n=st.integers(2, 16),
+    chains=st.lists(st.integers(1, 4), min_size=16, max_size=16),
+    links=st.lists(st.sampled_from(CLUSTER_LINKS), min_size=15, max_size=15),
+    cuts=st.lists(st.sampled_from(CLUSTER_CUTS), min_size=15, max_size=15),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eigh_clusters_near_degenerate_spectra_as_planned(n, chains, links, cuts, seed):
+    # chains of up to four eigenvalues whose links sit just inside cluster_tol, so a chain
+    # of three or four spans more than cluster_tol, between cuts just outside it; the
+    # chains' sizes are drawn in order until they hold n eigenvalues
+    rng = np.random.default_rng(seed)
+    sizes = []
+    for size in chains:
+        sizes.append(min(size, n - sum(sizes)))
+        if sum(sizes) == n:
+            break
+    gaps, link = [], iter(links)
+    for k, size in enumerate(sizes):
+        gaps += [cuts[k]] * (k > 0) + [next(link) for _ in range(size - 1)]
+    u = rand_unitary(rng, n)
+    a = (u * _planned_spectrum(rng, gaps)) @ u.conj().T
+    a = (a + a.conj().T) / 2.0
+    # Weyl and the rounding of both solvers, as in the property above
+    tol = JACOBI_OFF_TOL * max(1.0, max_abs(a)) + 100.0 * n * n * np.finfo(float).eps * max_abs(a)
+    w, v = np.linalg.eigh(a)
+    dec = eigh(a)
+    # the gaps clear cluster_tol by 1e-9, far beyond tol: eigh's single-linkage clusters
+    # are the planned ones
+    assert dec.ranks == tuple(sizes)
+    ends = np.cumsum(sizes)
+    for value, p, lo, hi in zip(dec.eigenvalues, dec.projectors, ends - sizes, ends):
+        assert w[lo] - tol <= value <= w[hi - 1] + tol
+        gap = min(w[lo] - w[lo - 1] if lo > 0 else np.inf, w[hi] - w[hi - 1] if hi < n else np.inf)
+        oracle = v[:, lo:hi] @ v[:, lo:hi].conj().T
+        assert max_abs(p - oracle) <= 2.0 * tol / gap + 10.0 * n * np.finfo(float).eps
+
+
 def _bits(a: np.ndarray) -> tuple:
     return a.shape, a.strides, a.tobytes()
 
@@ -403,25 +454,48 @@ def _sharing_a_line(rng, n: int) -> tuple:
     return tuple(pair)
 
 
-def _counted_refinements(monkeypatch) -> list:
-    """Patch _jacobi's refinement to record, per refined member, whether its eigenvectors
-    missed the orthonormality bound, which sends that member back to its loose result."""
-    missed = []
-    refine = hvsim.linalg._refine
+def _member_steps(a: np.ndarray) -> int:
+    """Refinement member-steps of a _jacobi call on a, one matrix or a stack: each step
+    reads the off-diagonal norms of S once, one per member it refines."""
+    inside, steps = [], []
+    refine, off_norm = hvsim.linalg._refine, hvsim.linalg._off_norm
 
-    def counted(a, x, s, r):
-        out = refine(a, x, s, r)
-        missed.extend((a.shape[-1] * out[2] > PROJECTOR_TOL / 2).tolist())
+    def spied_refine(*args):
+        inside.append(None)
+        try:
+            return refine(*args)
+        finally:
+            inside.pop()
+
+    def spied_off_norm(m):
+        out = off_norm(m)
+        steps.extend([len(out)] if inside else [])
         return out
 
-    monkeypatch.setattr(hvsim.linalg, "_refine", counted)
-    return missed
+    hvsim.linalg._refine, hvsim.linalg._off_norm = spied_refine, spied_off_norm
+    try:
+        _jacobi(a)
+    finally:
+        hvsim.linalg._refine, hvsim.linalg._off_norm = refine, off_norm
+    return sum(steps)
+
+
+def test_stacked_refinement_takes_its_members_own_steps_bit_for_bit():
+    # members that stop refining after 8, 3 and 4 steps, and a diagonal one the loose stage
+    # leaves at the tight threshold: each is set aside in the step where it stops, so the
+    # stack takes the steps of the members' own solves, and their bits
+    members = [_chained(np.random.default_rng(2), 5), rand_hermitian(np.random.default_rng(0), 5),
+               _chained(np.random.default_rng(4), 5), np.diag([2.0, -1.0, 0.5, 3.0, 1.0]) + 0j]
+    steps = [_member_steps(m) for m in members]
+    assert steps == [8, 3, 4, 0]
+    assert _member_steps(np.stack(members)) == sum(steps)
+    assert_stack_solves_like_singles(members)
 
 
 def test_diagonal_and_two_by_two_inputs_are_not_refined(monkeypatch):
     # the loose stage leaves them at the tight threshold: a diagonal matrix makes no
     # sweep, and one sweep zeroes the only pair of a 2 x 2 matrix
-    missed = _counted_refinements(monkeypatch)
+    missed = counted_refinements(monkeypatch)
     rng = np.random.default_rng(89)
     _jacobi(np.diag([3.0, 1.0, 2.0]).astype(complex))
     _jacobi(rand_hermitian(rng, 2))
@@ -443,7 +517,7 @@ def test_a_refinement_that_misses_the_orthonormality_bound_restarts(monkeypatch)
     # as the refinement converges, its cluster radius shrinks below the chain's 1e-9 gaps,
     # and dividing by them leaves X off the bound; the solve restarts the tight stage
     # from the loose stage's result, and meets every gate
-    missed = _counted_refinements(monkeypatch)
+    missed = counted_refinements(monkeypatch)
     a = _chained(np.random.default_rng(42), 5)
     raw, v = _jacobi(a)
     assert missed == [True]
@@ -458,7 +532,7 @@ def test_a_refinement_that_misses_the_orthonormality_bound_restarts(monkeypatch)
 def test_refinement_keeps_chained_dim8_spectra_on_the_refined_path(monkeypatch):
     # no seed's refinement misses the orthonormality bound; with a hand-off at 1e-3 and
     # three steps, 11 of these 20 did and restarted the tight stage from the loose result
-    missed = _counted_refinements(monkeypatch)
+    missed = counted_refinements(monkeypatch)
     for seed in range(20):
         _jacobi(_chained(np.random.default_rng(seed), 8))
     assert len(missed) == 20 and sum(missed) == 0

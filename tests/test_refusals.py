@@ -16,6 +16,7 @@ from hvsim import (
     FiberChshFunctions,
     HiddenSampleReport,
     Interval,
+    NotHermitian,
     OutOfDomain,
     PiecewiseAffineFunction,
     PureState,
@@ -23,6 +24,8 @@ from hvsim import (
     SpectralDecomposition,
     as_complex_matrix,
     eigh,
+    ensure_hermitian,
+    ensure_projector,
 )
 from hvsim.cli import main
 
@@ -64,6 +67,13 @@ REFUSALS = [
                  "need one projector per eigenvalue", id="decomposition-count"),
     pytest.param(lambda: eigh(HALF, cluster_tol=0), ValueError,
                  "cluster_tol must be positive", id="eigh-cluster-tol-0"),
+    # a NaN tolerance fails every comparison it takes part in, so each check refuses
+    pytest.param(lambda: eigh(np.diag([1.0, 2.0]), cluster_tol=math.nan), ValueError,
+                 "cluster_tol must be positive", id="eigh-cluster-tol-nan"),
+    pytest.param(lambda: ensure_hermitian([[0, 1], [0, 0]], tol=math.nan), NotHermitian,
+                 "self-adjointness defect 1.000e+00 exceeds tol nan", id="hermitian-tol-nan"),
+    pytest.param(lambda: ensure_projector(0.5 * np.eye(2), tol=math.nan), NotHermitian,
+                 "self-adjointness defect 0.000e+00 exceeds tol nan", id="projector-tol-nan"),
     pytest.param(lambda: UP.overlap(PureState([1.0, 0.0, 0.0])), DimensionMismatch,
                  "state dimensions differ: 2 vs 3", id="overlap-across-dimensions"),
     pytest.param(lambda: _report([0.5, 0.4]), ValueError,
