@@ -25,6 +25,7 @@ from .linalg import (
     MEET_TOL,
     PROJECTOR_TRACE_TOL,
     SpectralDecomposition,
+    _check_range,
     _class_projectors,
     _commutes,
     _ensure_projectors,
@@ -41,6 +42,9 @@ SECTOR_SNAP_TOL = 1e-6
 # the widest sector_snap_tol at which a pair's purified sectors keep the projector checks:
 # at a label drift d they are idempotent within 2187 d^4 (see _pair_sectors), 1.4e-10 here
 SECTOR_SNAP_TOL_MAX = 5e-4
+# the range _joint_sectors reads sector_snap_tol in, as linalg._check_range takes it
+_TOL_RANGES = {"sector_snap_tol": (lambda tol: 0.0 <= tol <= SECTOR_SNAP_TOL_MAX,
+                                   f"must be in [0, {SECTOR_SNAP_TOL_MAX:.0e}]")}
 HOMOMORPHISM_TOL = 1e-8
 
 
@@ -304,9 +308,7 @@ def _joint_sectors(
     square root of the sector's rank. A member's label range is checked before its drift,
     and both refusals fail on NaN. Every joint sector path comes here, so sector_snap_tol is
     checked here: a pair's sectors keep their promises only for 0 <= it <= SECTOR_SNAP_TOL_MAX."""
-    if not 0.0 <= sector_snap_tol <= SECTOR_SNAP_TOL_MAX:  # NaN fails too
-        raise ValueError(f"sector_snap_tol must be in [0, {SECTOR_SNAP_TOL_MAX:.0e}], "
-                         f"got {sector_snap_tol!r}")
+    _check_range(_TOL_RANGES, "sector_snap_tol", sector_snap_tol)
     for (a, b), ok in commuting.items():
         if not ok:
             raise NotCommuting(f"{a} and {b} do not commute")

@@ -24,11 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bell, linalg
 from .bell import (
     HOMOMORPHISM_TOL,
     SECTOR_SNAP_TOL,
-    SECTOR_SNAP_TOL_MAX,
     PropositionQuadruple,
     _chsh_combination,
     _chsh_terms,
@@ -52,7 +51,6 @@ from .linalg import (
     COMMUTE_TOL,
     HERMITIAN_TOL,
     MEET_TOL,
-    MEET_TOL_MAX,
     PROJECTOR_TOL,
     eigh,
     ensure_hermitian,
@@ -61,6 +59,8 @@ from .linalg import (
 )
 from .quantum import SNAP_TOL, PureState, _event_projectors, _quadratic_prob, functional_calculus, prob
 
+# the bounded tolerances' ranges, each as the library call that reads it states it
+_TOL_RANGES = {**linalg._TOL_RANGES, **bell._TOL_RANGES}
 # the ProblemFile table a name key refers to; the other keys (operator, e1..f2) name operators
 _TABLES = {"state": "states", "borel": "borel_sets", "function": "functions"}
 _NUMBER_TYPES = frozenset((int, float))  # the Python types json gives a number; bool is neither
@@ -121,85 +121,69 @@ def _to_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _numbers(value, shape: tuple, where: str) -> np.ndarray:
+def _numbers(value, shape: tuple) -> np.ndarray:
     """A rectangular nested list of JSON numbers as a float64 array of the given shape,
     where a None length is free; numbers read as `_is_number` and `_to_float` say."""
     a = np.array(value, dtype=object)
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         dims = " x ".join("n" if n is None else str(n) for n in shape)
-        raise LoadError(f"{where}: expected a nested list of numbers of shape {dims}")
+        raise ValueError(f"expected a nested list of numbers of shape {dims}")
     if not _NUMBER_TYPES.issuperset(map(type, a.flat)):
         bad = next(v for v in a.flat if not _is_number(v))
-        raise LoadError(f"{where}: entries must be JSON numbers, got {bad!r}")
+        raise ValueError(f"entries must be JSON numbers, got {bad!r}")
     try:
         return a.astype(np.float64)
     except OverflowError:  # an int past float range, which _to_float reads as inf
         return np.fromiter(map(_to_float, a.flat), np.float64, a.size).reshape(a.shape)
 
 
-def _parse_operator(rows, dim: int, hermitian_tol: float, where: str) -> np.ndarray:
-    pairs = _numbers(rows, (dim, dim, 2), where)
-    try:
-        return ensure_hermitian(pairs.view(np.complex128)[..., 0], hermitian_tol)
-    except (NotHermitian, ValueError) as exc:
-        raise LoadError(f"{where}: {exc}") from exc
+def _complex(value, shape: tuple) -> np.ndarray:
+    """A nested list of [re, im] pairs as a complex128 array of the given shape."""
+    return _numbers(value, (*shape, 2)).view(np.complex128)[..., 0]
 
 
-def _parse_state(components, dim: int, where: str) -> PureState:
-    pairs = _numbers(components, (dim, 2), where)
-    try:
-        return PureState(pairs.view(np.complex128)[:, 0])
-    except ValueError as exc:
-        raise LoadError(f"{where}: {exc}") from exc
-
-
-def _parse_endpoint(value, where: str) -> float:
+def _parse_endpoint(value) -> float:
     if value in ("-inf", "inf"):
         return float(value)
     if not _is_number(value):
-        raise LoadError(
-            f"{where}: interval endpoints must be numbers or '-inf'/'inf', got {value!r}"
-        )
+        raise ValueError(f"interval endpoints must be numbers or '-inf'/'inf', got {value!r}")
     return _to_float(value)
 
 
-def _parse_flag(spec: dict, key: str, where: str) -> bool:
+def _parse_flag(spec: dict, key: str) -> bool:
     value = spec.get(key, False)
     if not isinstance(value, bool):
-        raise LoadError(f"{where}: {key!r} must be true or false, got {value!r}")
+        raise ValueError(f"{key!r} must be true or false, got {value!r}")
     return value
 
 
-def _parse_borel(pieces, where: str) -> BorelSet:
+def _parse_borel(pieces) -> BorelSet:
     if not isinstance(pieces, list):
-        raise LoadError(f"{where}: a Borel set is a list of interval objects")
+        raise ValueError("a Borel set is a list of interval objects")
     intervals = []
     for spec in pieces:
         if not isinstance(spec, dict):
-            raise LoadError(f"{where}: intervals are objects with lo/hi/flags")
-        try:
-            intervals.append(
-                Interval(
-                    _parse_endpoint(spec.get("lo", "-inf"), where),
-                    _parse_endpoint(spec.get("hi", "inf"), where),
-                    _parse_flag(spec, "lo_closed", where),
-                    _parse_flag(spec, "hi_closed", where),
-                )
-            )
-        except ValueError as exc:
-            raise LoadError(f"{where}: {exc}") from exc
+            raise ValueError("intervals are objects with lo/hi/flags")
+        intervals.append(Interval(
+            _parse_endpoint(spec.get("lo", "-inf")),
+            _parse_endpoint(spec.get("hi", "inf")),
+            _parse_flag(spec, "lo_closed"),
+            _parse_flag(spec, "hi_closed"),
+        ))
     return BorelSet(tuple(intervals))
 
 
-def _parse_function(spec, where: str) -> PiecewiseAffineFunction:
+def _parse_function(spec) -> PiecewiseAffineFunction:
     if not isinstance(spec, dict):
-        raise LoadError(f"{where}: functions are objects with breakpoints/pieces/breakpoint_values")
-    shapes = {"breakpoints": (None,), "pieces": (None, 2), "breakpoint_values": (None,)}
-    lists = [_numbers(spec.get(key, []), shape, f"{where} {key}") for key, shape in shapes.items()]
-    try:
-        return PiecewiseAffineFunction(*lists)
-    except ValueError as exc:
-        raise LoadError(f"{where}: {exc}") from exc
+        raise ValueError("functions are objects with breakpoints/pieces/breakpoint_values")
+    lists = []
+    for key, shape in {"breakpoints": (None,), "pieces": (None, 2),
+                       "breakpoint_values": (None,)}.items():
+        try:
+            lists.append(_numbers(spec.get(key, []), shape))
+        except ValueError as exc:  # which of the three lists, for the entry's message
+            raise ValueError(f"{key}: {exc}") from exc
+    return PiecewiseAffineFunction(*lists)
 
 
 def _read_source(source: str) -> tuple[bytes, str]:
@@ -247,49 +231,41 @@ def load_problem(source: str) -> ProblemFile:
         if not _is_number(value):
             raise LoadError(f"{display}: tolerance {key!r} is not a number: {value!r}")
         overrides[key] = _to_float(value)
-        # refused here, naming the file and the key: not every library call refuses a NaN,
-        # infinite or negative tolerance (a NaN snap_tol snaps nothing)
+        # refused here, naming the file and the key: the library accepts some NaN, infinite
+        # or negative tolerances on purpose (a negative or NaN snap_tol snaps nothing)
         if not 0.0 <= overrides[key] < math.inf:
             raise LoadError(
                 f"{display}: tolerance {key!r} must be finite and non-negative: {value!r}"
             )
-        # eigh refuses a cluster_tol of 0, the meets a meet_tol outside (0, MEET_TOL_MAX]
-        # and the joint sectors a sector_snap_tol above SECTOR_SNAP_TOL_MAX; say so here,
-        # naming the file and the key
-        if key == "cluster_tol" and overrides[key] == 0.0:
-            raise LoadError(f"{display}: tolerance {key!r} must be positive: {value!r}")
-        if key == "meet_tol" and not 0.0 < overrides[key] <= MEET_TOL_MAX:
-            raise LoadError(f"{display}: tolerance {key!r} must be in "
-                            f"(0, 1 - 1/sqrt 2 = {MEET_TOL_MAX:.4g}]: {value!r}")
-        if key == "sector_snap_tol" and not overrides[key] <= SECTOR_SNAP_TOL_MAX:
-            raise LoadError(f"{display}: tolerance {key!r} must be in "
-                            f"[0, {SECTOR_SNAP_TOL_MAX:.0e}]: {value!r}")
+        # a bounded tolerance is refused by the range the library call that reads it states
+        if key in _TOL_RANGES:
+            admits, wording = _TOL_RANGES[key]
+            if not admits(overrides[key]):
+                raise LoadError(f"{display}: tolerance {key!r} {wording}: {value!r}")
     tolerances = replace(Tolerances(), **overrides)
 
-    operators = {
-        name: _parse_operator(rows, dim, tolerances.hermitian_tol, f"{display}: operator {name!r}")
-        for name, rows in _section(doc, "operators", display).items()
+    # each table's entries, read by its parser; every refusal names the file and the entry
+    parsers = {
+        "operators": ("operator", lambda rows: ensure_hermitian(
+            _complex(rows, (dim, dim)), tolerances.hermitian_tol)),
+        "states": ("state", lambda components: PureState(_complex(components, (dim,)))),
+        "borel_sets": ("borel set", _parse_borel),
+        "functions": ("function", _parse_function),
     }
-    states = {
-        name: _parse_state(vec, dim, f"{display}: state {name!r}")
-        for name, vec in _section(doc, "states", display).items()
-    }
-    borel_sets = {
-        name: _parse_borel(spec, f"{display}: borel set {name!r}")
-        for name, spec in _section(doc, "borel_sets", display).items()
-    }
-    functions = {
-        name: _parse_function(spec, f"{display}: function {name!r}")
-        for name, spec in _section(doc, "functions", display).items()
-    }
+    tables = {}
+    for table, (noun, parse) in parsers.items():
+        entries = tables[table] = {}
+        for name, spec in _section(doc, table, display).items():
+            try:
+                entries[name] = parse(spec)
+            except (NotHermitian, ValueError) as exc:
+                knob = " (tolerance 'hermitian_tol')" if isinstance(exc, NotHermitian) else ""
+                raise LoadError(f"{display}: {noun} {name!r}: {exc}{knob}") from exc
     experiments = _section(doc, "experiments", display, list)
     problem = ProblemFile(
         dimension=dim,
         tolerances=tolerances,
-        operators=operators,
-        states=states,
-        borel_sets=borel_sets,
-        functions=functions,
+        **tables,
         experiments=experiments,
         source=display,
         digest=hashlib.sha256(raw).hexdigest(),

@@ -540,6 +540,24 @@ def _class_projectors(vecs: np.ndarray, classes: np.ndarray, keys) -> list[np.nd
     return projectors
 
 
+def _check_range(ranges: dict, name: str, value: float) -> None:
+    """Refuse tolerance `name` outside its range in `ranges`, a map of (test, wording), with
+    a ValueError in that wording; every test fails on NaN. Each module states the ranges its
+    calls read, and hv refuses a problem file's tolerance from the same statement."""
+    admits, wording = ranges[name]
+    if not admits(value):
+        raise ValueError(f"{name} {wording}, got {value!r}")
+
+
+# the tolerance ranges eigh and _pair_meets read: single linkage cuts only at a positive gap,
+# and _pair_meets' three classes are disjoint only up to MEET_TOL_MAX
+_TOL_RANGES = {
+    "cluster_tol": (lambda tol: tol > 0, "must be positive"),
+    "meet_tol": (lambda tol: 0.0 < tol <= MEET_TOL_MAX,
+                 f"must be in (0, 1 - 1/sqrt 2 = {MEET_TOL_MAX:.4g}]"),
+}
+
+
 def eigh(matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
     """Spectral decomposition of a self-adjoint matrix.
 
@@ -555,8 +573,7 @@ def eigh(matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
     SpectralDecomposition constructor, and a mean kept inside its cluster keeps the
     eigenvalues strictly increasing.
     """
-    if not cluster_tol > 0:  # NaN fails too
-        raise ValueError("cluster_tol must be positive")
+    _check_range(_TOL_RANGES, "cluster_tol", cluster_tol)
     raw, vecs = _jacobi(ensure_hermitian(matrix))
     with np.errstate(over="ignore"):  # gaps and sums near the float64 limit may be inf
         cuts = np.flatnonzero(np.diff(raw) > cluster_tol) + 1
@@ -579,9 +596,7 @@ def _pair_meets(e: np.ndarray, f: np.ndarray, meet_tol: float) -> tuple[np.ndarr
     1 - sin t < meet_tol reads mu**2 < meet_tol * (2 - meet_tol) at 0. Each eigenvalue is
     classified on its own; nothing is clustered. Every meet path comes here, so meet_tol is
     checked here: the three classes are disjoint only for 0 < meet_tol <= MEET_TOL_MAX."""
-    if not 0.0 < meet_tol <= MEET_TOL_MAX:  # NaN fails too
-        raise ValueError(f"meet_tol must be in (0, 1 - 1/sqrt 2 = {MEET_TOL_MAX:.4g}], "
-                         f"got {meet_tol!r}")
+    _check_range(_TOL_RANGES, "meet_tol", meet_tol)
     n = e.shape[-1]
     mu, vecs = _jacobi(e + f - np.eye(n))
     # class +-2 at mu near +-1, 0 near 0 and +-1 between: non-decreasing along ascending mu

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 
 from conftest import counted_refinements, rand_unitary
 import hvsim
-from hvsim import PureState, eigh, ensure_hermitian
+from hvsim import PureState, eigh, ensure_hermitian, joint_propositions, projector_meet
+from hvsim.bell import SECTOR_SNAP_TOL_MAX
 from hvsim.cli import COMMANDS, build_parser, load_problem, main, run_chsh
+from hvsim.linalg import MEET_TOL_MAX
 
 FIXTURES = ("pauli", "singlet_chsh", "commuting_chsh")
 
@@ -229,6 +232,39 @@ def test_chsh_sector_snap_tol_above_its_range_is_exit_2(tmp_path, capsys, sector
         assert got == 0
 
 
+HALF = np.diag([1.0, 0.0])
+# each bounded tolerance: a library call that reads it, a fixture and command that read it
+# from a file, and the edge of its range, which both accept
+BOUNDED_TOLERANCES = {
+    "cluster_tol": (lambda tol: eigh(np.diag([1.0, -1.0]), cluster_tol=tol),
+                    "pauli", ["spectra", "--operator", "z"], 5e-324),
+    "meet_tol": (lambda tol: projector_meet(HALF, HALF, tol), "singlet_chsh", ["chsh"],
+                 MEET_TOL_MAX),
+    "sector_snap_tol": (lambda tol: joint_propositions(HALF, HALF, sector_snap_tol=tol),
+                        "commuting_chsh", ["chsh"], SECTOR_SNAP_TOL_MAX),
+}
+
+
+@pytest.mark.parametrize("key, refused", [("cluster_tol", 0), ("meet_tol", 0), ("meet_tol", 0.3),
+                                          ("sector_snap_tol", 1e-3)])
+def test_bounded_tolerance_is_refused_by_the_library_and_hv_in_one_wording(tmp_path, capsys, key,
+                                                                           refused):
+    call, fixture, argv, edge = BOUNDED_TOLERANCES[key]
+    with pytest.raises(ValueError) as exc:
+        call(refused)
+    wording = re.fullmatch(rf"{key} (.+), got {re.escape(repr(refused))}", str(exc.value))[1]
+    doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / f"{fixture}.json").read_text())
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**doc, "tolerances": {key: refused}}))
+    code, _, err = run([argv[0], "--input", str(path), *argv[1:]], capsys)
+    assert_bad_input(code, err)
+    assert err == f"hv: error: {path}: tolerance {key!r} {wording}: {refused!r}\n"
+    call(edge)
+    path.write_text(json.dumps({**doc, "tolerances": {key: edge}}))
+    code, _, err = run([argv[0], "--input", str(path), *argv[1:]], capsys)
+    assert code in (0, 1) and err == ""
+
+
 def test_chsh_commuting_fixture_passes(capsys):
     code, out, _ = run(["chsh", "--input", "commuting_chsh"], capsys)
     assert code == 0
@@ -310,7 +346,10 @@ LOOSENED_TOLERANCES = {
     ),
     "hermitian_tol": (
         1e-8, _z_doc([[1.0, 1e-9], [0.0, -1.0]], [1, 0]), ["spectra", "--operator", "z"],
-        lambda r: r["eigenvalues"], "self-adjointness defect", [-1.0, 1.0],
+        lambda r: r["eigenvalues"],
+        "operator 'z': self-adjointness defect 1.000e-09 exceeds tol 1.0e-10 "
+        "(tolerance 'hermitian_tol')",
+        [-1.0, 1.0],
     ),
     "cluster_tol": (
         1e-6, _z_doc(np.diag([1.0, 1.0 + 1e-7]), [1, 0]), ["spectra", "--operator", "z"],
@@ -520,6 +559,8 @@ def test_every_result_leads_with_its_kind_names_and_settings(capsys, command):
         assert list(result)[:len(keys)] == keys
         assert {k: result[k] for k in block} == block
         assert {result[k] for k in spec.optional if k not in block} <= {None}
+        # a chsh result holds its e1..f2 at the top level, in no nested 'projectors' object
+        assert "projectors" not in result
 
 
 def test_out_file_and_csv_format(tmp_path, capsys):
@@ -954,6 +995,48 @@ def test_roundtrip_snaps_an_eigenvalue_onto_a_breakpoint_within_snap_tol(tmp_pat
     assert 0.0 < abs(float(eigh(load_problem(str(path)).operators["a"]).eigenvalues[6])) < 1e-15
     assert code == 0 and section["checks"]["post_roundtrip_ok"]
     assert section["post_residual"] <= 1e-13
+
+
+def test_quantile_and_roundtrip_on_a_dim16_operator_with_a_rank2_cluster(tmp_path, capsys):
+    # a planned spectrum -7, -7, -5..8, a state, and a post map with a jump at 0.5 that sends
+    # 0 and 2 to 1 and -4 and 3 to 3: quantile takes its 15 atoms from one masked product, and
+    # roundtrip its 15 threshold projectors and the 13 of their preimages
+    rng = np.random.default_rng(16)
+    q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    w = np.arange(-7.0, 9.0)
+    w[1] = -7.0
+    a = (q * w) @ q.conj().T
+    doc = {
+        "dimension": 16,
+        "operators": {"a": _complex_rows((a + a.conj().T) / 2)},
+        "states": {"h": [[z.real, z.imag] for z in
+                         rng.standard_normal(16) + 1j * rng.standard_normal(16)]},
+        "functions": {"g": {"breakpoints": [0.5], "pieces": [[-0.5, 1], [2, -3]],
+                            "breakpoint_values": [4]}},
+    }
+    path = tmp_path / "dim16.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["quantile", "--input", str(path), "--operator", "a", "--state", "h"],
+                         capsys)
+    assert code == 0, err
+    section = json.loads(out)["results"][0]
+    assert len(section["atom_probabilities"]) == 15
+    assert section["checks"] == {"pushforward_ok": True}
+    code, out, err = run(["roundtrip", "--input", str(path), "--operator", "a", "--function", "g"],
+                         capsys)
+    assert code == 0, err
+    section = json.loads(out)["results"][0]
+    assert section["checks"] == {"identity_roundtrip_ok": True, "post_roundtrip_ok": True}
+
+
+def test_operator_entry_that_is_not_a_number_is_exit_2_naming_the_operator(tmp_path, capsys):
+    # [true, 0]: true is not a JSON number, though float() would read it as 1
+    doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())
+    doc["operators"]["z"][0][0] = [True, 0]
+    path = tmp_path / "bad_entry.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["spectra", "--input", str(path)], capsys)
+    assert_bad_input(code, err, f"{path}: operator 'z': entries must be JSON numbers, got True")
 
 
 def test_chsh_all_identity_projectors_scores_two(tmp_path, capsys):

@@ -967,6 +967,76 @@ def test_meet_tol_at_the_top_of_its_range_puts_each_eigenvalue_in_one_class():
     assert max_abs(projector_meet(e, f, MEET_TOL_MAX)) < 1e-12
 
 
+# the meet property's inputs: each planned 2-D block is a pair of lines at an angle t whose
+# 1 - cos t ("cos") or 1 - sin t ("sin") is a multiple of meet_tol, on either side of it, and
+# each 1-D piece lies in both e and f, in one of them or in neither
+MEET_TOLS = (MEET_TOL, 1e-4, 0.1, MEET_TOL_MAX)
+ANGLE_SCALES = (0.5, 0.9, 1.1, 2.0)
+LINE_KINDS = ("ef", "e", "f", "")
+# the largest n with every block beside the threshold, at each end of meet_tol's range
+BESIDE_THE_THRESHOLD = [("cos", 0.9), ("cos", 1.1), ("sin", 0.9), ("sin", 1.1)] * 2
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@example(n=16, meet_tol=MEET_TOL, blocks=BESIDE_THE_THRESHOLD, lines=[], seed=16)
+@example(n=16, meet_tol=MEET_TOL_MAX, blocks=BESIDE_THE_THRESHOLD, lines=[], seed=17)
+@given(
+    n=st.integers(2, 16),
+    meet_tol=st.sampled_from(MEET_TOLS),
+    blocks=st.lists(st.tuples(st.sampled_from(("cos", "sin")), st.sampled_from(ANGLE_SCALES)),
+                    max_size=8),
+    lines=st.lists(st.sampled_from(LINE_KINDS), min_size=16, max_size=16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_meets_near_meet_tol_have_planned_ranks_and_match_the_oracle(n, meet_tol, blocks, lines,
+                                                                    seed):
+    # e and f are conjugated by one random unitary from planned blocks and pieces; the
+    # documented rule classifies each planned eigenvalue mu of e + f - I: shared at +-1 when
+    # 1 - |mu| < meet_tol, crossing when mu**2 < meet_tol * (2 - meet_tol)
+    blocks = blocks[:n // 2]
+    lines = lines[:n - 2 * len(blocks)]
+    de, df = np.zeros((n, n)), np.zeros((n, n))
+    mu = []
+    for k, (side, scale) in enumerate(blocks):
+        q = scale * meet_tol
+        near, far = 1.0 - q, math.sqrt(q * (2.0 - q))
+        c, s = (near, far) if side == "cos" else (far, near)
+        de[2 * k, 2 * k] = 1.0
+        df[2 * k:2 * k + 2, 2 * k:2 * k + 2] = np.outer([c, s], [c, s])
+        mu += [c, -c]
+    for k, kind in enumerate(lines, 2 * len(blocks)):
+        de[k, k], df[k, k] = "e" in kind, "f" in kind
+        mu.append(de[k, k] + df[k, k] - 1.0)
+    mu = np.array(mu)
+    shared = 1.0 - np.abs(mu) < meet_tol
+    crossing = mu * mu < meet_tol * (2.0 - meet_tol)
+    # no planned eigenvalue falls in two classes: that is what MEET_TOL_MAX bounds
+    assert not np.any(shared & crossing)
+    classes = np.where(shared, 2.0, np.where(crossing, 0.0, 1.0)) * np.sign(mu)
+
+    u = rand_unitary(np.random.default_rng(seed), n)
+    e, f = ((x + x.conj().T) / 2.0 for x in (u @ de @ u.conj().T, u @ df @ u.conj().T))
+    eye = np.eye(n)
+    meet, join = projector_meet(e, f, meet_tol), projector_join(e, f, meet_tol)
+    assert _bits(meet) == _bits(projector_meet(f, e, meet_tol))
+    assert _bits(join) == _bits(projector_join(f, e, meet_tol))
+    assert projector_rank(meet) == np.count_nonzero(classes == 2)
+    assert projector_rank(join) == n - np.count_nonzero(classes == -2)
+    # the crossing rule shows in neither, only in the cross meets
+    assert projector_rank(_pair_meets(e, f, meet_tol)[2]) == np.count_nonzero(classes == 0)
+    # within 1e-10 of the oracle, or of Davis-Kahan where the planned gap from the meet's
+    # class to the other classes allows no better: with two classes 2e-9 apart at meet_tol =
+    # 1e-8 the two solvers' meets differ by up to about 1e-5. The backward error is as in the
+    # eigensolver property above, with max|e + f - I| <= 1
+    tol = JACOBI_OFF_TOL + 100.0 * n * n * np.finfo(float).eps
+    for got, oracle, label in ((meet, oracle_meet(e, f, meet_tol), 2),
+                               (join, eye - oracle_meet(eye - e, eye - f, meet_tol), -2)):
+        inside, outside = mu[classes == label], mu[classes != label]
+        gap = np.min(np.abs(inside[:, None] - outside), initial=np.inf)
+        bound = 2.0 * tol / gap + 10.0 * n * np.finfo(float).eps
+        assert max_abs(got - oracle) <= max(1e-10, bound)
+
+
 def test_commutes_examples():
     e = np.diag([1.0, 0.0]).astype(complex)
     f = np.full((2, 2), 0.5, dtype=complex)
