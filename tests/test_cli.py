@@ -779,6 +779,11 @@ def test_one_subparser_parses_as_the_full_parser(argv):
             {"experiments": [{"kind": "spectra", "operator": "z", "seed": 1.5}]},
             ["experiment 0 spectra seed must be an integer, got 1.5"],
         ),
+        # true is not a JSON number, though float() would read it as 1
+        (
+            {"operators": {"z": [[[True, 0], [0, 0]], [[0, 0], [-1, 0]]]}},
+            ["operator 'z': entries must be JSON numbers, got True"],
+        ),
     ],
     ids=["operators-list", "states-string", "tolerances-list", "tolerance-string",
          "tolerance-null", "tolerance-bool", "tolerance-numeric-string",
@@ -789,7 +794,7 @@ def test_one_subparser_parses_as_the_full_parser(argv):
          "borel-object", "interval-list", "interval-out-of-order", "function-list",
          "block-without-kind", "block-string", "kind-unknown", "kind-list",
          "block-unknown-name", "block-missing-names", "block-samples-string",
-         "block-seed-fraction"],
+         "block-seed-fraction", "operator-entry-bool"],
 )
 def test_malformed_problem_file_is_exit_2(tmp_path, capsys, patch, fragments):
     doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())
@@ -971,19 +976,23 @@ def test_roundtrip_affine_on_three_levels(tmp_path, capsys):
     assert section["checks"]["post_roundtrip_ok"]
 
 
-def test_roundtrip_snaps_an_eigenvalue_onto_a_breakpoint_within_snap_tol(tmp_path, capsys):
-    # a planned spectrum -7, -7, -5..8 whose eigenvalue 0 is computed off 0 (-3.2e-16 with
-    # OpenBLAS's SkylakeX kernels, 1.2e-16 with Sandybridge's), and g with a jump at 0 valued
-    # 4: the target and the reduction both give that eigenvalue g(0) = 4 (the target used to
-    # evaluate g at -3.2e-16, giving 1, a residual of 0.62)
-    rng = np.random.default_rng(16)
+def _rank2_cluster_rows(rng) -> list:
+    """A dim-16 operator with the planned spectrum -7, -7, -5..8 in a random basis, as rows."""
     q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
     w = np.arange(-7.0, 9.0)
     w[1] = -7.0
     a = (q * w) @ q.conj().T
+    return _complex_rows((a + a.conj().T) / 2)
+
+
+def test_roundtrip_snaps_an_eigenvalue_onto_a_breakpoint_within_snap_tol(tmp_path, capsys):
+    # the planned spectrum's eigenvalue 0 is computed off 0 (-3.2e-16 with OpenBLAS's SkylakeX
+    # kernels, 1.2e-16 with Sandybridge's), and g has a jump at 0 valued 4: the target and the
+    # reduction both give that eigenvalue g(0) = 4 (the target used to evaluate g at
+    # -3.2e-16, giving 1, a residual of 0.62)
     doc = {
         "dimension": 16,
-        "operators": {"a": _complex_rows((a + a.conj().T) / 2)},
+        "operators": {"a": _rank2_cluster_rows(np.random.default_rng(16))},
         "functions": {"g": {"breakpoints": [0], "pieces": [[-0.5, 1], [2, -3]],
                             "breakpoint_values": [4]}},
     }
@@ -998,17 +1007,13 @@ def test_roundtrip_snaps_an_eigenvalue_onto_a_breakpoint_within_snap_tol(tmp_pat
 
 
 def test_quantile_and_roundtrip_on_a_dim16_operator_with_a_rank2_cluster(tmp_path, capsys):
-    # a planned spectrum -7, -7, -5..8, a state, and a post map with a jump at 0.5 that sends
-    # 0 and 2 to 1 and -4 and 3 to 3: quantile takes its 15 atoms from one masked product, and
-    # roundtrip its 15 threshold projectors and the 13 of their preimages
+    # the planned spectrum, a state, and a post map with a jump at 0.5 that sends 0 and 2 to 1
+    # and -4 and 3 to 3: quantile takes its 15 atoms from one masked product, and roundtrip
+    # its 15 threshold projectors and the 13 of their preimages
     rng = np.random.default_rng(16)
-    q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
-    w = np.arange(-7.0, 9.0)
-    w[1] = -7.0
-    a = (q * w) @ q.conj().T
     doc = {
         "dimension": 16,
-        "operators": {"a": _complex_rows((a + a.conj().T) / 2)},
+        "operators": {"a": _rank2_cluster_rows(rng)},
         "states": {"h": [[z.real, z.imag] for z in
                          rng.standard_normal(16) + 1j * rng.standard_normal(16)]},
         "functions": {"g": {"breakpoints": [0.5], "pieces": [[-0.5, 1], [2, -3]],
@@ -1027,16 +1032,6 @@ def test_quantile_and_roundtrip_on_a_dim16_operator_with_a_rank2_cluster(tmp_pat
     assert code == 0, err
     section = json.loads(out)["results"][0]
     assert section["checks"] == {"identity_roundtrip_ok": True, "post_roundtrip_ok": True}
-
-
-def test_operator_entry_that_is_not_a_number_is_exit_2_naming_the_operator(tmp_path, capsys):
-    # [true, 0]: true is not a JSON number, though float() would read it as 1
-    doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())
-    doc["operators"]["z"][0][0] = [True, 0]
-    path = tmp_path / "bad_entry.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = run(["spectra", "--input", str(path)], capsys)
-    assert_bad_input(code, err, f"{path}: operator 'z': entries must be JSON numbers, got True")
 
 
 def test_chsh_all_identity_projectors_scores_two(tmp_path, capsys):
