@@ -36,7 +36,7 @@ from .linalg import (
     max_abs,
 )
 from .quantum import SNAP_TOL, PureState, _event_projectors, _event_table
-from .hidden import Proposition, _check_cuts, _fiber_partition
+from .hidden import WEIGHT_FLOOR, Proposition, _check_cuts, _fiber
 
 SECTOR_SNAP_TOL = 1e-6
 # the widest sector_snap_tol at which a pair's purified sectors keep the projector checks:
@@ -195,14 +195,18 @@ class FiberChshFunctions:
 
 
 def fiber_chsh_functions(
-    quad: PropositionQuadruple, state: PureState, snap_tol: float = SNAP_TOL
+    quad: PropositionQuadruple,
+    state: PureState,
+    snap_tol: float = SNAP_TOL,
+    weight_floor: float = WEIGHT_FLOOR,
 ) -> FiberChshFunctions:
-    """Restrict the quadruple's four correlation functions to the fiber of a state."""
+    """Restrict the quadruple's four correlation functions to the fiber of a state, on the
+    cells of the eigenvalues weighing more than weight_floor (default 1e-12)."""
     dec = quad.backing
-    kept, cuts = _fiber_partition(dec.weights(state.vector))
+    kept, step = _fiber(dec, state, weight_floor)
     events = [p.borel for p in (quad.a1, quad.a2, quad.b1, quad.b2)]
     sides = np.where(_event_table(events, dec.eigenvalues, snap_tol)[:, kept], 1, -1)
-    return FiberChshFunctions(cuts, sides[:2, None] * sides[None, 2:])
+    return FiberChshFunctions(step.cuts, sides[:2, None] * sides[None, 2:])
 
 
 def _commutation(projectors: dict[str, np.ndarray], tol: float) -> dict[tuple[str, str], bool]:

@@ -427,7 +427,8 @@ def run_chsh(problem: ProblemFile, e1: str, e2: str, f1: str, f2: str, state: st
         result["admission_failure"] = str(exc)
     else:
         result["proposition_intersections_admitted"] = True
-        functions = fiber_chsh_functions(PropositionQuadruple(*props), h, snap_tol=tol.snap_tol)
+        functions = fiber_chsh_functions(PropositionQuadruple(*props), h, snap_tol=tol.snap_tol,
+                                         weight_floor=tol.weight_floor)
         integral_value = functions.chsh_value()
         result["fiber_chsh_value"] = integral_value
         result["checks"]["pointwise_identity_ok"] = functions.pointwise_identity_holds()

@@ -75,6 +75,16 @@ class QuantileStep:
         object.__setattr__(self, "cuts", _readonly(cuts))
         object.__setattr__(self, "values", _readonly(values))
 
+    @classmethod
+    def _trusted(cls, cuts: np.ndarray, values: np.ndarray) -> QuantileStep:
+        """The public constructor's read-only float64 arrays, without its checks and copies:
+        for cuts _fiber_partition built, which pass them by construction, and the strictly
+        increasing eigenvalues at its kept indices."""
+        step = object.__new__(cls)
+        object.__setattr__(step, "cuts", _readonly(cuts))
+        object.__setattr__(step, "values", _readonly(values))
+        return step
+
     def lengths(self) -> np.ndarray:
         return np.diff(self.cuts)
 
@@ -96,8 +106,27 @@ def quantile_function(
     eigenvalues weighing at most weight_floor (default 1e-12) are dropped
     so every step has positive length.
     """
+    return _fiber(dec, state, weight_floor)[1]
+
+
+def _fiber(
+    dec: SpectralDecomposition, state: PureState, weight_floor: float
+) -> tuple[np.ndarray, QuantileStep]:
+    """The kept indices of _fiber_partition(dec.weights(state.vector), weight_floor), and the
+    quantile step on their cuts, which holds those cuts.
+
+    Every fiber quantity of one decomposition and state reads these cells, so the
+    decomposition keeps the last partition in its _fiber slot, keyed by the state vector's
+    bytes and weight_floor: a hit returns the read-only arrays of that one build, and any
+    other key builds again and takes the slot. A failed partition raises and is not kept."""
+    key = (state.vector.tobytes(), weight_floor)
+    slot = dec._fiber
+    if slot is not None and slot[0] == key:
+        return slot[1], slot[2]
     kept, cuts = _fiber_partition(dec.weights(state.vector), weight_floor)
-    return QuantileStep(cuts, dec.eigenvalues[kept])
+    step = QuantileStep._trusted(cuts, dec.eigenvalues[kept])
+    object.__setattr__(dec, "_fiber", (key, _readonly(kept), step))
+    return kept, step
 
 
 @dataclass(frozen=True)
@@ -176,14 +205,19 @@ def proposition_projector(
 
 
 def fiber_subset(
-    prop: Proposition, state: PureState, snap_tol: float = SNAP_TOL
+    prop: Proposition,
+    state: PureState,
+    snap_tol: float = SNAP_TOL,
+    weight_floor: float = WEIGHT_FLOOR,
 ) -> BorelSet:
     """The proposition's trace on one fiber, a finite union of subintervals of (0, 1).
 
     Each eigenvalue in the event set contributes its quantile cell (cells of
-    weight at most 1e-12 are dropped); the total length is the event probability.
+    weight at most weight_floor, default 1e-12, are dropped); the total length is
+    the event probability.
     """
-    kept, cuts = _fiber_partition(prop.backing.weights(state.vector))
+    kept, step = _fiber(prop.backing, state, weight_floor)
+    cuts = step.cuts
     inside = _event_table((prop.borel,), prop.backing.eigenvalues, snap_tol)[0].tolist()
     parts = []
     for k, m in enumerate(kept.tolist()):

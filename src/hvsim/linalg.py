@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,10 +75,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def as_complex_matrix(entries) -> np.ndarray:
-    """Coerce to a square complex128 array of finite entries."""
+    """Coerce to a square complex128 array of finite entries, at least 1 x 1."""
     m = np.array(entries, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not m.size:
+        raise DimensionMismatch(f"expected a matrix of dimension at least 1, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -146,10 +148,14 @@ class SpectralDecomposition:
     _jacobi has checked once, which is enough for all of the above (see _jacobi),
     or, for a pair's joint sectors, from purified polynomials whose traces and
     label drift bell checks (see bell._pair_sectors).
+
+    _fiber is hidden._fiber's slot: the fiber partition of the last state and weight_floor
+    asked about, which equality and repr ignore.
     """
 
     eigenvalues: np.ndarray
     projectors: np.ndarray
+    _fiber: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         evs = np.array(self.eigenvalues, dtype=np.float64)
@@ -180,6 +186,7 @@ class SpectralDecomposition:
         dec = object.__new__(cls)
         object.__setattr__(dec, "eigenvalues", _readonly(np.array(eigenvalues, dtype=np.float64)))
         object.__setattr__(dec, "projectors", _readonly(np.array(projectors, dtype=np.complex128)))
+        object.__setattr__(dec, "_fiber", None)
         return dec
 
     @property

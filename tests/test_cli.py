@@ -460,6 +460,27 @@ def test_verify_reads_the_files_weight_floor(tmp_path, capsys):
             [0.01 / 1.01, 1.0 / 1.01] if len(outcomes) == 2 else [1.0], abs=1e-12)
 
 
+# the fiber_chsh_value each floor gives, or the exit-2 message
+@pytest.mark.parametrize("weight_floor, code, want", [
+    (1e-12, 0, 1.2000000000000002),
+    # the fiber keeps only the cells above 0.3, so its value leaves the operators' 1.2
+    (0.3, 1, 2.0),
+    (1.0, 2, "no weight exceeds weight_floor 1.0e+00"),
+])
+def test_chsh_reads_the_files_weight_floor(tmp_path, capsys, weight_floor, code, want):
+    doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "commuting_chsh.json").read_text())
+    path = tmp_path / "commuting.json"
+    path.write_text(json.dumps({**doc, "tolerances": {"weight_floor": weight_floor}}))
+    got, out, err = run(["chsh", "--input", str(path)], capsys)
+    if code == 2:
+        assert_bad_input(got, err, want)
+        return
+    assert got == code, err
+    section = json.loads(out)["results"][0]
+    assert section["fiber_chsh_value"] == want
+    assert section["checks"]["fiber_integrals_match"] is (code == 0)
+
+
 def test_chsh_projector_error_names_file_operator_role_and_knob(tmp_path, capsys):
     path = tmp_path / "scaled.json"
     path.write_text(json.dumps(_scaled_first_half()))

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +14,13 @@ from hvsim import (
     OutOfDomain,
     PiecewiseAffineFunction,
     Proposition,
+    PropositionQuadruple,
     PureState,
     SpectralDecomposition,
     compose,
     eigh,
     expectation,
+    fiber_chsh_functions,
     fiber_integral,
     fiber_subset,
     functional_calculus,
@@ -31,7 +36,8 @@ from hvsim import (
     states_confusion_equivalent,
 )
 from hvsim.cli import Tolerances
-from hvsim.hidden import WEIGHT_FLOOR, _cell_counts, _fiber_partition
+import hvsim.hidden
+from hvsim.hidden import WEIGHT_FLOOR, QuantileStep, _cell_counts, _fiber, _fiber_partition
 from hvsim.quantum import SNAP_TOL
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -538,3 +544,117 @@ def test_fiber_cells_stay_in_unit_interval_at_near_eigenstates(seed):
                 assert sum(iv.measure() for iv in cells) == pytest.approx(
                     prob(dec, h, events), abs=1e-11
                 )
+
+
+def _counted_builds(monkeypatch) -> list:
+    """The weights each fiber partition is built from, one entry per build."""
+    builds = []
+
+    def counted(weights, weight_floor=WEIGHT_FLOOR):
+        builds.append(weights)
+        return _fiber_partition(weights, weight_floor)
+
+    monkeypatch.setattr(hvsim.hidden, "_fiber_partition", counted)
+    return builds
+
+
+def _fiber_sampling_calls(dec, h, seed=0):
+    """The fiber calls of one fiber-sampling operation, then the other fiber readers."""
+    obs = ClassicalObservable(dec)
+    lams = [float(x) for x in dec.eigenvalues]
+    events = [BorelSet.point(lams[0]), BorelSet.at_most(lams[1]), BorelSet.reals()]
+    quantile_function(dec, h)
+    for e in events:
+        prob(dec, h, e)
+    expectation(dec, h)
+    fiber_integral(PiecewiseAffineFunction.identity(), obs, h)
+    fiber_integral(ABSOLUTE, obs, h)
+    for e in events:
+        fiber_subset(proposition_from(dec, e), h)
+    sample(obs, h, 1000, seed)
+    obs.outcome_quantile(h)
+    for t in (0.1, 0.5, 0.9):
+        obs.evaluate(h, t)
+    quad = PropositionQuadruple(*(proposition_from(dec, e) for e in (*events, ~events[0])))
+    fiber_chsh_functions(quad, h)
+
+
+@pytest.mark.parametrize("public", [False, True])
+def test_one_fiber_build_per_decomposition_and_state(monkeypatch, public):
+    rng = np.random.default_rng(26)
+    dec = eigh(rand_hermitian(rng, 4))
+    if public:  # the public constructor gives the same empty slot as eigh's _trusted
+        dec = SpectralDecomposition(dec.eigenvalues, dec.projectors)
+    h, k = rand_state(rng, 4), rand_state(rng, 4)
+    builds = _counted_builds(monkeypatch)
+    _fiber_sampling_calls(dec, h)
+    assert len(builds) == 1
+    _fiber_sampling_calls(dec, PureState(h.vector.copy()))  # equal content is the same key
+    assert len(builds) == 1
+    _fiber_sampling_calls(dec, k)
+    assert len(builds) == 2
+    _fiber_sampling_calls(dec, h)  # the slot holds one entry, so the first state builds again
+    assert len(builds) == 3
+    quantile_function(dec, h, weight_floor=0.05)  # as does another floor
+    assert len(builds) == 4
+    other = eigh(dec.operator())  # another decomposition keeps its own slot
+    _fiber_sampling_calls(other, PureState(h.vector))
+    assert len(builds) == 5
+
+
+def test_the_fiber_slot_is_private_and_bounded():
+    dec = eigh(PAULI_Z)
+    before = repr(dec)
+    for h in (PLUS, PureState([1.0, 0.0]), PureState([0.6, 0.8])):
+        quantile_function(dec, h)
+        assert dec._fiber[0] == (h.vector.tobytes(), WEIGHT_FLOOR)  # the last state only
+    assert repr(dec) == before
+    private = [f.name for f in dataclasses.fields(SpectralDecomposition)
+               if not (f.init or f.repr or f.compare)]
+    assert private == ["_fiber"]
+
+
+def _assert_fresh_bits(dec, h, weight_floor) -> bool:
+    """_fiber, through every public reader, has the bits of a fresh build, read-only; or,
+    where a fresh build refuses, raises the same error and keeps the slot as it was. Returns
+    whether the build kept a partition."""
+    try:
+        kept, cuts = _fiber_partition(dec.weights(h.vector), weight_floor)
+    except ValueError as exc:
+        slot = dec._fiber
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            quantile_function(dec, h, weight_floor)
+        assert dec._fiber is slot
+        return False
+    fresh = QuantileStep(cuts, dec.eigenvalues[kept])
+    got_kept, step = _fiber(dec, h, weight_floor)
+    for got, want in ((got_kept, kept), (step.cuts, cuts), (step.values, fresh.values),
+                      (quantile_function(dec, h, weight_floor).cuts, cuts)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    for k, m in enumerate(kept.tolist()):
+        atom = proposition_from(dec, BorelSet.point(float(dec.eigenvalues[m])))
+        (cell,) = fiber_subset(atom, h, weight_floor=weight_floor).intervals
+        assert (cell.lo, cell.hi) == (cuts[k], cuts[k + 1])
+    return True
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), leak=_LEAKAGE,
+       order=st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.0, WEIGHT_FLOOR, 0.05, 0.3])),
+                      min_size=1, max_size=8))
+def test_a_kept_fiber_has_the_bits_of_a_fresh_build(n, seed, leak, order):
+    # near-eigenstates, their eigenvector and a random state, at every floor, asked about
+    # repeatedly and alternately; a floor no weight exceeds (0.3 on some states, and 1 or
+    # the largest weight on all) raises every time and is never kept
+    rng = np.random.default_rng(seed)
+    u = rand_unitary(rng, n)
+    dec = eigh((u * rng.integers(-3, 4, size=n).astype(float)) @ u.conj().T)
+    k = int(rng.integers(0, n))
+    states = [PureState(u[:, k] + leak * rand_state(rng, n).vector), PureState(u[:, k]),
+              rand_state(rng, n)]
+    for which, weight_floor in order:
+        _assert_fresh_bits(dec, states[which], weight_floor)
+        # at an eigenvector a weight may round to 1 + 2**-52, which a floor of 1 keeps
+        top = max(1.0, float(dec.weights(states[which].vector).max()))
+        assert not _assert_fresh_bits(dec, states[which], top)

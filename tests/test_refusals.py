@@ -61,6 +61,11 @@ REFUSALS = [
                  id="function-missing-breakpoint-value"),
     pytest.param(lambda: as_complex_matrix([[1, 2, 3], [4, 5, 6]]), DimensionMismatch,
                  "expected a square matrix, got shape (2, 3)", id="matrix-not-square"),
+    # a 0 x 0 matrix is square, but no Hilbert space has dimension 0
+    *(pytest.param(lambda f=f: f(np.zeros((0, 0))), DimensionMismatch,
+                   "expected a matrix of dimension at least 1, got shape (0, 0)",
+                   id=f"{f.__name__}-0x0")
+      for f in (as_complex_matrix, ensure_hermitian, ensure_projector, eigh)),
     pytest.param(lambda: SpectralDecomposition([[1.0]], np.eye(2)[None]), DimensionMismatch,
                  "eigenvalues must be (m,), projectors (m, n, n)", id="decomposition-shapes"),
     pytest.param(lambda: SpectralDecomposition([1.0, 2.0], np.eye(2)[None]), DimensionMismatch,
