@@ -75,16 +75,6 @@ class QuantileStep:
         object.__setattr__(self, "cuts", _readonly(cuts))
         object.__setattr__(self, "values", _readonly(values))
 
-    @classmethod
-    def _trusted(cls, cuts: np.ndarray, values: np.ndarray) -> QuantileStep:
-        """The public constructor's read-only float64 arrays, without its checks and copies:
-        for cuts _fiber_partition built, which pass them by construction, and the strictly
-        increasing eigenvalues at its kept indices."""
-        step = object.__new__(cls)
-        object.__setattr__(step, "cuts", _readonly(cuts))
-        object.__setattr__(step, "values", _readonly(values))
-        return step
-
     def lengths(self) -> np.ndarray:
         return np.diff(self.cuts)
 
@@ -124,7 +114,7 @@ def _fiber(
     if slot is not None and slot[0] == key:
         return slot[1], slot[2]
     kept, cuts = _fiber_partition(dec.weights(state.vector), weight_floor)
-    step = QuantileStep._trusted(cuts, dec.eigenvalues[kept])
+    step = QuantileStep(cuts, dec.eigenvalues[kept])
     object.__setattr__(dec, "_fiber", (key, _readonly(kept), step))
     return kept, step
 
@@ -205,18 +195,14 @@ def proposition_projector(
 
 
 def fiber_subset(
-    prop: Proposition,
-    state: PureState,
-    snap_tol: float = SNAP_TOL,
-    weight_floor: float = WEIGHT_FLOOR,
+    prop: Proposition, state: PureState, snap_tol: float = SNAP_TOL
 ) -> BorelSet:
     """The proposition's trace on one fiber, a finite union of subintervals of (0, 1).
 
     Each eigenvalue in the event set contributes its quantile cell (cells of
-    weight at most weight_floor, default 1e-12, are dropped); the total length is
-    the event probability.
+    weight at most 1e-12 are dropped); the total length is the event probability.
     """
-    kept, step = _fiber(prop.backing, state, weight_floor)
+    kept, step = _fiber(prop.backing, state, WEIGHT_FLOOR)
     cuts = step.cuts
     inside = _event_table((prop.borel,), prop.backing.eigenvalues, snap_tol)[0].tolist()
     parts = []
