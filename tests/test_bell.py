@@ -41,6 +41,7 @@ from hvsim import (
 )
 from hvsim.bell import (SECTOR_SNAP_TOL, SECTOR_SNAP_TOL_MAX, _boolean_events,
                         _chsh_combination, _joint_sectors, _sector_events)
+from hvsim.linalg import MEET_TOL, MEET_TOL_MAX
 from hvsim.quantum import SNAP_TOL, spectral_projector
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -104,6 +105,52 @@ def test_chsh_singlet_reaches_tsirelson():
     terms = chsh_terms(cfg)
     assert max_abs(terms - direct) < 1e-8  # meets reduce to tensor correlations here
     assert chsh_value(cfg) == pytest.approx(2 * math.sqrt(2), abs=1e-6)
+
+
+def _agreement_quadruple(rng, kind: str, n: int) -> tuple[list, PureState]:
+    """Four projectors and a state of dimension n:
+    - singlet: the couples measure spin at random angles, or Tsirelson's, on two qubits of a
+      singlet, beside an ancilla of dimension n / 4 in a random state;
+    - noncommuting: four independent random projectors;
+    - commuting: four projectors diagonal in one random basis;
+    - near: those, with f1 and f2 turned by exp(i c H) for a random Hermitian H."""
+    if kind == "singlet":
+        angles = rng.uniform(0.0, 2 * math.pi, 4) if rng.random() < 0.5 else (
+            0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
+        ancilla = np.eye(n // 4)
+        sides = [np.kron(spin_projector(t), I2) for t in angles[:2]]
+        sides += [np.kron(I2, spin_projector(t)) for t in angles[2:]]
+        vector = np.kron([0.0, 1.0, -1.0, 0.0], rand_state(rng, n // 4).vector)
+        return [np.kron(p, ancilla) for p in sides], PureState(vector)
+    if kind == "noncommuting":
+        return [rand_projector(rng, n) for _ in range(4)], rand_state(rng, n)
+    u = rand_unitary(rng, n)
+    ps = [(u * d) @ u.conj().T for d in rng.integers(0, 2, size=(4, n))]
+    if kind == "near":
+        w, v = np.linalg.eigh(rand_hermitian(rng, n))
+        turn = (v * np.exp(1j * rng.choice([1e-11, 1e-9, 1e-7, 1e-5]) * w)) @ v.conj().T
+        ps[2:] = [turn @ p @ turn.conj().T for p in ps[2:]]
+    return [(p + p.conj().T) / 2.0 for p in ps], rand_state(rng, n)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(shape=st.one_of(
+    st.tuples(st.just("singlet"), st.sampled_from([4, 8])),
+    st.tuples(st.sampled_from(["noncommuting", "commuting", "near"]), st.integers(2, 8))),
+    seed=st.integers(0, 2**32 - 1))
+def test_chsh_terms_agree_with_correlation_operator_expectations(shape, seed):
+    # each term is <h, T h> of its pair's public correlation operator within 4 n eps, and
+    # chsh_value is that combination within four such terms
+    kind, n = shape
+    projectors, h = _agreement_quadruple(np.random.default_rng(seed), kind, n)
+    cfg = ChshConfig(*projectors, h)
+    bound = 4 * n * np.finfo(np.float64).eps
+    for meet_tol in (MEET_TOL, 1e-6, MEET_TOL_MAX):
+        direct = np.array([[float(np.vdot(h.vector, correlation_operator(e, f, meet_tol)
+                                          @ h.vector).real) for f in projectors[2:]]
+                           for e in projectors[:2]])
+        assert max_abs(chsh_terms(cfg, meet_tol) - direct) <= bound
+        assert abs(chsh_value(cfg, meet_tol) - _chsh_combination(direct)) <= 4 * bound
 
 
 def _count_solves(monkeypatch) -> list:
