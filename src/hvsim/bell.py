@@ -30,6 +30,7 @@ from .linalg import (
     _commutes,
     _ensure_projectors,
     _jacobi,
+    _meet_classes,
     _pair_meets,
     _readonly,
     _squares,
@@ -62,10 +63,20 @@ def correlation_operator(e, f, meet_tol: float = MEET_TOL) -> np.ndarray:
 
 def _chsh_terms(es, fs, vector: np.ndarray, meet_tol: float) -> np.ndarray:
     """2x2 expectations of the correlation operators of (e, f) for e in es, f in fs, whose
-    four e + f - I are solved as one stack."""
+    four e + f - I are solved as one stack.
+
+    Each term is read off that solve's eigenvectors v_j rather than off the operator: with
+    sign s_j = +1 on the meet classes +-2, -1 on class 0 and 0 between (_meet_classes),
+    <psi, T psi> = sum_j s_j |<v_j, psi>|**2, since <psi, V_c V_c* psi> = |V_c* psi|**2 for
+    the columns V_c of each class. The identity holds for any V, so this and the expectation
+    of correlation_operator's spanned projectors differ only by rounding; the orthonormality
+    defect that _jacobi bounds (n d <= PROJECTOR_TOL / 2) sets how far both lie from the
+    exact meets' expectation, alike."""
     e, f = np.array([(a, b) for a in es for b in fs]).swapaxes(0, 1)
-    operators = _correlation(e, f, meet_tol)
-    return np.array([float(np.vdot(vector, c @ vector).real) for c in operators]).reshape(2, 2)
+    classes, vecs = _meet_classes(e, f, meet_tol)
+    signs = (np.abs(classes) == 2) - (classes == 0).astype(np.float64)
+    weights = np.abs(vector.conj() @ vecs) ** 2
+    return (signs * weights).sum(axis=-1).reshape(2, 2)
 
 
 def _chsh_combination(t: np.ndarray) -> float:

@@ -202,11 +202,12 @@ class SpectralDecomposition:
         return _readonly(np.einsum("k,kij->ij", self.eigenvalues, self.projectors))
 
     def weights(self, vector: np.ndarray) -> np.ndarray:
-        """Per-eigenvalue probabilities <v, P_k v> / <v, v>, clipped at 0."""
+        """Per-eigenvalue probabilities <v, P_k v> / <v, v>, clipped to [0, 1]: at an
+        eigenvector the quotient can round to 1 + 2**-52, which a weight_floor of 1 would keep."""
         if len(vector) != self.dim:
             raise DimensionMismatch(f"operator dim {self.dim} vs state dim {len(vector)}")
         w = np.einsum("i,kij,j->k", vector.conj(), self.projectors, vector).real
-        return np.clip(w / float(np.vdot(vector, vector).real), 0.0, None)
+        return np.clip(w / float(np.vdot(vector, vector).real), 0.0, 1.0)
 
 
 def _squares(m: np.ndarray) -> np.ndarray:
@@ -593,22 +594,33 @@ def eigh(matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
 # Private forms trust projectors checked where they entered; public names validate once.
 
 
-def _pair_meets(e: np.ndarray, f: np.ndarray, meet_tol: float) -> tuple[np.ndarray, ...]:
-    """(e meet f, e' meet f', (e meet f') + (e' meet f)), e' = I - e, from one solve of e + f - I.
-    For (k, n, n) stacks e and f, the k solves are one stacked _jacobi call, and each of the
-    three is a (k, n, n) stack.
+def _meet_classes(e: np.ndarray, f: np.ndarray, meet_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The meet class of each ascending eigenpair of e + f - I, and its eigenvectors, from one
+    solve: (n,) classes and (n, n) columns, or (k, n) and (k, n, n) for (k, n, n) stacks e and
+    f, whose k solves are one stacked _jacobi call.
 
     Halmos: e + f - I is +1 on e meet f, -1 on e' meet f', 0 on the two cross meets, and
     +-cos t on a pair at principal angle t; 1 - cos t < meet_tol shares the line at +-1, and
-    1 - sin t < meet_tol reads mu**2 < meet_tol * (2 - meet_tol) at 0. Each eigenvalue is
-    classified on its own; nothing is clustered. Every meet path comes here, so meet_tol is
-    checked here: the three classes are disjoint only for 0 < meet_tol <= MEET_TOL_MAX."""
+    1 - sin t < meet_tol reads mu**2 < meet_tol * (2 - meet_tol) at 0. So the classes are 2
+    on e meet f, -2 on e' meet f', 0 on the cross meets and +-1 between, non-decreasing along
+    ascending mu. Each eigenvalue is classified on its own; nothing is clustered. Every meet
+    path comes here, so meet_tol is checked here: the three classes are disjoint only for
+    0 < meet_tol <= MEET_TOL_MAX."""
     _check_range(_TOL_RANGES, "meet_tol", meet_tol)
-    n = e.shape[-1]
-    mu, vecs = _jacobi(e + f - np.eye(n))
-    # class +-2 at mu near +-1, 0 near 0 and +-1 between: non-decreasing along ascending mu
+    mu, vecs = _jacobi(e + f - np.eye(e.shape[-1]))
     classes = (np.where(mu * mu < meet_tol * (2.0 - meet_tol), 0.0, np.sign(mu))
                + (1.0 - mu < meet_tol) - (1.0 + mu < meet_tol))
+    return classes, vecs
+
+
+def _pair_meets(e: np.ndarray, f: np.ndarray, meet_tol: float) -> tuple[np.ndarray, ...]:
+    """(e meet f, e' meet f', (e meet f') + (e' meet f)), e' = I - e, spanned by
+    _class_projectors from the classes 2, -2 and 0 of _meet_classes. For (k, n, n) stacks e
+    and f each of the three is a (k, n, n) stack. The public meets and correlation_operator
+    span their projectors here; bell's CHSH terms read the same solve's eigenvector weights
+    instead (see bell._chsh_terms)."""
+    n = e.shape[-1]
+    classes, vecs = _meet_classes(e, f, meet_tol)
     members = zip(vecs.reshape(-1, n, n), classes.reshape(-1, n))
     return tuple(_readonly(np.reshape(meets, e.shape))
                  for meets in zip(*(_class_projectors(v, c, (2, -2, 0)) for v, c in members)))

@@ -173,6 +173,22 @@ def test_chsh_terms_solve_four_pairs_once_per_config_and_meet_tol(monkeypatch):
     assert len(calls) == 2
 
 
+def test_chsh_terms_span_no_projector(monkeypatch):
+    # the terms are read off the stacked solve's eigenvector weights; the public
+    # correlation operator still spans its meets
+    calls, span = [], hvsim.linalg._class_projectors
+    for module in (hvsim.linalg, hvsim.bell):  # bell imports it by name
+        monkeypatch.setattr(module, "_class_projectors", lambda *a: calls.append(a) or span(*a))
+    rng = np.random.default_rng(7)
+    for cfg in (singlet_config(), ChshConfig(*(rand_projector(rng, 5) for _ in range(4)),
+                                             rand_state(rng, 5))):
+        chsh_terms(cfg)
+        chsh_value(cfg, 1e-6)
+    assert calls == []
+    correlation_operator(cfg.e1, cfg.f1)
+    assert len(calls) == 1
+
+
 def test_chsh_terms_returns_a_copy_of_the_kept_terms():
     cfg = singlet_config()
     terms = chsh_terms(cfg)

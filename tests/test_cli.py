@@ -460,6 +460,19 @@ def test_verify_reads_the_files_weight_floor(tmp_path, capsys):
             [0.01 / 1.01, 1.0 / 1.01] if len(outcomes) == 2 else [1.0], abs=1e-12)
 
 
+def test_a_weight_floor_of_one_refuses_an_eigenvector(tmp_path, capsys):
+    # <v, P v> / <v, v> rounds to 1 + 2**-52 at this eigenvector of a rotated diag(-1, 1);
+    # clipped to 1, its weight no longer exceeds a floor of 1
+    r = np.array([[math.cos(0.2), -math.sin(0.2)], [math.sin(0.2), math.cos(0.2)]])
+    path = tmp_path / "eigenvector.json"
+    path.write_text(json.dumps(_z_doc((r * [-1.0, 1.0]) @ r.T, list(r[:, 1]),
+                                      tolerances={"weight_floor": 1.0})))
+    for command, *rest in (["quantile"], ["verify", "--samples", "10"]):
+        code, _, err = run([command, "--input", str(path), "--operator", "z", "--state", "s",
+                            *rest], capsys)
+        assert_bad_input(code, err, "no weight exceeds weight_floor 1.0e+00")
+
+
 # the fiber_chsh_value each floor gives, or the exit-2 message
 @pytest.mark.parametrize("weight_floor, code, want", [
     (1e-12, 0, 1.2000000000000002),
@@ -555,6 +568,28 @@ def test_chsh_report_solves_the_cross_pairs_as_stacks(capsys, monkeypatch, fixtu
     assert code == (0 if fixture == "commuting_chsh" else 1)
     n = load_problem(fixture).dimension
     assert calls == ([(4, n, n), (n, n)] if fixture == "commuting_chsh" else [(4, n, n)])
+
+
+@pytest.mark.parametrize("fixture", ["commuting_chsh", "singlet_chsh"])
+def test_chsh_report_reads_its_terms_without_spanning_projectors(capsys, monkeypatch, fixture):
+    # the terms step reads the stacked solve's eigenvector weights; only the commuting
+    # fixture's four-way sector solve spans projectors, once
+    spans, steps = [], []
+    span, terms = hvsim.linalg._class_projectors, hvsim.cli._chsh_terms
+
+    def counted_terms(*args):
+        before = len(spans)
+        out = terms(*args)
+        steps.append(len(spans) - before)
+        return out
+
+    for module in (hvsim.linalg, hvsim.bell):  # bell imports it by name
+        monkeypatch.setattr(module, "_class_projectors", lambda *a: spans.append(a) or span(*a))
+    monkeypatch.setattr(hvsim.cli, "_chsh_terms", counted_terms)
+    code, _, _ = run(["chsh", "--input", fixture], capsys)
+    assert code == (0 if fixture == "commuting_chsh" else 1)
+    assert steps == [0]
+    assert len(spans) == (1 if fixture == "commuting_chsh" else 0)
 
 
 def test_experiment_blocks_run_when_no_names_given(capsys):

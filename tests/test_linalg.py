@@ -671,6 +671,18 @@ def _sector_backings():
         yield common_refinement_quadruple(*((p + p.conj().T) / 2 for p in family)).backing
 
 
+def test_weights_at_eigenvectors_reach_one_and_never_pass_it():
+    # <v, P v> / <v, v> rounds to 1 + 2**-52 at about a third of these eigenvectors; the
+    # weights are clipped to [0, 1], so a weight_floor of 1 refuses every state
+    rng = np.random.default_rng(0)
+    tops = []
+    for t, phase in rng.uniform(0.0, 2 * math.pi, size=(200, 2)):
+        u = np.array([[math.cos(t), -math.sin(t) * np.exp(-1j * phase)],
+                      [math.sin(t) * np.exp(1j * phase), math.cos(t)]])
+        tops.append(eigh((u * [-1.0, 1.0]) @ u.conj().T).weights(u[:, 1]).max())
+    assert max(tops) == 1.0
+
+
 def test_trusted_decompositions_pass_the_public_checks():
     # eigh and the joint sectors build without checks; the public constructor accepts
     # each of their decompositions as it is, so trusting the solver is checked here
