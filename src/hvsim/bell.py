@@ -1,10 +1,11 @@
 """Meet-based correlation operators, the CHSH functional, and the boolean side.
 
 Two couples of projectors define four correlation operators, each from the meets of
-a cross pair, which one eigensolve of e + f - I gives; the CHSH combination of their
-expectations is bounded by 2 whenever the couples come from propositions over one
-shared backing, because the corresponding fiber functions satisfy a pointwise
-identity. Commuting projectors admit such propositions constructively via a joint
+a cross pair, which one eigensolve of e + f - I gives; the CHSH terms, their
+expectations, are read off that solve's eigenvector weights without spanning the meets.
+The CHSH combination of the terms is bounded by 2 whenever the couples come from
+propositions over one shared backing, because the corresponding fiber functions satisfy a
+pointwise identity. Commuting projectors admit such propositions constructively via a joint
 relabeling: the spectral projectors of sum(2^k P_k) at its integer labels. A pair's four
 come from matrix products alone, as Lagrange cubics in e + 2f purified by McWeeny steps;
 a quadruple's sixteen from one eigensolve.
@@ -74,7 +75,7 @@ def _chsh_terms(es, fs, vector: np.ndarray, meet_tol: float) -> np.ndarray:
     exact meets' expectation, alike."""
     e, f = np.array([(a, b) for a in es for b in fs]).swapaxes(0, 1)
     classes, vecs = _meet_classes(e, f, meet_tol)
-    signs = (np.abs(classes) == 2) - (classes == 0).astype(np.float64)
+    signs = np.where(classes == 0, -1.0, np.abs(classes) == 2)
     weights = np.abs(vector.conj() @ vecs) ** 2
     return (signs * weights).sum(axis=-1).reshape(2, 2)
 

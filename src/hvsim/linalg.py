@@ -24,10 +24,11 @@ the final result, and the orthonormality bound to the loose stage's eigenvectors
 final ones, of every solve and every stack member.
 
 Every projector made from a solve is spanned by one helper, _class_projectors, from a
-class per ascending eigenpair: eigh's clusters, the meet classes of e + f - I, and the
-joint sector labels of bell's quadruples. The joint sectors of a pair come from no solve:
-bell builds them from matrix products, as purified polynomials in e + 2f. All values are
-immutable after construction; every public operation is pure.
+class per ascending eigenpair: eigh's clusters, the meet classes of e + f - I
+(_meet_classes), and the joint sector labels of bell's quadruples. bell's CHSH terms span
+none: they read the meet classes' eigenvector weights. The joint sectors of a pair come
+from no solve: bell builds them from matrix products, as purified polynomials in e + 2f.
+All values are immutable after construction; every public operation is pure.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ class SpectralDecomposition:
 
     def weights(self, vector: np.ndarray) -> np.ndarray:
         """Per-eigenvalue probabilities <v, P_k v> / <v, v>, clipped to [0, 1]: at an
-        eigenvector the quotient can round to 1 + 2**-52, which a weight_floor of 1 would keep."""
+        eigenvector the quotient can round to 1 + 2**-52, which a weight_floor of 1 keeps."""
         if len(vector) != self.dim:
             raise DimensionMismatch(f"operator dim {self.dim} vs state dim {len(vector)}")
         w = np.einsum("i,kij,j->k", vector.conj(), self.projectors, vector).real
