@@ -182,3 +182,12 @@ def counted_refinements(monkeypatch) -> list:
 
     monkeypatch.setattr(hvsim.linalg, "_refine", counted)
     return missed
+
+
+def counted_spans(monkeypatch) -> list:
+    """Patch linalg._class_projectors, in linalg and in bell, which imports it by name, to
+    record the arguments of every call."""
+    calls, span = [], hvsim.linalg._class_projectors
+    for module in (hvsim.linalg, hvsim.bell):
+        monkeypatch.setattr(module, "_class_projectors", lambda *a: calls.append(a) or span(*a))
+    return calls

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    counted_spans,
     rand_borel,
     rand_commuting_projectors,
     rand_hermitian,
@@ -176,9 +177,7 @@ def test_chsh_terms_solve_four_pairs_once_per_config_and_meet_tol(monkeypatch):
 def test_chsh_terms_span_no_projector(monkeypatch):
     # the terms are read off the stacked solve's eigenvector weights; the public
     # correlation operator still spans its meets
-    calls, span = [], hvsim.linalg._class_projectors
-    for module in (hvsim.linalg, hvsim.bell):  # bell imports it by name
-        monkeypatch.setattr(module, "_class_projectors", lambda *a: calls.append(a) or span(*a))
+    calls = counted_spans(monkeypatch)
     rng = np.random.default_rng(7)
     for cfg in (singlet_config(), ChshConfig(*(rand_projector(rng, 5) for _ in range(4)),
                                              rand_state(rng, 5))):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import counted_refinements, rand_unitary
+from conftest import counted_refinements, counted_spans, rand_unitary
 import hvsim
 from hvsim import PureState, eigh, ensure_hermitian, joint_propositions, projector_meet
 from hvsim.bell import SECTOR_SNAP_TOL_MAX
@@ -574,8 +574,7 @@ def test_chsh_report_solves_the_cross_pairs_as_stacks(capsys, monkeypatch, fixtu
 def test_chsh_report_reads_its_terms_without_spanning_projectors(capsys, monkeypatch, fixture):
     # the terms step reads the stacked solve's eigenvector weights; only the commuting
     # fixture's four-way sector solve spans projectors, once
-    spans, steps = [], []
-    span, terms = hvsim.linalg._class_projectors, hvsim.cli._chsh_terms
+    spans, steps, terms = counted_spans(monkeypatch), [], hvsim.cli._chsh_terms
 
     def counted_terms(*args):
         before = len(spans)
@@ -583,8 +582,6 @@ def test_chsh_report_reads_its_terms_without_spanning_projectors(capsys, monkeyp
         steps.append(len(spans) - before)
         return out
 
-    for module in (hvsim.linalg, hvsim.bell):  # bell imports it by name
-        monkeypatch.setattr(module, "_class_projectors", lambda *a: spans.append(a) or span(*a))
     monkeypatch.setattr(hvsim.cli, "_chsh_terms", counted_terms)
     code, _, _ = run(["chsh", "--input", fixture], capsys)
     assert code == (0 if fixture == "commuting_chsh" else 1)
