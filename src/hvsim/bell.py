@@ -289,7 +289,7 @@ def _eigen_sectors(a: np.ndarray, n_labels: int) -> list:
     A sector's drift |(a - l I) P_l|_F is the root sum of squares of its eigenvalues'
     distances from l, by the orthonormality _jacobi checks."""
     n = a.shape[-1]
-    raws, vecs = _jacobi(a)
+    raws, vecs, _ = _jacobi(a)
     members = []
     for raw, v in zip(raws.reshape(-1, n), vecs.reshape(-1, n, n)):
         labels = np.rint(raw)

@@ -18,7 +18,8 @@ Quintana-Orti, ACM Trans. Math. Softw. 40 (2014) 18, for accumulating rotations 
   (2018) 1007-1035, and 36 (2019) 435-459 for clusters).
 - The tight stage sweeps again, from (X*AX, X), to JACOBI_OFF_TOL; it resolves the
   rotations within clusters. Eigenvectors the refinement leaves off the orthonormality
-  bound are dropped, and that solve restarts the tight stage from the loose stage's result.
+  bound, in the Frobenius norm that the tight stage's rotations keep, are dropped, and
+  that solve restarts the tight stage from the loose stage's result.
 The sweep budget JACOBI_MAX_SWEEPS covers both stages; the non-finite refusals apply to
 the final result, and the orthonormality bound to the loose stage's eigenvectors and the
 final ones, of every solve and every stack member.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -415,8 +417,9 @@ def _refine(a: np.ndarray, x: np.ndarray, s: np.ndarray, r: np.ndarray, done: np
     matrix or a stack. s and r are the first step's S and R: the loose stage's rotated
     matrix, which is x* a x up to the rounding of its rotations, and I - x* x. done, (1,)
     for a single matrix, marks the members the loose stage left at the tight threshold,
-    which are not refined. Returns (x* a x symmetrized, the refined x, max|I - x* x|) for
-    the refined x, one per member; a member marked done returns its own s, x and defect.
+    which are not refined. Returns (x* a x symmetrized, the refined x, |I - x* x|_F, the
+    steps taken) for the refined x, one per member; a member marked done returns its own s,
+    x and defect, and 0 steps.
 
     A step sets x <- x + x F from R = I - x* x and S = x* a x, with the eigenvalue
     estimates l_i = s_ii / (1 - r_ii) and the cluster radius
@@ -432,13 +435,13 @@ def _refine(a: np.ndarray, x: np.ndarray, s: np.ndarray, r: np.ndarray, done: np
     n = a.shape[-1]
     eye = np.eye(n)
     size = np.sqrt(_squares(a).sum(axis=-1))
-    ids, parked = np.arange(len(done)), []
+    ids, parked, steps = np.arange(len(done)), [], np.zeros(len(done), dtype=int)
     for _ in range(_REFINE_STEPS):
         if all(done):
             break
         if any(done):  # a stack's stopped members; a single matrix has left the loop
-            parked.append((ids[done], s[done], x[done], r[done]))
-            ids, a, x, s, r, size = (y[~done] for y in (ids, a, x, s, r, size))
+            parked.append((ids[done], s[done], x[done], r[done], steps[done]))
+            ids, a, x, s, r, size, steps = (y[~done] for y in (ids, a, x, s, r, size, steps))
         lam = s.diagonal(0, -2, -1).real / (1.0 - r.diagonal(0, -2, -1).real)
         radius = 2.0 * (_off_norm(s) + size * np.sqrt(_squares(r).sum(axis=-1)))
         right = lam[..., None, :]
@@ -450,13 +453,27 @@ def _refine(a: np.ndarray, x: np.ndarray, s: np.ndarray, r: np.ndarray, done: np
         xh = x.conj().swapaxes(-1, -2)
         r = eye - xh @ x
         s = xh @ (a @ x)
-    s, x, r = _member_order(ids, parked, s, x, r)
-    return (s + s.conj().swapaxes(-1, -2)) / 2.0, x, np.abs(r).reshape(-1, n * n).max(axis=-1)
+        steps = steps + 1
+    s, x, r, steps = _member_order(ids, parked, s, x, r, steps)
+    return (s + s.conj().swapaxes(-1, -2)) / 2.0, x, np.sqrt(_squares(r).sum(axis=-1)), steps
+
+
+class _Work(NamedTuple):
+    """What a _jacobi call did, one entry per stack member, or one for a single matrix: the
+    loose stage's sweeps, the refinement steps, the tight stage's sweeps, and whether the
+    tight stage restarted from the loose result because the refined eigenvectors missed the
+    orthonormality bound."""
+
+    loose_sweeps: np.ndarray
+    steps: np.ndarray
+    tight_sweeps: np.ndarray
+    restarted: np.ndarray
 
 
 def _jacobi(a: np.ndarray) -> tuple:
     """Ascending eigenvalues and eigenvector columns of a, trusted Hermitian (n, n), or of
-    each member of a (k, n, n) stack of them: (k, n) eigenvalues and (k, n, n) vectors.
+    each member of a (k, n, n) stack of them: (k, n) eigenvalues and (k, n, n) vectors; and
+    the _Work record of the solve, counted where the work is done, in member order.
 
     Each member is solved in three stages, all on a copy scaled exactly by 2**-e into
     max|a| < 1 (near the float64 limit a rotation's hypot overflows, and the pair would be
@@ -470,9 +487,10 @@ def _jacobi(a: np.ndarray) -> tuple:
       as the members of a cluster, are only made orthonormal.
     - Tight stage: sweeps again, from (X* A X, X) for the refined X, until the off-diagonal
       norm is at most JACOBI_OFF_TOL times max(1, the largest entry); this resolves the
-      rotations within clusters. If X misses the orthonormality bound below, the member
-      restarts here from the loose stage's own (a, v) instead: one select per member
-      picks the refined pair or the loose one.
+      rotations within clusters. X is kept only when n |I - X* X|_F <= PROJECTOR_TOL / 2:
+      the tight stage's rotations W map E = X* X - I to W* E W, which keeps |E|_F but can
+      raise max|E| up to n-fold. Otherwise the member restarts here from the loose stage's
+      own (a, v): one select per member picks the refined pair or the loose one.
     A stack sweeps and refines with batched products. A member that meets a stage's
     threshold, or stops refining, is set aside untouched in that step, and the stack is
     put back in member order after each loop (_member_order), so that every member's
@@ -486,10 +504,11 @@ def _jacobi(a: np.ndarray) -> tuple:
     The columns of v are checked here (_orthonormality), so that projectors built from
     them need no check of their own: the loose stage's, before refinement could repair a
     defect of the rotations, and the final ones wherever the tight stage rotated them (a
-    refined X is kept only within the same bound). Raises ConvergenceFailure if anything
-    is not finite (a NaN off-diagonal norm, an eigenvalue beyond the float64 range, a NaN
-    defect) and, with E = V*V - I and d = max|E|, unless n d <= PROJECTOR_TOL / 2, for
-    any member. For disjoint column sets S, T and P_S = V_S V_S*:
+    refined X is kept only within the Frobenius form of the same bound, which those
+    rotations keep). Raises ConvergenceFailure if anything is not finite (a NaN
+    off-diagonal norm, an eigenvalue beyond the float64 range, a NaN defect) and, with
+    E = V*V - I and d = max|E|, unless n d <= PROJECTOR_TOL / 2, for any member. For
+    disjoint column sets S, T and P_S = V_S V_S*:
     - P_S P_S - P_S = V_S E_SS V_S* and P_S P_T = V_S E_ST V_T*. Each entry is at most
       |V|^2 |E| <= (1 + n d) n d < PROJECTOR_TOL (spectral norms; |E| <= n d bounds it by
       the Frobenius norm, and |V|^2 = |V*V| <= 1 + |E|). So P_S is idempotent within
@@ -510,20 +529,23 @@ def _jacobi(a: np.ndarray) -> tuple:
     rounds = _rounds(n)
     eye = np.eye(n, dtype=np.complex128) + np.zeros(a.shape, dtype=np.complex128)
     loose = np.ldexp(_LOOSE_OFF_TOL * np.maximum(1.0, largest), -e)
-    rotated, v, sweeps, off = _sweep_until(a, eye, loose, np.zeros(len(e), dtype=int), rounds,
-                                           e, threshold)
+    rotated, v, loose_sweeps, off = _sweep_until(a, eye, loose, np.zeros(len(e), dtype=int),
+                                                 rounds, e, threshold)
     r = _orthonormality(a, v)
     met = off <= tight  # such as any n = 2 or diagonal member
+    sweeps, steps, restarted = loose_sweeps, np.zeros(len(e), dtype=int), np.zeros(len(e), bool)
     if not all(met):
-        s, x, defect = _refine(a, v, rotated, r, met)
+        s, x, defect, steps = _refine(a, v, rotated, r, met)
         # a refined member within the orthonormality bound goes on from its refined pair;
         # one that misses it (a NaN defect fails too), and one already met, from the loose
-        kept = (~met & (n * defect <= PROJECTOR_TOL / 2)).reshape(a.shape[:-2] + (1, 1))
+        kept = ~met & (n * defect <= PROJECTOR_TOL / 2)
+        restarted = ~(met | kept)
+        kept = kept.reshape(a.shape[:-2] + (1, 1))
         rotated, v = np.where(kept, s, rotated), np.where(kept, x, v)
-        swept = sweeps
         rotated, v, sweeps, _ = _sweep_until(rotated, v, tight, sweeps, rounds, e, threshold)
-        if any(sweeps > swept):  # the rest are as refined, and have met the bound above
+        if any(sweeps > loose_sweeps):  # the rest are as refined, within the bound above
             _orthonormality(a, v)
+    work = _Work(loose_sweeps, steps, sweeps - loose_sweeps, restarted)
     ids = np.arange(len(e))
     with np.errstate(over="ignore"):
         raw = np.ldexp(rotated.diagonal(0, -2, -1).real, e.reshape(a.shape[:-2] + (1,)))
@@ -535,7 +557,7 @@ def _jacobi(a: np.ndarray) -> tuple:
     # same memory order; a stack indexes its members by ids as well
     order = np.argsort(raw, axis=-1, kind="stable")
     pick = (ids[:, None], order)[3 - a.ndim:]
-    return raw[pick], v.swapaxes(-1, -2)[pick].swapaxes(-1, -2)
+    return raw[pick], v.swapaxes(-1, -2)[pick].swapaxes(-1, -2), work
 
 
 def _class_projectors(vecs: np.ndarray, classes: np.ndarray, keys) -> list[np.ndarray]:
@@ -583,7 +605,7 @@ def eigh(matrix, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
     eigenvalues strictly increasing.
     """
     _check_range(_TOL_RANGES, "cluster_tol", cluster_tol)
-    raw, vecs = _jacobi(ensure_hermitian(matrix))
+    raw, vecs, _ = _jacobi(ensure_hermitian(matrix))
     with np.errstate(over="ignore"):  # gaps and sums near the float64 limit may be inf
         cuts = np.flatnonzero(np.diff(raw) > cluster_tol) + 1
         values = [min(max(c.mean(), c[0]), c[-1]) for c in np.split(raw, cuts)]
@@ -608,7 +630,7 @@ def _meet_classes(e: np.ndarray, f: np.ndarray, meet_tol: float) -> tuple[np.nda
     path comes here, so meet_tol is checked here: the three classes are disjoint only for
     0 < meet_tol <= MEET_TOL_MAX."""
     _check_range(_TOL_RANGES, "meet_tol", meet_tol)
-    mu, vecs = _jacobi(e + f - np.eye(e.shape[-1]))
+    mu, vecs, _ = _jacobi(e + f - np.eye(e.shape[-1]))
     classes = (np.where(mu * mu < meet_tol * (2.0 - meet_tol), 0.0, np.sign(mu))
                + (1.0 - mu < meet_tol) - (1.0 + mu < meet_tol))
     return classes, vecs

@@ -167,23 +167,6 @@ def rand_decomposition(rng: np.random.Generator, n: int):
     return eigh(rand_hermitian(rng, n))
 
 
-def counted_refinements(monkeypatch) -> list:
-    """Patch _jacobi's refinement to record, per refined member, whether its eigenvectors
-    missed the orthonormality bound, which sends that member back to its loose result.
-    A stack's members that the loose stage left at the tight threshold are not refined, and
-    are not recorded."""
-    missed = []
-    refine = hvsim.linalg._refine
-
-    def counted(a, x, s, r, done):
-        out = refine(a, x, s, r, done)
-        missed.extend((a.shape[-1] * out[2][~done] > hvsim.linalg.PROJECTOR_TOL / 2).tolist())
-        return out
-
-    monkeypatch.setattr(hvsim.linalg, "_refine", counted)
-    return missed
-
-
 def counted_spans(monkeypatch) -> list:
     """Patch linalg._class_projectors, in linalg and in bell, which imports it by name, to
     record the arguments of every call."""

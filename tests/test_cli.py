@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import counted_refinements, counted_spans, rand_unitary
+from conftest import counted_spans, rand_unitary
 import hvsim
 from hvsim import PureState, eigh, ensure_hermitian, joint_propositions, projector_meet
 from hvsim.bell import SECTOR_SNAP_TOL_MAX
 from hvsim.cli import COMMANDS, build_parser, load_problem, main, run_chsh
-from hvsim.linalg import MEET_TOL_MAX
+from hvsim.linalg import MEET_TOL_MAX, _jacobi
 
 FIXTURES = ("pauli", "singlet_chsh", "commuting_chsh")
 
@@ -975,18 +975,19 @@ def _solver_edge_case(name: str) -> np.ndarray:
     ("idle", [1, 2, 1, 3], False),
     ("subnormal", [1, 1, 1, 1], False),
 ])
-def test_spectra_and_roundtrip_on_the_solvers_edge_cases(tmp_path, capsys, monkeypatch, name,
-                                                         multiplicities, restarted):
+def test_spectra_and_roundtrip_on_the_solvers_edge_cases(tmp_path, capsys, name, multiplicities,
+                                                         restarted):
     a = _solver_edge_case(name)
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({"dimension": len(a),
                                 "operators": {name: _complex_rows((a + a.conj().T) / 2)}}))
-    missed = counted_refinements(monkeypatch)
     code, out, _ = run(["spectra", "--input", str(path), "--operator", name], capsys)
     assert code == 0
     assert json.loads(out)["results"][0]["multiplicities"] == multiplicities
     assert run(["roundtrip", "--input", str(path), "--operator", name], capsys)[0] == 0
-    assert any(missed) == restarted
+    # the solve eigh makes of the loaded operator
+    work = _jacobi(ensure_hermitian(load_problem(str(path)).operators[name]))[2]
+    assert work.restarted.tolist() == [restarted]
 
 
 def test_dim48_spectra_report_is_identical_across_processes(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    counted_refinements,
     oracle_correlation,
     oracle_meet,
     rand_commuting_projectors,
@@ -218,7 +217,7 @@ def test_paired_sweep_agrees_with_one_round_per_product(n, stacked, blocks, seed
 
 
 def test_jacobi_on_diagonal_input_only_sorts():
-    raw, v = _jacobi(np.diag([3.0, 1.0, 2.0]).astype(complex))
+    raw, v, _ = _jacobi(np.diag([3.0, 1.0, 2.0]).astype(complex))
     assert raw.tolist() == [1.0, 2.0, 3.0]
     assert np.array_equal(v, np.eye(3)[:, [1, 2, 0]])
 
@@ -233,7 +232,7 @@ def test_jacobi_leaves_zero_pairs_of_a_live_round_unrotated():
     a[np.ix_(even, odd)] = 0.0
     a[np.ix_(odd, even)] = 0.0
     assert any(len(set((p - q) % 2)) == 2 for p, q in _round_robin(n))
-    raw, v = _jacobi(a)
+    raw, v, _ = _jacobi(a)
     np.testing.assert_allclose(raw, np.linalg.eigvalsh(a), atol=1e-12)
     support = v != 0.0
     assert np.all(support[even].any(axis=0) != support[odd].any(axis=0))
@@ -243,7 +242,7 @@ def test_jacobi_leaves_zero_pairs_of_a_live_round_unrotated():
 def test_jacobi_matches_numpy_oracle(n):
     rng = np.random.default_rng(200 + n)
     a = rand_hermitian(rng, n)
-    raw, v = _jacobi(a)
+    raw, v, _ = _jacobi(a)
     np.testing.assert_allclose(raw, np.linalg.eigvalsh(a), atol=1e-11)
     assert max_abs(v @ np.diag(raw) @ v.conj().T - a) <= 1e-12
     assert max_abs(v.conj().T @ v - np.eye(n)) <= 1e-12
@@ -287,7 +286,7 @@ def test_solver_agrees_with_numpy_on_eigenvalues_and_cluster_projectors(kind, n,
     # solver's products is a few ulps of n |A|_2 <= n**2 max|A| per step
     tol = JACOBI_OFF_TOL * max(1.0, largest) + 100.0 * n * n * np.finfo(float).eps * largest
     w, u = np.linalg.eigh(a)
-    raw, _ = _jacobi(a)
+    raw = _jacobi(a)[0]
     assert np.max(np.abs(raw - w)) <= tol
 
     dec = eigh(a)
@@ -367,26 +366,22 @@ def _bits(a: np.ndarray) -> tuple:
 
 def _sweeps(a: np.ndarray) -> int:
     """Sweeps a 2-D _jacobi call takes on a, in its loose and tight stages together."""
-    calls = []
-    sweep = hvsim.linalg._sweep
-    hvsim.linalg._sweep = lambda *args: calls.append(None) or sweep(*args)
-    try:
-        _jacobi(a)
-    finally:
-        hvsim.linalg._sweep = sweep
-    return len(calls)
+    work = _jacobi(a)[2]
+    return int(work.loose_sweeps[0] + work.tight_sweeps[0])
 
 
-def assert_stack_solves_like_singles(members) -> None:
+def assert_stack_solves_like_singles(members):
     """Each member of the stacked solve has the eigenvalues and eigenvectors, bytes and
-    memory layout, of its own 2-D solve."""
-    raw, vecs = _jacobi(np.stack(members))
+    memory layout, and the work record, of its own 2-D solve. Returns the stack's record."""
+    raw, vecs, work = _jacobi(np.stack(members))
     assert raw.shape == (len(members), members[0].shape[0]) and vecs.shape == (len(members),
                                                                                 *members[0].shape)
-    for member, r, v in zip(members, raw, vecs):
-        single_raw, single_v = _jacobi(member)
-        assert _bits(r) == _bits(single_raw)
-        assert _bits(v) == _bits(single_v)
+    for i, member in enumerate(members):
+        single_raw, single_v, single_work = _jacobi(member)
+        assert _bits(raw[i]) == _bits(single_raw)
+        assert _bits(vecs[i]) == _bits(single_v)
+        assert [x[i] for x in work] == [x[0] for x in single_work]
+    return work
 
 
 def _slowest(rng, n: int, tries: int = 12) -> np.ndarray:
@@ -454,54 +449,25 @@ def _sharing_a_line(rng, n: int) -> tuple:
     return tuple(pair)
 
 
-def _member_steps(a: np.ndarray) -> int:
-    """Refinement member-steps of a _jacobi call on a, one matrix or a stack: each step
-    reads the off-diagonal norms of S once, one per member it refines."""
-    inside, steps = [], []
-    refine, off_norm = hvsim.linalg._refine, hvsim.linalg._off_norm
-
-    def spied_refine(*args):
-        inside.append(None)
-        try:
-            return refine(*args)
-        finally:
-            inside.pop()
-
-    def spied_off_norm(m):
-        out = off_norm(m)
-        steps.extend([len(out)] if inside else [])
-        return out
-
-    hvsim.linalg._refine, hvsim.linalg._off_norm = spied_refine, spied_off_norm
-    try:
-        _jacobi(a)
-    finally:
-        hvsim.linalg._refine, hvsim.linalg._off_norm = refine, off_norm
-    return sum(steps)
-
-
 def test_stacked_refinement_takes_its_members_own_steps_bit_for_bit():
     # members that stop refining after 8, 3 and 4 steps, and a diagonal one the loose stage
-    # leaves at the tight threshold: each is set aside in the step where it stops, so the
-    # stack takes the steps of the members' own solves, and their bits
+    # leaves at the tight threshold: each is set aside in the step where it stops, so each
+    # member of the stack takes the steps of its own solve, and its bits
     members = [_chained(np.random.default_rng(2), 5), rand_hermitian(np.random.default_rng(0), 5),
                _chained(np.random.default_rng(4), 5), np.diag([2.0, -1.0, 0.5, 3.0, 1.0]) + 0j]
-    steps = [_member_steps(m) for m in members]
-    assert steps == [8, 3, 4, 0]
-    assert _member_steps(np.stack(members)) == sum(steps)
-    assert_stack_solves_like_singles(members)
+    assert assert_stack_solves_like_singles(members).steps.tolist() == [8, 3, 4, 0]
 
 
-def test_diagonal_and_two_by_two_inputs_are_not_refined(monkeypatch):
+def test_diagonal_and_two_by_two_inputs_are_not_refined():
     # the loose stage leaves them at the tight threshold: a diagonal matrix makes no
     # sweep, and one sweep zeroes the only pair of a 2 x 2 matrix
-    missed = counted_refinements(monkeypatch)
     rng = np.random.default_rng(89)
-    _jacobi(np.diag([3.0, 1.0, 2.0]).astype(complex))
-    _jacobi(rand_hermitian(rng, 2))
-    _jacobi(np.stack([rand_hermitian(rng, 2) for _ in range(3)]))
-    eigh(PAULI_X)
-    assert missed == []
+    works = [_jacobi(a)[2] for a in (np.diag([3.0, 1.0, 2.0]).astype(complex),
+                                     rand_hermitian(rng, 2), PAULI_X,
+                                     np.stack([rand_hermitian(rng, 2) for _ in range(3)]))]
+    for work in works:
+        assert not any(work.steps) and not any(work.restarted) and not any(work.tight_sweeps)
+    assert works[0].loose_sweeps.tolist() == [0]
 
 
 def _chained(rng, n: int) -> np.ndarray:
@@ -513,44 +479,68 @@ def _chained(rng, n: int) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def test_a_refinement_that_misses_the_orthonormality_bound_restarts(monkeypatch):
+def test_a_refinement_that_misses_the_orthonormality_bound_restarts():
     # as the refinement converges, its cluster radius shrinks below the chain's 1e-9 gaps,
     # and dividing by them leaves X off the bound; the solve restarts the tight stage
     # from the loose stage's result, and meets every gate
-    missed = counted_refinements(monkeypatch)
     a = _chained(np.random.default_rng(42), 5)
-    raw, v = _jacobi(a)
-    assert missed == [True]
+    raw, v, work = _jacobi(a)
+    assert work.restarted.tolist() == [True]
     np.testing.assert_allclose(raw, np.linalg.eigvalsh(a), atol=1e-14)
     assert 5 * max_abs(v.conj().T @ v - np.eye(5)) <= PROJECTOR_TOL / 2
     # in a stack, the restarted member is still its own 2-D solve
-    missed.clear()
-    assert_stack_solves_like_singles([rand_hermitian(np.random.default_rng(97), 5), a])
-    assert True in missed
+    work = assert_stack_solves_like_singles([rand_hermitian(np.random.default_rng(97), 5), a])
+    assert work.restarted.tolist() == [False, True]
 
 
-def test_refinement_keeps_chained_dim8_spectra_on_the_refined_path(monkeypatch):
+def _near_commuting_pair(seed: int) -> tuple:
+    """A commuting pair e = U diag(1, 1, 0, 0, b) U*, f = U diag(0, 0, 1, 1, b) U* at n = 5,
+    with f turned by exp(i t H) for t in (1e-8, 1e-6); both symmetrized."""
+    rng = np.random.default_rng(seed)
+    u = rand_unitary(rng, 5)
+    b = rng.integers(0, 2)
+    e = (u * [1, 1, 0, 0, b]) @ u.conj().T
+    f = (u * [0, 0, 1, 1, b]) @ u.conj().T
+    t = 10 ** rng.uniform(-8, -6)
+    w, q = np.linalg.eigh(rand_hermitian(rng, 5, 1.0))
+    turn = (q * np.exp(1j * t * w)) @ q.conj().T
+    f = turn @ f @ turn.conj().T
+    return (e + e.conj().T) / 2.0, (f + f.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("seed", [7852, 8222, 13394, 13808])
+def test_a_refinement_the_tight_sweeps_would_push_off_the_bound_restarts(seed):
+    # on these near-commuting pairs the refined X meets n max|I - X*X| <= PROJECTOR_TOL / 2
+    # but not the same bound on |I - X*X|_F, which is all the tight stage's rotations keep:
+    # they would raise the max norm past the bound, so X is dropped and the solve restarts
+    e, f = _near_commuting_pair(seed)
+    a = e + f - np.eye(5)
+    raw, v, work = _jacobi(a)
+    assert work.restarted.tolist() == [True]
+    np.testing.assert_allclose(raw, np.linalg.eigvalsh(a), atol=1e-14)
+    assert 5 * max_abs(v.conj().T @ v - np.eye(5)) <= PROJECTOR_TOL / 2
+    assert max_abs(projector_meet(e, f) - oracle_meet(e, f)) <= 1e-8
+    assert max_abs(correlation_operator(e, f) - oracle_correlation(e, f)) <= 1e-8
+
+
+def test_refinement_keeps_chained_dim8_spectra_on_the_refined_path():
     # no seed's refinement misses the orthonormality bound; with a hand-off at 1e-3 and
     # three steps, 11 of these 20 did and restarted the tight stage from the loose result
-    missed = counted_refinements(monkeypatch)
     for seed in range(20):
-        _jacobi(_chained(np.random.default_rng(seed), 8))
-    assert len(missed) == 20 and sum(missed) == 0
+        work = _jacobi(_chained(np.random.default_rng(seed), 8))[2]
+        assert work.steps[0] > 0 and not work.restarted[0]
 
 
 def test_the_sweep_budget_covers_both_stages(monkeypatch):
     # the chained input sweeps in the tight stage too; a budget one short of its total
     # stops it there, after the loose stage's sweeps and the tight stage's together
     a = _chained(np.random.default_rng(2), 5)
-    total, calls, loose = _sweeps(a), [], []
-    sweep, refine = hvsim.linalg._sweep, hvsim.linalg._refine
-    monkeypatch.setattr(hvsim.linalg, "_sweep", lambda *args: calls.append(None) or sweep(*args))
-    monkeypatch.setattr(hvsim.linalg, "_refine",
-                        lambda *args: loose.append(len(calls)) or refine(*args))
+    work = _jacobi(a)[2]
+    total = int(work.loose_sweeps[0] + work.tight_sweeps[0])
+    assert work.loose_sweeps[0] < total - 1
     monkeypatch.setattr(hvsim.linalg, "JACOBI_MAX_SWEEPS", total - 1)
     with pytest.raises(ConvergenceFailure, match=f"after {total - 1} sweeps"):
         _jacobi(a)
-    assert loose[0] < total - 1
     monkeypatch.setattr(hvsim.linalg, "JACOBI_MAX_SWEEPS", total)
     _jacobi(a)
 

@@ -19,11 +19,13 @@ planned_operator(default_rng(n), n) with n - n // 4 distinct eigenvalues, as
 the cli-reports benchmark workload decomposes; and a chained one, U diag(w) U*
 with U from default_rng(2000 + n), w spread over (-3, 3) and its four lowest
 1e-9 apart. A solver row's sweeps column holds the sweeps _jacobi used on each
-input, and its products_per_sweep column the dense n x n products one sweep
-makes, three per entry of linalg._rounds(n) (null for a checkout without it); a
-planned or chained row's restarts column counts the refinements of its
-operator's solve that missed the orthonormality bound (null for a checkout
-without refinement).
+input, in both stages, and its products_per_sweep column the dense n x n
+products one sweep makes, three per entry of linalg._rounds(n); a planned or
+chained row's restarts column is 1 where the refinement of its operator's solve
+missed the orthonormality bound, so that the tight stage restarted from the
+loose stage's result, and 0 otherwise. Sweeps and restarts are read from the
+work record _jacobi returns; each column is null for a checkout without what it
+reads.
 The process keeps to one CPU and one BLAS thread, as the benchmark does.
 
 The *_ms columns compare only within one run: on a shared host two runs of the
@@ -80,40 +82,26 @@ def projector(rng: np.random.Generator, n: int) -> np.ndarray:
     return (p + p.conj().T) / 2.0
 
 
-def counted(linalg, name: str, record, a: np.ndarray) -> None:
-    """Solve a with linalg._jacobi while linalg.<name> is wrapped to pass each call's
-    arguments and result to record."""
-    fn = getattr(linalg, name)
-    setattr(linalg, name, lambda *args: record(args, fn(*args)))
-    try:
-        linalg._jacobi(a)
-    finally:
-        setattr(linalg, name, fn)
+def work(linalg, a: np.ndarray):
+    """The work record of _jacobi's solve of a, or None for a checkout whose _jacobi
+    returns only the eigenpairs."""
+    out = linalg._jacobi(a)
+    return out[2] if len(out) > 2 else None
 
 
-def sweeps(linalg, a: np.ndarray) -> int:
-    """Sweeps _jacobi takes on a, in all its stages. A checkout from before the two-stage
-    solver has no _sweep; its one loop tests the off-norm once per sweep, plus once."""
-    name, extra = ("_sweep", 0) if hasattr(linalg, "_sweep") else ("_off_norm", -1)
-    calls = []
-    counted(linalg, name, lambda args, out: calls.append(None) or out, a)
-    return len(calls) + extra
+def sweeps(linalg, matrices) -> list[int] | None:
+    """Sweeps _jacobi takes on each matrix, in both its stages."""
+    records = [work(linalg, a) for a in matrices]
+    if records[0] is None:
+        return None
+    return [int(w.loose_sweeps[0] + w.tight_sweeps[0]) for w in records]
 
 
 def restarts(linalg, a: np.ndarray) -> int | None:
-    """Refinements in _jacobi's solve of a whose eigenvectors missed the orthonormality
-    bound, so that the tight stage restarted from the loose stage's result; None for a
-    checkout without refinement."""
-    if not hasattr(linalg, "_refine"):
-        return None
-    missed = []
-
-    def record(args, out):
-        missed.extend(args[0].shape[-1] * out[2] > linalg.PROJECTOR_TOL / 2)
-        return out
-
-    counted(linalg, "_refine", record, a)
-    return int(sum(missed))
+    """1 if the refinement in _jacobi's solve of a missed the orthonormality bound, so that
+    the tight stage restarted from the loose stage's result, else 0."""
+    w = work(linalg, a)
+    return None if w is None else int(w.restarted[0])
 
 
 def products_per_sweep(linalg, n: int) -> int | None:
@@ -133,7 +121,7 @@ def solver_row(hvsim, matrices) -> dict:
         "eigh_ms": median_ms(hvsim.eigh, [(a,) for a in matrices]),
         "validate_ms": median_ms(hvsim.SpectralDecomposition,
                                  [(d.eigenvalues, d.projectors) for d in decs]),
-        "sweeps": [sweeps(linalg, a) for a in matrices],
+        "sweeps": sweeps(linalg, matrices),
     }
 
 
@@ -144,7 +132,7 @@ def dimension_row(hvsim, n: int) -> dict:
     stacks = [np.stack([e + f - np.eye(n) for e, f in
                         ((projector(rng, n), projector(rng, n)) for _ in range(4))])
               for _ in range(reps(n))]
-    solved = [(a, *hvsim.linalg._jacobi(a)) for a in matrices]
+    solved = [(a, *hvsim.linalg._jacobi(a)[:2]) for a in matrices]
     return {
         "n": n,
         **solver_row(hvsim, matrices),
