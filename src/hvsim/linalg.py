@@ -10,7 +10,10 @@ makes about n/2 dense unitary products instead of n - 1 (R. P. Brent and F. T. L
 J. Sci. Stat. Comput. 6 (1985) 69-84; F. G. Van Zee, R. A. van de Geijn and G.
 Quintana-Orti, ACM Trans. Math. Softw. 40 (2014) 18, for accumulating rotations first).
 - The loose stage sweeps until the off-diagonal norm is about 2e-2 of the largest entry,
-  before the last, quadratically convergent sweeps, which refinement replaces.
+  before the last, quadratically convergent sweeps, which refinement replaces. From
+  n = 32 (_SINGLE_MIN_N) it sweeps a complex64 copy, whose products cost about two thirds
+  of complex128's there; its eigenvectors are checked at a bound scaled to complex64's
+  roundoff, and every such member refines, from S = V*AV and R = I - V*V formed in double.
 - Refinement then corrects the eigenvectors with matrix products only: each step forms
   R = I - X*X and S = X*AX and updates X <- X + X E, dividing by eigenvalue gaps outside an
   adaptive cluster radius delta = 2 (|offdiag S|_F + |A|_F |R|_F) and only making the
@@ -19,10 +22,12 @@ Quintana-Orti, ACM Trans. Math. Softw. 40 (2014) 18, for accumulating rotations 
 - The tight stage sweeps again, from (X*AX, X), to JACOBI_OFF_TOL; it resolves the
   rotations within clusters. Eigenvectors the refinement leaves off the orthonormality
   bound, in the Frobenius norm that the tight stage's rotations keep, are dropped, and
-  that solve restarts the tight stage from the loose stage's result.
+  that solve restarts the tight stage from the loose stage's result, or, from n = 32, from
+  a double-precision loose stage of its own.
 The sweep budget JACOBI_MAX_SWEEPS covers both stages; the non-finite refusals apply to
 the final result, and the orthonormality bound to the loose stage's eigenvectors and the
-final ones, of every solve and every stack member.
+final ones, of every solve and every stack member. Refinement and the tight stage run in
+double at every n, so these final guarantees do not depend on the loose stage's precision.
 
 Every projector made from a solve is spanned by one helper, _class_projectors, from a
 class per ascending eigenpair: eigh's clusters, the meet classes of e + f - I
@@ -65,6 +70,10 @@ JACOBI_MAX_SWEEPS = 100
 _LOOSE_OFF_TOL = 2e-2
 _REFINE_STEPS = 12
 _STEP_TOL = math.sqrt(np.finfo(np.float64).eps)
+# from this dimension on, _jacobi's loose stage sweeps a complex64 copy: a block's three
+# products take 39 against 65 us at n = 48 and 20 against 29 us at n = 32, but 6.2 against
+# 5.2 us at n = 4 (timeit, one BLAS thread), and whole n = 16 solves gain nothing
+_SINGLE_MIN_N = 32
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -273,7 +282,9 @@ def _rounds(n: int) -> tuple:
     - gather: the first round's (p, q), (p, p) and (q, q) entries of a;
     - terms, left, right: the second round's (p, q), (p, p) and (q, q) entries of J1* a J1
       are sums of four terms, since each column of J1 has two nonzeros; each term is an
-      entry of a times a conjugated coefficient of J1 for its row and one for its column;
+      entry of a times a conjugated coefficient of J1 for its row and one for its column.
+      left holds the two row coefficients' slots and right the two column ones; the terms
+      run over their outer product, row-major;
     - put, w_left, w_right: W = J1 J2, whose column j is J2[j, j] J1[:, j] + J2[m, j]
       J1[:, m] for j's partner m in the second round, has at most four nonzeros in it;
       each is a coefficient of the second round times one of the first;
@@ -293,9 +304,10 @@ def _rounds(n: int) -> tuple:
         last = (p2, q2) if len(p2) else (p, q)
         blocks.append(tuple(_readonly(x) for x in (
             np.concatenate((p * n + q, p * (n + 1), q * (n + 1))),
-            np.concatenate((i * n + j, i * n + m[j], m[i] * n + j, m[i] * n + m[j])),
-            np.concatenate((c[i], c[i], oc[i], oc[i])),
-            np.concatenate((c[j], o[j], c[j], o[j])),
+            np.concatenate((i * n + j, i * n + m[j], m[i] * n + j, m[i] * n + m[j])
+                           ).reshape(2, 2, -1),
+            np.concatenate((c[i], oc[i])).reshape(2, 1, -1),
+            np.concatenate((c[j], o[j])).reshape(1, 2, -1),
             (np.concatenate((col, m, m2, m[m2])) * n + np.tile(col, 4))[kept],
             np.concatenate((c2, c2, o2, o2))[kept],
             np.concatenate((c, o, c[m2], o[m2]))[kept],
@@ -337,7 +349,9 @@ def _sweep(a: np.ndarray, v: np.ndarray, rounds) -> tuple:
     J1's rotations come from a, and J2's from the entries of J1* a J1 they need, formed
     from a as four-term sums. W is sparse, so a block costs the three dense products of
     one round, and a sweep of n - 1 rounds (n for odd n) about n/2 blocks. The last round
-    applied has its pairs zeroed. Returns a symmetrized, and v.
+    applied has its pairs zeroed. Returns a symmetrized, and v. W takes a's dtype, so a
+    complex64 a and v sweep in complex64; the rotations are computed from the gathered
+    entries in double either way.
 
     rounds is _rounds(n). Per-pair values are gathered from, and put into, the flat last
     axis of a and W, so that a single matrix and a stack take the same numpy calls."""
@@ -348,12 +362,12 @@ def _sweep(a: np.ndarray, v: np.ndarray, rounds) -> tuple:
         first, live = _rotation(a.reshape(flat)[..., gather], unit)
         # a sweep's odd last round is alone: J2 = I, whose diagonal slots all read unit's 1
         second, live2 = unit, live[..., :0]
-        if len(terms):
+        if terms.size:
             parts = first[..., left] * first[..., right] * a.reshape(flat)[..., terms]
             second, live2 = _rotation(parts.reshape(flat[:-1] + (4, -1)).sum(axis=-2), unit)
         if not (live.any() or live2.any()):
             continue
-        w = np.zeros(a.shape, dtype=np.complex128)
+        w = np.zeros(a.shape, dtype=a.dtype)
         w.reshape(flat)[..., put] = second[..., w_left] * first[..., w_right]
         a = w.conj().swapaxes(-1, -2) @ a @ w
         a.reshape(flat)[..., zero] = 0.0
@@ -397,17 +411,24 @@ def _sweep_until(a, v, limit, sweeps, rounds, e, threshold) -> tuple:
     return _member_order(ids, parked, a, v, sweeps, off)
 
 
-def _orthonormality(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _orthonormality(a: np.ndarray, v: np.ndarray, precision=np.complex128) -> np.ndarray:
     """I - V*V for v, one matrix or a stack, after refusing every member with
-    n max|V*V - I| above PROJECTOR_TOL / 2 (a NaN defect fails), naming the first."""
+    n max|V*V - I| above PROJECTOR_TOL / 2 (a NaN defect fails), naming the first.
+
+    For eigenvectors rotated in complex64 (precision) and lifted to complex128, the bound
+    is as many of complex64's unit roundoffs: PROJECTOR_TOL / 2 times 2**29, the ratio of
+    the two roundoffs, about 0.27. That passes any product of rotations made in complex64,
+    and refuses a NaN or a broken rotation."""
     n = v.shape[-1]
+    ratio = np.finfo(precision).eps / np.finfo(np.complex128).eps
     r = np.eye(n) - v.conj().swapaxes(-1, -2) @ v
     defect = np.abs(r).reshape(-1, n * n).max(axis=-1)
-    orthonormal = n * defect <= PROJECTOR_TOL / 2
+    orthonormal = n * defect <= PROJECTOR_TOL / 2 * ratio
     if not all(orthonormal):
         raise _refuse(a, np.arange(len(defect)), ~orthonormal, lambda i: (
             f"eigenvector orthonormality defect {defect[i]:.3e} above "
-            f"{PROJECTOR_TOL / 2 / n:.3e} (PROJECTOR_TOL / 2n)"))
+            f"{PROJECTOR_TOL / 2 * ratio / n:.3e} (PROJECTOR_TOL / 2n"
+            + ("" if ratio == 1 else f" times {ratio:.0f}, for complex64 rotations") + ")"))
     return r
 
 
@@ -415,7 +436,8 @@ def _refine(a: np.ndarray, x: np.ndarray, s: np.ndarray, r: np.ndarray, done: np
             ) -> tuple:
     """Ogita-Aishima refinement of the eigenvector estimates x of a, trusted Hermitian, one
     matrix or a stack. s and r are the first step's S and R: the loose stage's rotated
-    matrix, which is x* a x up to the rounding of its rotations, and I - x* x. done, (1,)
+    matrix, which is x* a x up to the rounding of its rotations (after a complex64 loose
+    stage, x* a x itself, formed in double), and I - x* x. done, (1,)
     for a single matrix, marks the members the loose stage left at the tight threshold,
     which are not refined. Returns (x* a x symmetrized, the refined x, |I - x* x|_F, the
     steps taken) for the refined x, one per member; a member marked done returns its own s,
@@ -462,7 +484,8 @@ class _Work(NamedTuple):
     """What a _jacobi call did, one entry per stack member, or one for a single matrix: the
     loose stage's sweeps, the refinement steps, the tight stage's sweeps, and whether the
     tight stage restarted from the loose result because the refined eigenvectors missed the
-    orthonormality bound."""
+    orthonormality bound. A member that restarted from a complex64 loose stage counts the
+    sweeps of both its loose stages, complex64 and double, as loose ones."""
 
     loose_sweeps: np.ndarray
     steps: np.ndarray
@@ -481,7 +504,13 @@ def _jacobi(a: np.ndarray) -> tuple:
     - Loose stage: round-robin sweeps (_sweep) until the member's off-diagonal Frobenius
       norm is at most _LOOSE_OFF_TOL times max(1, its largest entry). A member already at
       the tight threshold below, such as any n = 2 or diagonal input, is done here, with
-      the bits of a plain Jacobi solve.
+      the bits of a plain Jacobi solve. From n = _SINGLE_MIN_N = 32 the stage sweeps a
+      complex64 copy of the scaled matrix, and V is lifted to complex128 after it; its
+      eigenvectors are checked at PROJECTOR_TOL / 2 times 2**29, as many of complex64's
+      roundoffs (_orthonormality), which refuses a NaN or a broken rotation before
+      refinement. A complex64 off-norm cannot certify the tight threshold, so each such
+      member refines, from S = V* A V and R = I - V* V formed in double; only one the
+      stage left unswept, whose V = I and S = A are exact, can be done here.
     - Refinement: Ogita-Aishima steps on the loose eigenvectors, with the adaptive cluster
       radius (_refine), made of matrix products only. Pairs closer than the radius, such
       as the members of a cluster, are only made orthonormal.
@@ -490,7 +519,9 @@ def _jacobi(a: np.ndarray) -> tuple:
       rotations within clusters. X is kept only when n |I - X* X|_F <= PROJECTOR_TOL / 2:
       the tight stage's rotations W map E = X* X - I to W* E W, which keeps |E|_F but can
       raise max|E| up to n-fold. Otherwise the member restarts here from the loose stage's
-      own (a, v): one select per member picks the refined pair or the loose one.
+      own (a, v): one select per member picks the refined pair or the loose one. A member
+      whose loose stage was complex64 never restarts from it: it runs a loose stage of its
+      own in double first, whose sweeps its record counts as loose ones.
     A stack sweeps and refines with batched products. A member that meets a stage's
     threshold, or stops refining, is set aside untouched in that step, and the stack is
     put back in member order after each loop (_member_order), so that every member's
@@ -518,7 +549,10 @@ def _jacobi(a: np.ndarray) -> tuple:
     - trace P_S = |S| + trace E_SS is within n d of an integer, inside PROJECTOR_TRACE_TOL.
     - Symmetrizing P_S makes it exactly Hermitian.
     Forming and checking the products rounds each entry by about n * 1e-16, far inside
-    the factor-two margin. Observed defects are about 1e-14 at n = 48."""
+    the factor-two margin. Observed defects are about 1e-14 at n = 48. None of this rests
+    on the loose stage's precision: every V returned is a refined X within the Frobenius
+    bound, or the result of double-precision sweeps checked above; the complex64 loose
+    eigenvectors (n max|I - V* V| up to about 8e-5 at n = 64) are never returned."""
     n = a.shape[-1]
     # one entry per member, (1,) for a single matrix, so that Python's all and any test them
     largest = np.abs(a).reshape(-1, n * n).max(axis=-1)
@@ -529,9 +563,18 @@ def _jacobi(a: np.ndarray) -> tuple:
     rounds = _rounds(n)
     eye = np.eye(n, dtype=np.complex128) + np.zeros(a.shape, dtype=np.complex128)
     loose = np.ldexp(_LOOSE_OFF_TOL * np.maximum(1.0, largest), -e)
-    rotated, v, loose_sweeps, off = _sweep_until(a, eye, loose, np.zeros(len(e), dtype=int),
-                                                 rounds, e, threshold)
-    r = _orthonormality(a, v)
+    precision = np.complex64 if n >= _SINGLE_MIN_N else np.complex128
+    rotated, v, loose_sweeps, off = _sweep_until(
+        a.astype(precision, copy=False), eye.astype(precision, copy=False), loose,
+        np.zeros(len(e), dtype=int), rounds, e, threshold)
+    v = v.astype(np.complex128, copy=False)
+    r = _orthonormality(a, v, precision)
+    if precision is np.complex64:
+        # S = V* A V in double. A complex64 off-norm cannot certify the tight threshold, so
+        # every member refines, but one the loose stage left unswept: its V = I and S = A
+        # are exact, and so is its off-norm
+        rotated = v.conj().swapaxes(-1, -2) @ (a @ v)
+        off = np.where(loose_sweeps == 0, _off_norm(rotated), np.inf)
     met = off <= tight  # such as any n = 2 or diagonal member
     sweeps, steps, restarted = loose_sweeps, np.zeros(len(e), dtype=int), np.zeros(len(e), bool)
     if not all(met):
@@ -540,6 +583,13 @@ def _jacobi(a: np.ndarray) -> tuple:
         # one that misses it (a NaN defect fails too), and one already met, from the loose
         kept = ~met & (n * defect <= PROJECTOR_TOL / 2)
         restarted = ~(met | kept)
+        if precision is np.complex64 and any(restarted):
+            # never from the complex64 result: each restarting member runs a loose stage of
+            # its own in double, the others set aside untouched at an infinite limit
+            rotated, v, sweeps, _ = _sweep_until(a, eye, np.where(restarted, loose, np.inf),
+                                                 sweeps, rounds, e, threshold)
+            _orthonormality(a, v)
+            loose_sweeps = sweeps
         kept = kept.reshape(a.shape[:-2] + (1, 1))
         rotated, v = np.where(kept, s, rotated), np.where(kept, x, v)
         rotated, v, sweeps, _ = _sweep_until(rotated, v, tight, sweeps, rounds, e, threshold)

@@ -42,6 +42,7 @@ from hvsim.linalg import (
     MEET_TOL,
     MEET_TOL_MAX,
     PROJECTOR_TOL,
+    _SINGLE_MIN_N,
     _checked_projector,
     _ensure_projectors,
     _jacobi,
@@ -220,6 +221,26 @@ def test_jacobi_on_diagonal_input_only_sorts():
     raw, v, _ = _jacobi(np.diag([3.0, 1.0, 2.0]).astype(complex))
     assert raw.tolist() == [1.0, 2.0, 3.0]
     assert np.array_equal(v, np.eye(3)[:, [1, 2, 0]])
+    # and from _SINGLE_MIN_N on, where the loose stage is complex64: a member it leaves
+    # unswept is certified by its exact double off-norm, and is not refined
+    d = np.random.default_rng(5).permutation(_SINGLE_MIN_N) - 16.0
+    raw, v, work = _jacobi(np.diag(d).astype(complex))
+    assert raw.tolist() == sorted(d) and work.steps.tolist() == [0]
+    assert np.array_equal(v, np.eye(_SINGLE_MIN_N)[:, np.argsort(d)])
+
+
+@pytest.mark.parametrize("n, single", [(_SINGLE_MIN_N - 1, False), (_SINGLE_MIN_N, True)])
+def test_the_loose_stage_runs_in_complex64_from_single_min_n(monkeypatch, n, single):
+    # below the gate a solve keeps the double-precision path, bit for bit: its bits are
+    # those of a solve with the gate raised out of reach; from the gate on, the complex64
+    # loose stage moves the bits, and the result still meets the oracle and the bound
+    a = rand_hermitian(np.random.default_rng(101), n)
+    raw, v, _ = _jacobi(a)
+    monkeypatch.setattr(hvsim.linalg, "_SINGLE_MIN_N", n + 1)
+    double_raw, double_v, _ = _jacobi(a)
+    assert (_bits(raw) == _bits(double_raw) and _bits(v) == _bits(double_v)) is not single
+    np.testing.assert_allclose(raw, np.linalg.eigvalsh(a), atol=1e-11)
+    assert n * max_abs(v.conj().T @ v - np.eye(n)) <= PROJECTOR_TOL / 2
 
 
 def test_jacobi_leaves_zero_pairs_of_a_live_round_unrotated():
@@ -388,7 +409,8 @@ def _slowest(rng, n: int, tries: int = 12) -> np.ndarray:
     return max((rand_hermitian(rng, n) for _ in range(tries)), key=_sweeps)
 
 
-@pytest.mark.parametrize("case", ["zero-sweep", "most-sweeps", "scaled", "odd-3", "odd-5", "k=1"])
+@pytest.mark.parametrize("case", ["zero-sweep", "most-sweeps", "scaled", "odd-3", "odd-5", "k=1",
+                                  "complex64-32", "complex64-33"])
 def test_stacked_jacobi_equals_single_solves_bit_for_bit(case):
     rng = np.random.default_rng(71)
     n = 4
@@ -406,6 +428,12 @@ def test_stacked_jacobi_equals_single_solves_bit_for_bit(case):
         "odd-3": lambda: [rand_hermitian(rng, 3) for _ in range(4)],
         "odd-5": lambda: [rand_hermitian(rng, 5) for _ in range(4)],
         "k=1": lambda: [rand_hermitian(rng, n)],
+        # the complex64 loose stage, even and odd; the diagonal member and the one whose
+        # entries underflow complex64 are left unswept, and their exact double off-norm
+        # meets the tight threshold, beside one that sweeps and refines
+        "complex64-32": lambda: [rand_hermitian(rng, 32), np.diag(rng.standard_normal(32)) + 0j,
+                                 rand_hermitian(rng, 32, 1e-300)],
+        "complex64-33": lambda: [rand_hermitian(rng, 33) for _ in range(3)],
     }[case]()
     if case == "zero-sweep":
         assert _sweeps(members[0]) == 0 < min(map(_sweeps, members[1:]))
@@ -521,6 +549,24 @@ def test_a_refinement_the_tight_sweeps_would_push_off_the_bound_restarts(seed):
     assert 5 * max_abs(v.conj().T @ v - np.eye(5)) <= PROJECTOR_TOL / 2
     assert max_abs(projector_meet(e, f) - oracle_meet(e, f)) <= 1e-8
     assert max_abs(correlation_operator(e, f) - oracle_correlation(e, f)) <= 1e-8
+
+
+@pytest.mark.parametrize("make, seed", [(rand_degenerate_hermitian, 33), (_chained, 48)])
+def test_a_complex64_member_that_misses_the_bound_restarts_in_double(make, seed):
+    # a degenerate input and a chain at n = 32 whose refinement from the complex64 loose
+    # eigenvectors leaves X off the bound: the member runs a loose stage of its own in
+    # double, whose sweeps the record adds to the complex64 ones, and the tight stage
+    # goes on from it
+    a = make(np.random.default_rng(seed), 32)
+    raw, v, work = _jacobi(a)
+    assert work.restarted.tolist() == [True]
+    np.testing.assert_allclose(raw, np.linalg.eigvalsh(a), atol=1e-13)
+    assert 32 * max_abs(v.conj().T @ v - np.eye(32)) <= PROJECTOR_TOL / 2
+    # eigh sets the chain's cluster to its mean, within its 3e-9 span of each eigenvalue
+    assert max_abs(eigh(a).operator() - a) <= CLUSTER_TOL
+    # in a stack, the member that does not restart is set aside untouched meanwhile
+    work = assert_stack_solves_like_singles([rand_hermitian(np.random.default_rng(97), 32), a])
+    assert work.restarted.tolist() == [False, True]
 
 
 def test_refinement_keeps_chained_dim8_spectra_on_the_refined_path():
@@ -745,6 +791,28 @@ class _NaNHypot(_DriftingSqrt):
         return np.full_like(np.hypot(x, y), np.nan)
 
 
+class _BrokenSqrt(_DriftingSqrt):
+    """numpy with every sqrt 1e-4 too large, far past what complex64 rotations drift."""
+
+    @staticmethod
+    def sqrt(x):
+        return np.sqrt(x) * (1.0 + 1e-4)
+
+
+def test_complex64_loose_eigenvectors_are_checked_at_complex64_roundoff(monkeypatch):
+    # the complex64 loose stage's eigenvectors are checked before refinement at
+    # PROJECTOR_TOL / 2 in units of complex64's roundoff: a rotation drifting by 1e-9 is
+    # inside it, and refinement repairs it; one drifting by 1e-4 is refused
+    a = rand_hermitian(np.random.default_rng(53), _SINGLE_MIN_N)
+    monkeypatch.setattr(hvsim.linalg, "np", _DriftingSqrt())
+    _, v, _ = _jacobi(a)
+    assert _SINGLE_MIN_N * max_abs(v.conj().T @ v - np.eye(_SINGLE_MIN_N)) <= PROJECTOR_TOL / 2
+    monkeypatch.setattr(hvsim.linalg, "np", _BrokenSqrt())
+    with pytest.raises(ConvergenceFailure, match=r"orthonormality defect .* \(PROJECTOR_TOL / 2n "
+                       r"times 536870912, for complex64 rotations\)$"):
+        _jacobi(a)
+
+
 def test_jacobi_rotates_entries_near_the_float64_limit():
     # unscaled, hypot(16e307, 14e307) overflows and the pair is zeroed unrotated, at +-8e307
     dec = eigh(np.array([[8e307, 7e307], [7e307, -8e307]]))
@@ -800,15 +868,18 @@ def test_eigh_agrees_with_numpy_on_entries_from_subnormal_to_1e307(n, exponents,
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_jacobi_refuses_non_finite_eigenpairs(monkeypatch):
-    # finite entries whose largest eigenvalue, 2.4e308, is beyond the float64 range
-    for fn in (_jacobi, eigh):
-        with pytest.raises(ConvergenceFailure, match="non-finite eigenvalue inf"):
-            fn(np.full((3, 3), 8e307, dtype=complex))
-    a = rand_hermitian(np.random.default_rng(61), 6)
+    # finite entries whose largest eigenvalue, 2.4e308 at n = 3, is beyond the float64
+    # range; the same messages below and from _SINGLE_MIN_N, whose loose stage is complex64
+    for n in (3, _SINGLE_MIN_N):
+        for fn in (_jacobi, eigh):
+            with pytest.raises(ConvergenceFailure, match="non-finite eigenvalue inf"):
+                fn(np.full((n, n), 8e307, dtype=complex))
+    matrices = [rand_hermitian(np.random.default_rng(61), n) for n in (6, _SINGLE_MIN_N)]
     monkeypatch.setattr(hvsim.linalg, "np", _NaNHypot())
-    for fn in (_jacobi, eigh):
-        with pytest.raises(ConvergenceFailure, match="off-diagonal norm nan"):
-            fn(a)
+    for a in matrices:
+        for fn in (_jacobi, eigh):
+            with pytest.raises(ConvergenceFailure, match="off-diagonal norm nan"):
+                fn(a)
 
 
 def test_meet_with_identity_absorbs():
