@@ -23,7 +23,7 @@ Quintana-Orti, ACM Trans. Math. Softw. 40 (2014) 18, for accumulating rotations 
   rotations within clusters. Eigenvectors the refinement leaves off the orthonormality
   bound, in the Frobenius norm that the tight stage's rotations keep, are dropped, and
   that solve restarts the tight stage from the loose stage's result, or, from n = 32, from
-  a double-precision loose stage of its own.
+  the unswept matrix, sweeping in double.
 The sweep budget JACOBI_MAX_SWEEPS covers both stages; the non-finite refusals apply to
 the final result, and the orthonormality bound to the loose stage's eigenvectors and the
 final ones, of every solve and every stack member. Refinement and the tight stage run in
@@ -282,9 +282,7 @@ def _rounds(n: int) -> tuple:
     - gather: the first round's (p, q), (p, p) and (q, q) entries of a;
     - terms, left, right: the second round's (p, q), (p, p) and (q, q) entries of J1* a J1
       are sums of four terms, since each column of J1 has two nonzeros; each term is an
-      entry of a times a conjugated coefficient of J1 for its row and one for its column.
-      left holds the two row coefficients' slots and right the two column ones; the terms
-      run over their outer product, row-major;
+      entry of a times a conjugated coefficient of J1 for its row and one for its column;
     - put, w_left, w_right: W = J1 J2, whose column j is J2[j, j] J1[:, j] + J2[m, j]
       J1[:, m] for j's partner m in the second round, has at most four nonzeros in it;
       each is a coefficient of the second round times one of the first;
@@ -304,10 +302,9 @@ def _rounds(n: int) -> tuple:
         last = (p2, q2) if len(p2) else (p, q)
         blocks.append(tuple(_readonly(x) for x in (
             np.concatenate((p * n + q, p * (n + 1), q * (n + 1))),
-            np.concatenate((i * n + j, i * n + m[j], m[i] * n + j, m[i] * n + m[j])
-                           ).reshape(2, 2, -1),
-            np.concatenate((c[i], oc[i])).reshape(2, 1, -1),
-            np.concatenate((c[j], o[j])).reshape(1, 2, -1),
+            np.concatenate((i * n + j, i * n + m[j], m[i] * n + j, m[i] * n + m[j])),
+            np.concatenate((c[i], c[i], oc[i], oc[i])),
+            np.concatenate((c[j], o[j], c[j], o[j])),
             (np.concatenate((col, m, m2, m[m2])) * n + np.tile(col, 4))[kept],
             np.concatenate((c2, c2, o2, o2))[kept],
             np.concatenate((c, o, c[m2], o[m2]))[kept],
@@ -350,8 +347,8 @@ def _sweep(a: np.ndarray, v: np.ndarray, rounds) -> tuple:
     from a as four-term sums. W is sparse, so a block costs the three dense products of
     one round, and a sweep of n - 1 rounds (n for odd n) about n/2 blocks. The last round
     applied has its pairs zeroed. Returns a symmetrized, and v. W takes a's dtype, so a
-    complex64 a and v sweep in complex64; the rotations are computed from the gathered
-    entries in double either way.
+    complex64 a and v sweep in complex64, with rotations computed from its complex64
+    entries.
 
     rounds is _rounds(n). Per-pair values are gathered from, and put into, the flat last
     axis of a and W, so that a single matrix and a stack take the same numpy calls."""
@@ -362,7 +359,7 @@ def _sweep(a: np.ndarray, v: np.ndarray, rounds) -> tuple:
         first, live = _rotation(a.reshape(flat)[..., gather], unit)
         # a sweep's odd last round is alone: J2 = I, whose diagonal slots all read unit's 1
         second, live2 = unit, live[..., :0]
-        if terms.size:
+        if len(terms):
             parts = first[..., left] * first[..., right] * a.reshape(flat)[..., terms]
             second, live2 = _rotation(parts.reshape(flat[:-1] + (4, -1)).sum(axis=-2), unit)
         if not (live.any() or live2.any()):
@@ -484,8 +481,8 @@ class _Work(NamedTuple):
     """What a _jacobi call did, one entry per stack member, or one for a single matrix: the
     loose stage's sweeps, the refinement steps, the tight stage's sweeps, and whether the
     tight stage restarted from the loose result because the refined eigenvectors missed the
-    orthonormality bound. A member that restarted from a complex64 loose stage counts the
-    sweeps of both its loose stages, complex64 and double, as loose ones."""
+    orthonormality bound. A member that restarts after a complex64 loose stage sweeps from
+    the unswept matrix in double, and those sweeps count as tight ones."""
 
     loose_sweeps: np.ndarray
     steps: np.ndarray
@@ -519,9 +516,9 @@ def _jacobi(a: np.ndarray) -> tuple:
       rotations within clusters. X is kept only when n |I - X* X|_F <= PROJECTOR_TOL / 2:
       the tight stage's rotations W map E = X* X - I to W* E W, which keeps |E|_F but can
       raise max|E| up to n-fold. Otherwise the member restarts here from the loose stage's
-      own (a, v): one select per member picks the refined pair or the loose one. A member
-      whose loose stage was complex64 never restarts from it: it runs a loose stage of its
-      own in double first, whose sweeps its record counts as loose ones.
+      own (a, v): one select per member picks the refined pair or the loose one. After a
+      complex64 loose stage the loose pair is (A, I), never the complex64 result, so a
+      member restarting from it sweeps in double all the way to the tight threshold.
     A stack sweeps and refines with batched products. A member that meets a stage's
     threshold, or stops refining, is set aside untouched in that step, and the stack is
     put back in member order after each loop (_member_order), so that every member's
@@ -569,27 +566,24 @@ def _jacobi(a: np.ndarray) -> tuple:
         np.zeros(len(e), dtype=int), rounds, e, threshold)
     v = v.astype(np.complex128, copy=False)
     r = _orthonormality(a, v, precision)
+    s, x = rotated, v
     if precision is np.complex64:
         # S = V* A V in double. A complex64 off-norm cannot certify the tight threshold, so
         # every member refines, but one the loose stage left unswept: its V = I and S = A
-        # are exact, and so is its off-norm
-        rotated = v.conj().swapaxes(-1, -2) @ (a @ v)
-        off = np.where(loose_sweeps == 0, _off_norm(rotated), np.inf)
+        # are exact, and so is its off-norm. The fallback is never the complex64 result but
+        # (A, I): a member restarting from it sweeps in double to the tight threshold
+        s = v.conj().swapaxes(-1, -2) @ (a @ v)
+        off = np.where(loose_sweeps == 0, _off_norm(s), np.inf)
+        rotated, v = a, eye
     met = off <= tight  # such as any n = 2 or diagonal member
     sweeps, steps, restarted = loose_sweeps, np.zeros(len(e), dtype=int), np.zeros(len(e), bool)
     if not all(met):
-        s, x, defect, steps = _refine(a, v, rotated, r, met)
+        s, x, defect, steps = _refine(a, x, s, r, met)
         # a refined member within the orthonormality bound goes on from its refined pair;
         # one that misses it (a NaN defect fails too), and one already met, from the loose
+        # stage's pair, or from (A, I) after a complex64 loose stage
         kept = ~met & (n * defect <= PROJECTOR_TOL / 2)
         restarted = ~(met | kept)
-        if precision is np.complex64 and any(restarted):
-            # never from the complex64 result: each restarting member runs a loose stage of
-            # its own in double, the others set aside untouched at an infinite limit
-            rotated, v, sweeps, _ = _sweep_until(a, eye, np.where(restarted, loose, np.inf),
-                                                 sweeps, rounds, e, threshold)
-            _orthonormality(a, v)
-            loose_sweeps = sweeps
         kept = kept.reshape(a.shape[:-2] + (1, 1))
         rotated, v = np.where(kept, s, rotated), np.where(kept, x, v)
         rotated, v, sweeps, _ = _sweep_until(rotated, v, tight, sweeps, rounds, e, threshold)

@@ -552,14 +552,21 @@ def test_a_refinement_the_tight_sweeps_would_push_off_the_bound_restarts(seed):
 
 
 @pytest.mark.parametrize("make, seed", [(rand_degenerate_hermitian, 33), (_chained, 48)])
-def test_a_complex64_member_that_misses_the_bound_restarts_in_double(make, seed):
+def test_a_complex64_member_that_misses_the_bound_restarts_in_double(monkeypatch, make, seed):
     # a degenerate input and a chain at n = 32 whose refinement from the complex64 loose
-    # eigenvectors leaves X off the bound: the member runs a loose stage of its own in
-    # double, whose sweeps the record adds to the complex64 ones, and the tight stage
-    # goes on from it
+    # eigenvectors leaves X off the bound: the member sweeps in double from the unswept
+    # matrix to the tight threshold, never from the complex64 result, and those sweeps
+    # count as tight ones. So its eigenpairs are those of a plain double Jacobi solve: a
+    # double loose stage run all the way to the tight threshold, bit for bit
     a = make(np.random.default_rng(seed), 32)
     raw, v, work = _jacobi(a)
     assert work.restarted.tolist() == [True]
+    with monkeypatch.context() as m:
+        m.setattr(hvsim.linalg, "_SINGLE_MIN_N", 33)
+        m.setattr(hvsim.linalg, "_LOOSE_OFF_TOL", JACOBI_OFF_TOL)
+        plain_raw, plain_v, plain = _jacobi(a)
+    assert plain.steps.tolist() == [0] and plain.loose_sweeps.tolist() == work.tight_sweeps.tolist()
+    assert _bits(raw) == _bits(plain_raw) and _bits(v) == _bits(plain_v)
     np.testing.assert_allclose(raw, np.linalg.eigvalsh(a), atol=1e-13)
     assert 32 * max_abs(v.conj().T @ v - np.eye(32)) <= PROJECTOR_TOL / 2
     # eigh sets the chain's cluster to its mean, within its 3e-9 span of each eigenvalue

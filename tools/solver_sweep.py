@@ -23,8 +23,8 @@ input, in both stages, and its products_per_sweep column the dense n x n
 products one sweep makes, three per entry of linalg._rounds(n); a planned or
 chained row's restarts column is 1 where the refinement of its operator's solve
 missed the orthonormality bound, so that the tight stage restarted from the
-loose stage's result (from n = 32, where the loose stage is complex64, from a
-double-precision loose stage of its own), and 0 otherwise. Sweeps and restarts
+loose stage's result (from n = 32, where the loose stage is complex64, from the
+unswept matrix, sweeping in double), and 0 otherwise. Sweeps and restarts
 are read from the work record _jacobi returns; each column is null for a
 checkout without what it reads.
 The process keeps to one CPU and one BLAS thread, as the benchmark does.
