@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 INF = float("inf")
@@ -44,23 +45,30 @@ class Interval:
         return self.hi - self.lo
 
     def contains(self, x: float, snap_tol: float = 0.0) -> bool:
-        """Point membership; within snap_tol of a finite endpoint, the point is
-        treated as lying exactly on it and the inclusion flag decides. Within snap_tol
-        of both, it lies on the nearer one, the lower on a tie."""
-        if snap_tol > 0.0:
-            to_lo, to_hi = abs(x - self.lo), abs(x - self.hi)
-            if to_lo <= snap_tol and to_lo <= to_hi and not math.isinf(self.lo):
-                return self.lo_closed
-            if to_hi <= snap_tol and not math.isinf(self.hi):
-                return self.hi_closed
-        above = self.lo < x or (x == self.lo and self.lo_closed)
-        below = x < self.hi or (x == self.hi and self.hi_closed)
-        return above and below
+        """Point membership, snapping as BorelSet.contains does: the endpoint nearest x within
+        snap_tol, the lower on a tie, decides by its flag. An empty interval holds nothing."""
+        if self.is_empty:
+            return False
+        i, near = _nearest((self.lo, self.hi), x, snap_tol)
+        return i == 1 if near is None else (self.lo_closed, self.hi_closed)[near]
 
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
         return f"{left}{self.lo}, {self.hi}{right}"
+
+
+def _nearest(points, x: float, tol: float) -> tuple[int, int | None]:
+    """bisect_left(points, x), and the index of the point of the non-decreasing points nearest
+    x within tol, the lower on a tie, or None. A point equal to x is always taken, even at a tol
+    of 0, below 0 or NaN; an infinite point only then. The one place x snaps onto a point."""
+    i, tol = bisect_left(points, x), (tol if tol > 0.0 else 0.0)
+    if i < len(points) and (points[i] == x or points[i] - x <= tol and points[i] < INF
+                            and (i == 0 or points[i] - x < x - points[i - 1])):
+        return i, i
+    if i and x - points[i - 1] <= tol and points[i - 1] > -INF:
+        return i, i - 1
+    return i, None
 
 
 def _intersect_pair(a: Interval, b: Interval) -> Interval | None:
@@ -148,10 +156,20 @@ class BorelSet:
     def measure(self) -> float:
         return sum(iv.measure() for iv in self.intervals) if self.intervals else 0.0
 
+    @cached_property
+    def _ends(self) -> tuple[tuple[float, ...], tuple[bool, ...]]:
+        """Every interval's lo and hi in ascending order, and their closed flags."""
+        return (tuple(p for iv in self.intervals for p in (iv.lo, iv.hi)),
+                tuple(f for iv in self.intervals for f in (iv.lo_closed, iv.hi_closed)))
+
     def contains(self, x: float, snap_tol: float = 0.0) -> bool:
-        """Point membership, snapping as Interval.contains does; the intervals
-        are disjoint, so a point snapped out of one lies in no other."""
-        return any(iv.contains(x, snap_tol) for iv in self.intervals)
+        """Point membership. x lies on the endpoint nearest it within snap_tol, the lower on a
+        tie, and that endpoint's flag decides; with none in range, x is inside iff an interval
+        holds it. A complement has the same endpoints with the other flags, so a set and its
+        complement disagree on every point. NaN lies in no set, nor, at a finite snap_tol, ±inf."""
+        points, flags = self._ends
+        i, near = _nearest(points, x, snap_tol)
+        return i % 2 == 1 if near is None else flags[near]
 
     def complement(self) -> "BorelSet":
         if not self.intervals:
@@ -241,13 +259,10 @@ class PiecewiseAffineFunction:
         one on a tie: the value preimages give x, since membership snaps x onto an endpoint
         within snap_tol. A breakpoint equal to x is always taken, even at a snap_tol of 0,
         below 0 or NaN."""
-        x, tol = float(x), snap_tol if snap_tol > 0.0 else 0.0
-        bps = self.breakpoints
-        i = bisect_left(bps, x)  # bps[i - 1] < x <= bps[i]
-        if i < len(bps) and bps[i] - x <= tol and (i == 0 or bps[i] - x < x - bps[i - 1]):
-            return self.breakpoint_values[i]
-        if i and x - bps[i - 1] <= tol:
-            return self.breakpoint_values[i - 1]
+        x = float(x)
+        i, near = _nearest(self.breakpoints, x, snap_tol)
+        if near is not None:
+            return self.breakpoint_values[near]
         slope, intercept = self.pieces[i]
         return slope * x + intercept
 

@@ -682,15 +682,11 @@ def _meet_classes(e: np.ndarray, f: np.ndarray, meet_tol: float) -> tuple[np.nda
 
 def _pair_meets(e: np.ndarray, f: np.ndarray, meet_tol: float) -> tuple[np.ndarray, ...]:
     """(e meet f, e' meet f', (e meet f') + (e' meet f)), e' = I - e, spanned by
-    _class_projectors from the classes 2, -2 and 0 of _meet_classes. For (k, n, n) stacks e
-    and f each of the three is a (k, n, n) stack. The public meets and correlation_operator
-    span their projectors here; bell's CHSH terms read the same solve's eigenvector weights
-    instead (see bell._chsh_terms)."""
-    n = e.shape[-1]
+    _class_projectors from the classes 2, -2 and 0 of _meet_classes, for one pair. The public
+    meets and correlation_operator span their projectors here; bell's CHSH terms read the
+    same solve's eigenvector weights instead (see bell._chsh_terms)."""
     classes, vecs = _meet_classes(e, f, meet_tol)
-    members = zip(vecs.reshape(-1, n, n), classes.reshape(-1, n))
-    return tuple(_readonly(np.reshape(meets, e.shape))
-                 for meets in zip(*(_class_projectors(v, c, (2, -2, 0)) for v, c in members)))
+    return tuple(map(_readonly, _class_projectors(vecs, classes, (2, -2, 0))))
 
 
 def _commutes(e: np.ndarray, f: np.ndarray, tol: float) -> bool:

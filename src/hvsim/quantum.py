@@ -61,8 +61,8 @@ def spectral_projector(
 ) -> np.ndarray:
     """Sum of the spectral projectors whose eigenvalues lie in the event set.
 
-    Eigenvalues within snap_tol (default 1e-9) of a finite interval endpoint
-    are treated as lying exactly on it, so the endpoint flag decides.
+    An eigenvalue within snap_tol (default 1e-9) of finite endpoints of the event lies on the
+    nearest, the lower on a tie, whose flag decides, so an event and its complement split it.
     """
     return _readonly(_event_projectors(dec, (events,), snap_tol)[0])
 
@@ -88,7 +88,8 @@ def _event_projectors(
 
 def _event_table(events, eigenvalues: np.ndarray, snap_tol: float) -> np.ndarray:
     """Read-only (k, m) bool table: whether each of the m eigenvalues lies in each of the k
-    events, by BorelSet.contains at snap_tol. The one place events classify eigenvalues.
+    events, by BorelSet.contains at snap_tol: the nearest endpoint within it decides. The one
+    place events classify eigenvalues.
 
     An analysis asks again about the same events and spectrum (a quadruple's sector events,
     a backing shared by many states), so each table is kept by content (_classified, the

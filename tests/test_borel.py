@@ -4,9 +4,22 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_borel, rand_piecewise_affine
-from hvsim import BorelSet, Interval, PiecewiseAffineFunction, compose_functions, preimage
+from hvsim import (
+    BorelSet,
+    Interval,
+    PiecewiseAffineFunction,
+    Proposition,
+    PureState,
+    SpectralDecomposition,
+    check_boolean_homomorphism,
+    compose_functions,
+    preimage,
+    prob,
+)
 
 INF = float("inf")
 
@@ -18,6 +31,9 @@ def test_canonicalization_merges_touching_intervals():
     c = BorelSet((Interval(0, 1), Interval(1, 2)))
     assert len(c.intervals) == 2
     assert not c.contains(1.0)
+    assert str(c) == "(0.0, 1.0) u (1.0, 2.0)"
+    assert str(~c) == "(-inf, 0.0] u [1.0, 1.0] u [2.0, inf)"
+    assert str(BorelSet.empty()) == "{}"
 
 
 def test_singleton_intervals_and_atoms():
@@ -62,6 +78,81 @@ def test_membership_flags_and_snapping():
     assert short.contains(-3.4e-15, snap_tol=1e-9)
     assert short.contains(-1.8e-15, snap_tol=1e-9)
     assert not Interval(-INF, 0.0, False, False).contains(-1e-10, snap_tol=1e-9)
+
+
+def test_a_point_near_endpoints_of_two_intervals_lies_in_a_set_or_its_complement():
+    # 1.5e-10 lies within snap_tol of 0, the point {0}, and nearer 2e-10, the open end of
+    # (2e-10, 5]; the nearer endpoint puts it outside A, and so inside ~A
+    a = BorelSet((Interval(0.0, 0.0, True, True), Interval(2e-10, 5.0, False, True)))
+    assert not a.contains(1.5e-10, snap_tol=1e-9)
+    assert (~a).contains(1.5e-10, snap_tol=1e-9)
+    dec = SpectralDecomposition(np.array([1.5e-10, 3.0]),
+                                np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
+    state = PureState(np.array([1.0, 0.0]))
+    assert prob(dec, state, a) + prob(dec, state, ~a) == 1.0
+    assert check_boolean_homomorphism(Proposition(dec, a), Proposition(dec, BorelSet.at_most(1.0)))
+
+
+# endpoints spaced below snap_tol (1e-9), near it and above it, and far apart
+_GAPS = (0.0, 1e-13, 3e-10, 5e-10, 1e-9, 2e-9, 1.0)
+_OFFSETS = (0.0, 1e-13, 1.5e-10, 4e-10, 5e-10, 9e-10, 1e-9, 1.1e-9, 2e-9, 0.5)
+
+
+def _exactly_in(intervals, x: float) -> bool:
+    return any(iv.lo < x < iv.hi or (x == iv.lo and iv.lo_closed) or (x == iv.hi and iv.hi_closed)
+               for iv in intervals)
+
+
+def _nearest_endpoint_decides(b: BorelSet, x: float, tol: float) -> bool:
+    """Membership by definition: the finite endpoint nearest x within tol, the lower on a tie,
+    decides by its flag; with none in range, exact membership."""
+    ends = [(p, closed) for iv in b.intervals
+            for p, closed in ((iv.lo, iv.lo_closed), (iv.hi, iv.hi_closed)) if math.isfinite(p)]
+    near = [(abs(x - p), p, closed) for p, closed in ends if abs(x - p) <= max(tol, 0.0)]
+    return min(near)[2] if near else _exactly_in(b.intervals, x)
+
+
+@st.composite
+def _clustered_sets(draw):
+    start = draw(st.sampled_from((-1.0, 0.0, 1.5)))
+    points = [start]
+    for gap in draw(st.lists(st.sampled_from(_GAPS), min_size=1, max_size=7)):
+        points.append(points[-1] + gap)
+    if len(points) % 2:
+        points.pop()
+    if draw(st.booleans()):
+        points[0] = -INF
+    if draw(st.booleans()):
+        points[-1] = INF
+    intervals = [Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+                 for lo, hi in zip(points[0::2], points[1::2])]
+    return intervals, BorelSet(tuple(intervals))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_clustered_sets(), st.data(), st.sampled_from((0.0, 1e-12, 1e-9, math.nan, -1.0)))
+def test_the_nearest_endpoint_within_snap_tol_decides_membership(drawn, data, tol):
+    intervals, b = drawn
+    finite = [p for iv in intervals for p in (iv.lo, iv.hi) if math.isfinite(p)]
+    xs = [math.nan, INF, -INF]
+    for _ in range(8):
+        p = data.draw(st.sampled_from(finite)) if finite else 0.0
+        x = p + data.draw(st.sampled_from(_OFFSETS)) * data.draw(st.sampled_from((1.0, -1.0)))
+        xs += [x, math.nextafter(x, INF), math.nextafter(x, -INF)]
+    for x in xs:
+        inside = b.contains(x, tol)
+        if not math.isfinite(x):
+            assert not inside and not (~b).contains(x, tol)
+            continue
+        assert inside != (~b).contains(x, tol), (str(b), x, tol)
+        assert inside == _nearest_endpoint_decides(b, x, tol), (str(b), x, tol)
+        if not tol > 0.0:
+            assert inside == _exactly_in(b.intervals, x)
+        for iv in intervals:
+            assert iv.contains(x, tol) == BorelSet((iv,)).contains(x, tol), (str(iv), x, tol)
+        for p in finite:
+            for flags in ((True, False), (False, True), (False, False)):
+                assert not Interval(p, p, *flags).contains(x, tol), (p, flags, x, tol)
 
 
 def test_snapped_takes_the_nearest_breakpoint_within_snap_tol():

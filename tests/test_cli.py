@@ -206,6 +206,18 @@ def test_chsh_singlet_violates_and_exits_1(capsys):
     assert all(section["cross_pairs_commute"].values())
 
 
+def test_chsh_singlet_reaches_tsirelsons_bound_within_rounding(tmp_path, capsys):
+    # its CHSH value is 2 sqrt 2 within 1e-12, and each of its four expectations is
+    # +-1/sqrt 2 within two ulp (2.3e-16)
+    path = tmp_path / "singlet.json"
+    code, _, _ = run(["chsh", "--input", "singlet_chsh", "--out", str(path)], capsys)
+    assert code == 1
+    section = json.loads(path.read_text())["results"][0]
+    assert abs(section["chsh_value"] - 2 * math.sqrt(2)) <= 1e-12, section["chsh_value"]
+    table = section["expectations"]
+    assert all(abs(abs(x) - math.sqrt(0.5)) <= 2.3e-16 for row in table for x in row), table
+
+
 @pytest.mark.parametrize("meet_tol", [0, 0.3, 1e300])
 def test_chsh_meet_tol_outside_its_range_is_exit_2(tmp_path, capsys, meet_tol):
     # at 0 every meet would be empty and the singlet would score 0 with exit 0; past

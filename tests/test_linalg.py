@@ -46,6 +46,7 @@ from hvsim.linalg import (
     _checked_projector,
     _ensure_projectors,
     _jacobi,
+    _meet_classes,
     _off_norm,
     _pair_meets,
     _round_robin,
@@ -448,19 +449,21 @@ def test_stacked_jacobi_equals_single_solves_of_correlation_operators():
     for n in (2, 4, 8):
         ps = [rand_projector(rng, n) for _ in range(4)]
         assert_stack_solves_like_singles([e + f - np.eye(n) for e in ps[:2] for f in ps[2:]])
-    # the three meet classes of a stack of pairs are those of each pair's own solve, and
-    # meet and join read one solve of e + f - I = f + e - I, so they are bit-symmetric
+    # the meet classes and eigenvectors of a stack of pairs are those of each pair's own
+    # solve, and meet and join read one solve of e + f - I = f + e - I, so they are
+    # bit-symmetric
     rng = np.random.default_rng(79)
     for n in (2, 4, 8):
         e, f = rand_commuting_projectors(rng, n)
         pairs = [(rand_projector(rng, n), rand_projector(rng, n)), (e, f), (e, e),
                  _sharing_a_line(rng, n)]
-        stacked = _pair_meets(np.array([e for e, _ in pairs]), np.array([f for _, f in pairs]),
-                              MEET_TOL)
-        assert projector_rank(stacked[0][3]) == (2 if n == 2 else 1)  # the shared line
+        stacked = _meet_classes(np.array([e for e, _ in pairs]), np.array([f for _, f in pairs]),
+                                MEET_TOL)
+        # the shared line
+        assert projector_rank(_pair_meets(*pairs[3], MEET_TOL)[0]) == (2 if n == 2 else 1)
         for i, (e, f) in enumerate(pairs):
-            for meet, single in zip(stacked, _pair_meets(e, f, MEET_TOL), strict=True):
-                assert _bits(meet[i]) == _bits(single)
+            for member, single in zip(stacked, _meet_classes(e, f, MEET_TOL), strict=True):
+                assert _bits(member[i]) == _bits(single)
             for op in (projector_meet, projector_join):
                 assert _bits(op(e, f)) == _bits(op(f, e))
 

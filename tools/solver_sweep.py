@@ -25,8 +25,7 @@ chained row's restarts column is 1 where the refinement of its operator's solve
 missed the orthonormality bound, so that the tight stage restarted from the
 loose stage's result (from n = 32, where the loose stage is complex64, from the
 unswept matrix, sweeping in double), and 0 otherwise. Sweeps and restarts
-are read from the work record _jacobi returns; each column is null for a
-checkout without what it reads.
+are read from the work record _jacobi returns.
 The process keeps to one CPU and one BLAS thread, as the benchmark does.
 
 The *_ms columns compare only within one run: on a shared host two runs of the
@@ -83,33 +82,22 @@ def projector(rng: np.random.Generator, n: int) -> np.ndarray:
     return (p + p.conj().T) / 2.0
 
 
-def work(linalg, a: np.ndarray):
-    """The work record of _jacobi's solve of a, or None for a checkout whose _jacobi
-    returns only the eigenpairs."""
-    out = linalg._jacobi(a)
-    return out[2] if len(out) > 2 else None
-
-
-def sweeps(linalg, matrices) -> list[int] | None:
+def sweeps(linalg, matrices) -> list[int]:
     """Sweeps _jacobi takes on each matrix, in both its stages."""
-    records = [work(linalg, a) for a in matrices]
-    if records[0] is None:
-        return None
-    return [int(w.loose_sweeps[0] + w.tight_sweeps[0]) for w in records]
+    works = [linalg._jacobi(a)[2] for a in matrices]
+    return [int(w.loose_sweeps[0] + w.tight_sweeps[0]) for w in works]
 
 
-def restarts(linalg, a: np.ndarray) -> int | None:
+def restarts(linalg, a: np.ndarray) -> int:
     """1 if the refinement in _jacobi's solve of a missed the orthonormality bound, so that
     the tight stage restarted from the loose stage's result, else 0."""
-    w = work(linalg, a)
-    return None if w is None else int(w.restarted[0])
+    return int(linalg._jacobi(a)[2].restarted[0])
 
 
-def products_per_sweep(linalg, n: int) -> int | None:
+def products_per_sweep(linalg, n: int) -> int:
     """Dense n x n products in one sweep: a <- J* a J and v <- v J, three per entry of
-    _rounds(n), which holds one per round or one per pair of rounds; None for a checkout
-    without _rounds."""
-    return 3 * len(linalg._rounds(n)) if hasattr(linalg, "_rounds") else None
+    _rounds(n), which holds one per round or one per pair of rounds."""
+    return 3 * len(linalg._rounds(n))
 
 
 def solver_row(hvsim, matrices) -> dict:
