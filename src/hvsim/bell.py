@@ -6,9 +6,10 @@ expectations, are read off that solve's eigenvector weights without spanning the
 The CHSH combination of the terms is bounded by 2 whenever the couples come from
 propositions over one shared backing, because the corresponding fiber functions satisfy a
 pointwise identity. Commuting projectors admit such propositions constructively via a joint
-relabeling: the spectral projectors of sum(2^k P_k) at its integer labels. A pair's four
-come from matrix products alone, as Lagrange cubics in e + 2f purified by McWeeny steps;
-a quadruple's sixteen from one eigensolve.
+relabeling: the spectral projectors of sum(2^k P_k) at its integer labels. These come from
+matrix products alone, with no eigensolve: a pair's four as Lagrange cubics in e + 2f
+purified by McWeeny steps, and a quadruple's sixteen as products of two commuting couples'
+pair sectors, rebuilt after one first-order perturbation step toward the spectral projectors.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ from .linalg import (
     PROJECTOR_TRACE_TOL,
     SpectralDecomposition,
     _check_range,
-    _class_projectors,
     _commutes,
     _ensure_projectors,
-    _jacobi,
     _meet_classes,
     _pair_meets,
     _readonly,
@@ -41,8 +40,9 @@ from .quantum import SNAP_TOL, PureState, _event_projectors, _event_table
 from .hidden import WEIGHT_FLOOR, Proposition, _check_cuts, _fiber
 
 SECTOR_SNAP_TOL = 1e-6
-# the widest sector_snap_tol at which a pair's purified sectors keep the projector checks:
-# at a label drift d they are idempotent within 2187 d^4 (see _pair_sectors), 1.4e-10 here
+# the widest sector_snap_tol at which the purified joint sectors keep the projector checks:
+# a pair's, at a label drift d, are idempotent within 2187 d^4 (see _pair_sectors), 1.4e-10
+# here, and a quadruple's are products of two commuting couples' pair sectors
 SECTOR_SNAP_TOL_MAX = 5e-4
 # the range _joint_sectors reads sector_snap_tol in, as linalg._check_range takes it
 _TOL_RANGES = {"sector_snap_tol": (lambda tol: 0.0 <= tol <= SECTOR_SNAP_TOL_MAX,
@@ -240,99 +240,128 @@ _LAGRANGE = np.array([[6.0, -11.0, 6.0, -1.0],
                       [0.0, 18.0, -15.0, 3.0],
                       [0.0, -9.0, 12.0, -3.0],
                       [0.0, 2.0, -3.0, 1.0]])
-_PAIR_LABELS = np.arange(4.0)
 _MCWEENY_STEPS = 2
+# 1 / (l - m) off the diagonal and 0 on it, for the labels 0..15: row l holds the
+# coefficients of R_l (see _quadruple_sectors)
+_REDUCED = 1.0 / (np.subtract.outer(np.arange(16.0), np.arange(16.0)) + np.eye(16)) - np.eye(16)
+# the couples' labels a and b of each label l = a + 4b, one row each
+_COUPLE_LABELS = np.array([np.arange(16.0) % 4, np.arange(16.0) // 4])
 
 
-def _pair_sectors(a: np.ndarray) -> list:
-    """(labels, sectors, drift, in range) per member of e + 2f, (n, n) or an (m, n, n) stack,
-    from matrix products only: the labels whose sector has a trace of at least 1/2, their
-    sectors, the largest drift among them and whether their traces lie within
-    PROJECTOR_TRACE_TOL of integers and sum to n within it.
+def _contract(c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_m c[l, m] p_m for a real (L, M) matrix c and a stack p of (m, M, n, n), by one
+    contraction on the float view, since real coefficients act on each part alike."""
+    n = p.shape[-1]
+    flat = p.reshape(len(p), -1, n * n).view(np.float64)
+    return (c @ flat).view(np.complex128).reshape(len(p), len(c), n, n)
 
-    P_l = L_l(a) for the Lagrange cubic L_l on the nodes 0..3, whose coefficients are exact
-    rationals (_LAGRANGE), from [I, a, a^2, a^3] by one contraction; then _MCWEENY_STEPS
-    steps P <- 3P^2 - 2P^3, each two stacked products, and symmetrization. Each P_l is a
-    function of a, so the four commute. On an eigenvalue within d of a label, L_l is within
-    3d of 0 or 1 (the largest |L_l'| on the nodes is 3), and each step squares such an error
-    e into 3e^2, so two steps leave the sectors idempotent within 2187 d^4 of rounding: inside
-    PROJECTOR_TOL for d up to 8e-4, and the drift rule keeps d below SECTOR_SNAP_TOL_MAX. An
-    eigenvalue far from every label gives traces that miss the integers or n, such as the
-    traces of order 1e6 of an eigenvalue at -1.
+
+def _pair_sectors(a: np.ndarray) -> np.ndarray:
+    """The four sectors of each member of an (m, n, n) stack of e + 2f, (m, 4, n, n), from
+    matrix products only: P_l = L_l(a) for the Lagrange cubic L_l on the nodes 0..3, whose
+    coefficients are exact rationals (_LAGRANGE), from [I, a, a^2, a^3] by one contraction;
+    then _MCWEENY_STEPS steps P <- 3P^2 - 2P^3, each two stacked products, and
+    symmetrization. Each P_l is a function of a, so the four commute and resolve I. On an
+    eigenvalue within d of a label, L_l is within 3d of 0 or 1 (the largest |L_l'| on the
+    nodes is 3), and each step squares such an error e into 3e^2, so two steps leave the
+    sectors idempotent within 2187 d^4 of rounding: inside PROJECTOR_TOL for d up to 8e-4,
+    and the drift rule keeps d below SECTOR_SNAP_TOL_MAX. An eigenvalue far from every label
+    gives traces that miss the integers or n, such as the traces of order 1e6 of an
+    eigenvalue at -1.
     (R. McWeeny, Rev. Mod. Phys. 32 (1960) 335; N. J. Higham, Functions of Matrices, SIAM 2008.)"""
     n = a.shape[-1]
-    a = a.reshape(-1, n, n)
     powers = np.empty((len(a), 4, n, n), dtype=np.complex128)
     powers[:, 0], powers[:, 1] = np.eye(n), a
     powers[:, 2] = a @ a
     powers[:, 3] = powers[:, 2] @ a
-    flat = powers.reshape(-1, 4, n * n).view(np.float64)  # real coefficients act on each part
-    p = (_LAGRANGE @ flat).view(np.complex128).reshape(powers.shape) / 6.0
+    p = _contract(_LAGRANGE, powers) / 6.0
     for _ in range(_MCWEENY_STEPS):
         p2 = p @ p
         p = 3.0 * p2 - 2.0 * (p2 @ p)
-    p = (p + p.conj().swapaxes(-1, -2)) / 2.0
-    residual = a[:, None] @ p - _PAIR_LABELS[:, None, None] * p  # (a - l I) P_l
+    return (p + p.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _quadruple_sectors(a: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The sixteen sectors of each member of an (m, n, n) stack of A = e + 4f, for the
+    stacks e = e1 + 2 e2 and f = f1 + 2 f2, (m, 16, n, n), from matrix products only.
+
+    The couples' sectors S_a of e and T_b of f come from one _pair_sectors call. The
+    products P_{a+4b} = S_a T_b S_a sum to I but lie off A's spectral projectors by first
+    order in the commutator, so one first-order step follows: with R_l = sum_{m != l}
+    P_m / (l - m) (_REDUCED) and X_l = R_l A P_l, Q_l = P_l + X_l + X_l*. The X terms cancel
+    in pairs, so the Q_l still sum to I, but they are idempotent only to second order, and
+    purifying each alone would break their sum and orthogonality by as much. So two
+    commuting couples are rebuilt from them: S'_a, the pair sectors of E = sum_l a_l Q_l,
+    and T'_b, those of sum_a S'_a F S'_a for F = sum_l b_l Q_l (_COUPLE_LABELS), which
+    commutes with every S'_a. The sectors P_{a+4b} = S'_a T'_b are then orthogonal
+    projectors that resolve I as pair sectors do, with a drift second order in the
+    commutator.
+    (T. Kato, Perturbation Theory for Linear Operators, Springer 1966, ch. II sec. 2.)"""
+    m, n = a.shape[:2]
+    s, t = _pair_sectors(np.concatenate([e, f])).reshape(2, m, 4, n, n)
+    p = (s[:, None] @ t[:, :, None] @ s[:, None]).reshape(m, 16, n, n)
+    x = _contract(_REDUCED, p) @ a[:, None] @ p
+    e, f = _contract(_COUPLE_LABELS, p + x + x.conj().swapaxes(-1, -2)).swapaxes(0, 1)
+    s = _pair_sectors(e)
+    t = _pair_sectors((s @ f[:, None] @ s).sum(axis=1))
+    return (s[:, None] @ t[:, :, None]).reshape(m, 16, n, n)
+
+
+def _checked(a: np.ndarray, p: np.ndarray) -> list:
+    """(labels, sectors, drift, in range) per member of an (m, n, n) stack a and its
+    (m, L, n, n) sectors p at the labels 0..L - 1: the labels whose sector has a trace of at
+    least 1/2, their sectors, the largest drift |(a - l I) P_l|_F among them and whether
+    their traces lie within PROJECTOR_TRACE_TOL of integers and sum to n within it."""
+    n = a.shape[-1]
+    labels = np.arange(float(p.shape[1]))
+    residual = a[:, None] @ p - labels[:, None, None] * p  # (a - l I) P_l
     traces = np.trace(p, axis1=-2, axis2=-1).real
     kept = traces >= 0.5  # a NaN trace is not kept, so the kept ones fall short of n
     t = np.where(kept, traces, 0.0)
     defect = np.maximum(np.abs(t - np.rint(t)).max(axis=-1), np.abs(t.sum(axis=-1) - n))
-    drift = np.where(kept, np.sqrt(_squares(residual).sum(axis=-1)).reshape(-1, 4), 0.0)
-    return [(_PAIR_LABELS[k], sectors[k], w, d <= PROJECTOR_TRACE_TOL)
+    drift = np.where(kept, np.sqrt(_squares(residual).sum(axis=-1)).reshape(kept.shape), 0.0)
+    return [(labels[k], sectors[k], w, d <= PROJECTOR_TRACE_TOL)
             for sectors, k, w, d in zip(p, kept, drift.max(axis=-1), defect)]
-
-
-def _eigen_sectors(a: np.ndarray, n_labels: int) -> list:
-    """(labels, sectors, drift, in range) per member of sum(2^k P_k), (n, n) or an (m, n, n)
-    stack, from one _jacobi call: the labels its eigenvalues round to, their sectors spanned
-    by _class_projectors, the largest drift and whether every label lies in 0..n_labels - 1.
-    A sector's drift |(a - l I) P_l|_F is the root sum of squares of its eigenvalues'
-    distances from l, by the orthonormality _jacobi checks."""
-    n = a.shape[-1]
-    raws, vecs, _ = _jacobi(a)
-    members = []
-    for raw, v in zip(raws.reshape(-1, n), vecs.reshape(-1, n, n)):
-        labels = np.rint(raw)
-        keys, classes = np.unique(labels, return_inverse=True)
-        drift = np.sqrt(np.bincount(classes, (raw - labels) ** 2)).max()
-        in_range = 0.0 <= keys[0] and keys[-1] <= n_labels - 1
-        members.append((keys, _class_projectors(v, labels, keys), drift, in_range))
-    return members
 
 
 def _joint_sectors(
     projectors: dict[str, np.ndarray], commuting: dict, sector_snap_tol: float
 ) -> list:
-    """Propositions over the joint sectors of named projectors P_k: the spectral projectors
-    P_l of sum(2^k P_k) at the integer labels l, proposition k selecting the labels
-    0..2^K - 1 with bit k set; the first name pair commuting marks False raises NotCommuting.
-    For (m, n, n) stacks of projectors the m sums are built together, each member is checked
-    in turn, and the result holds one list of propositions per member.
+    """Propositions over the joint sectors of named projectors P_k, a pair or two couples:
+    the spectral projectors P_l of A = sum(2^k P_k) at the integer labels l, proposition k
+    selecting the labels 0..2^K - 1 with bit k set; the first name pair commuting marks False
+    raises NotCommuting. For (m, n, n) stacks of projectors the m sums are built together,
+    each member is checked in turn, and the result holds one list of propositions per member.
 
-    The construction is split by label count:
-    - a pair (labels 0..3): e + 2f's sectors are purified Lagrange cubics in e + 2f, made of
-      matrix products only (_pair_sectors). The labels kept are those whose sector has a
-      trace of at least 1/2, and the label range is a trace check: the kept traces must lie
-      within PROJECTOR_TRACE_TOL of integers and sum to n within it.
-    - more projectors (labels 0..15 for four): one _jacobi call, whose eigenvalues round to
-      the labels (_eigen_sectors). Lagrange cubics on 16 nodes would amplify a label's drift
-      about a thousandfold, and peeling label bits by Newton-Schulz iterations measured no
-      faster than the solve at n = 4.
-    Either way one drift rule refuses a member with DegenerateLabeling: |(A - l I) P_l|_F
-    above sector_snap_tol for a kept label l. For an exact spectral projector this bounds the
+    The sectors come from matrix products only, with no solve: a pair's are purified
+    Lagrange cubics in e + 2f (_pair_sectors), and two couples' are products of the
+    couples' pair sectors, moved by one first-order step toward A's spectral projectors
+    (_quadruple_sectors). Either way they resolve I and are mutually orthogonal by
+    construction: each family is a function of one Hermitian matrix. The labels kept are
+    those whose sector has a trace of at least 1/2, and the label range is a trace check:
+    the kept traces must lie within PROJECTOR_TRACE_TOL of integers and sum to n within it.
+    One drift rule then refuses a member with DegenerateLabeling: |(A - l I) P_l|_F above
+    sector_snap_tol for a kept label l. For an exact spectral projector this bounds the
     largest distance of the sector's eigenvalues from l, and overstates it by at most the
     square root of the sector's rank. A member's label range is checked before its drift,
     and both refusals fail on NaN. Every joint sector path comes here, so sector_snap_tol is
-    checked here: a pair's sectors keep their promises only for 0 <= it <= SECTOR_SNAP_TOL_MAX."""
+    checked here: the sectors keep their promises only for 0 <= it <= SECTOR_SNAP_TOL_MAX."""
     _check_range(_TOL_RANGES, "sector_snap_tol", sector_snap_tol)
     for (a, b), ok in commuting.items():
         if not ok:
             raise NotCommuting(f"{a} and {b} do not commute")
-    n_labels = 2 ** len(projectors)
-    events = _sector_events(len(projectors))
-    joint = sum((2.0**k) * p for k, p in enumerate(projectors.values()))
+    ps = list(projectors.values())
+    n_labels = 2 ** len(ps)
+    events = _sector_events(len(ps))
+    joint = sum((2.0**k) * p for k, p in enumerate(ps))
+    a = joint.reshape(-1, *joint.shape[-2:])
     with np.errstate(over="ignore", invalid="ignore"):
-        built = _pair_sectors(joint) if n_labels == 4 else _eigen_sectors(joint, n_labels)
+        if n_labels == 4:
+            sectors = _pair_sectors(a)
+        else:
+            e, f = (ps[k] + 2.0 * ps[k + 1] for k in (0, 2))
+            sectors = _quadruple_sectors(a, e.reshape(a.shape), f.reshape(a.shape))
+        built = _checked(a, sectors)
     members = []
     for keys, sectors, drift, in_range in built:
         if not in_range:

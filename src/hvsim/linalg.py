@@ -30,10 +30,10 @@ final ones, of every solve and every stack member. Refinement and the tight stag
 double at every n, so these final guarantees do not depend on the loose stage's precision.
 
 Every projector made from a solve is spanned by one helper, _class_projectors, from a
-class per ascending eigenpair: eigh's clusters, the meet classes of e + f - I
-(_meet_classes), and the joint sector labels of bell's quadruples. bell's CHSH terms span
-none: they read the meet classes' eigenvector weights. The joint sectors of a pair come
-from no solve: bell builds them from matrix products, as purified polynomials in e + 2f.
+class per ascending eigenpair: eigh's clusters and the meet classes of e + f - I
+(_meet_classes). bell's CHSH terms span none: they read the meet classes' eigenvector
+weights. bell's joint sectors come from no solve: it builds them from matrix products, a
+pair's as purified polynomials in e + 2f and a quadruple's from its couples' pair sectors.
 All values are immutable after construction; every public operation is pure.
 """
 
@@ -158,8 +158,8 @@ class SpectralDecomposition:
     ensure_projector. eigh and bell's joint sectors build through _trusted
     instead, which checks nothing: their projectors come from eigenvectors
     _jacobi has checked once, which is enough for all of the above (see _jacobi),
-    or, for a pair's joint sectors, from purified polynomials whose traces and
-    label drift bell checks (see bell._pair_sectors).
+    or, for bell's joint sectors, from purified matrix products whose traces and
+    label drift bell checks, and which resolve I by construction (see bell._joint_sectors).
 
     _fiber is hidden._fiber's slot: the fiber partition of the last state and weight_floor
     asked about, which equality and repr ignore.
@@ -194,7 +194,7 @@ class SpectralDecomposition:
     def _trusted(cls, eigenvalues, projectors) -> SpectralDecomposition:
         """The same read-only arrays as the public constructor, with no checks: for
         projectors built from the columns of eigenvectors _jacobi has checked, and for
-        bell's checked pair sectors."""
+        bell's checked joint sectors (see the class docstring)."""
         dec = object.__new__(cls)
         object.__setattr__(dec, "eigenvalues", _readonly(np.array(eigenvalues, dtype=np.float64)))
         object.__setattr__(dec, "projectors", _readonly(np.array(projectors, dtype=np.complex128)))

@@ -53,6 +53,13 @@ def rand_commuting_projectors(rng: np.random.Generator, n: int) -> tuple[np.ndar
     return (e + e.conj().T) / 2.0, (f + f.conj().T) / 2.0
 
 
+def rand_commuting_family(rng: np.random.Generator, n: int) -> list[np.ndarray]:
+    """Four projectors diagonal in one random basis, of random ranks 0..n, symmetrized."""
+    u = rand_unitary(rng, n)
+    family = ((u * bits) @ u.conj().T for bits in rng.integers(0, 2, size=(4, n)))
+    return [(p + p.conj().T) / 2.0 for p in family]
+
+
 def rand_noncommuting_projectors(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     while True:
         e = rand_projector(rng, n)
@@ -168,9 +175,8 @@ def rand_decomposition(rng: np.random.Generator, n: int):
 
 
 def counted_spans(monkeypatch) -> list:
-    """Patch linalg._class_projectors, in linalg and in bell, which imports it by name, to
-    record the arguments of every call."""
+    """Patch linalg._class_projectors, which only linalg calls, to record the arguments of
+    every call."""
     calls, span = [], hvsim.linalg._class_projectors
-    for module in (hvsim.linalg, hvsim.bell):
-        monkeypatch.setattr(module, "_class_projectors", lambda *a: calls.append(a) or span(*a))
+    monkeypatch.setattr(hvsim.linalg, "_class_projectors", lambda *a: calls.append(a) or span(*a))
     return calls

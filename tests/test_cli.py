@@ -565,27 +565,25 @@ def test_chsh_report_decides_each_pairs_commutation_once(capsys, monkeypatch, fi
 
 @pytest.mark.parametrize("fixture", ["commuting_chsh", "singlet_chsh"])
 def test_chsh_report_solves_the_cross_pairs_as_stacks(capsys, monkeypatch, fixture):
-    # the four e + f - I as one stack; the four cross pairs' e + 2f take their sectors from
-    # products, with no solve; the four-way sector solve follows where all six pairs
-    # commute, and the singlet's couples do not, so it makes none
+    # the four e + f - I as one stack; the four cross pairs' e + 2f and, where all six pairs
+    # commute, the four-way sectors take their sectors from products, with no solve
     calls, jacobi = [], hvsim.linalg._jacobi
 
     def counted(a):
         calls.append(a.shape)
         return jacobi(a)
 
-    for module in (hvsim.linalg, hvsim.bell):  # bell imports _jacobi by name
-        monkeypatch.setattr(module, "_jacobi", counted)
+    monkeypatch.setattr(hvsim.linalg, "_jacobi", counted)
     code, _, _ = run(["chsh", "--input", fixture], capsys)
     assert code == (0 if fixture == "commuting_chsh" else 1)
     n = load_problem(fixture).dimension
-    assert calls == ([(4, n, n), (n, n)] if fixture == "commuting_chsh" else [(4, n, n)])
+    assert calls == [(4, n, n)]
 
 
 @pytest.mark.parametrize("fixture", ["commuting_chsh", "singlet_chsh"])
 def test_chsh_report_reads_its_terms_without_spanning_projectors(capsys, monkeypatch, fixture):
-    # the terms step reads the stacked solve's eigenvector weights; only the commuting
-    # fixture's four-way sector solve spans projectors, once
+    # the terms step reads the stacked solve's eigenvector weights, and every joint sector
+    # comes from products, so a report spans no projector
     spans, steps, terms = counted_spans(monkeypatch), [], hvsim.cli._chsh_terms
 
     def counted_terms(*args):
@@ -598,7 +596,7 @@ def test_chsh_report_reads_its_terms_without_spanning_projectors(capsys, monkeyp
     code, _, _ = run(["chsh", "--input", fixture], capsys)
     assert code == (0 if fixture == "commuting_chsh" else 1)
     assert steps == [0]
-    assert len(spans) == (1 if fixture == "commuting_chsh" else 0)
+    assert spans == []
 
 
 def test_experiment_blocks_run_when_no_names_given(capsys):
