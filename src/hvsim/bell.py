@@ -36,7 +36,7 @@ from .linalg import (
     _squares,
     max_abs,
 )
-from .quantum import SNAP_TOL, PureState, _event_projectors, _event_table
+from .quantum import SNAP_TOL, PureState, _event_projectors, _event_table, _projector_sums
 from .hidden import WEIGHT_FLOOR, Proposition, _check_cuts, _fiber
 
 SECTOR_SNAP_TOL = 1e-6
@@ -155,6 +155,8 @@ class PropositionQuadruple:
         return self.a1.backing
 
     def projectors(self, snap_tol: float = SNAP_TOL) -> tuple[np.ndarray, ...]:
+        """The four from one table (_event_table): one differs from its spectral_projector only
+        where another's endpoint lies nearer an eigenvalue, within snap_tol."""
         events = [p.borel for p in (self.a1, self.a2, self.b1, self.b2)]
         return tuple(_readonly(_event_projectors(self.backing, events, snap_tol)))
 
@@ -410,14 +412,10 @@ def common_refinement_quadruple(
     return PropositionQuadruple(*_joint_sectors(named, commuting, sector_snap_tol))
 
 
-@lru_cache(maxsize=128)
-def _boolean_events(a: BorelSet, b: BorelSet) -> tuple[BorelSet, ...]:
-    """A, B, A', B', then S & T and then S | T for S in (A, A') and T in (B, B'), row-major.
-    Kept per pair: the same pairs recur (joint propositions all carry _sector_events), and a
-    BorelSet is an immutable value, so an equal key stands for equal sets."""
-    sets_a, sets_b = (a, a.complement()), (b, b.complement())
-    pairs = [(s, t) for s in sets_a for t in sets_b]
-    return (a, b, sets_a[1], sets_b[1], *(s & t for s, t in pairs), *(s | t for s, t in pairs))
+# rows A, B, A', B', then S & T and then S | T for (S, T) in (A, A') x (B, B'); columns a + 2b
+_BOOLEAN_ROWS = np.array([[0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0],
+                          [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0],
+                          [0, 1, 1, 1], [1, 1, 0, 1], [1, 0, 1, 1], [1, 1, 1, 0]], dtype=bool)
 
 
 def check_boolean_homomorphism(
@@ -432,14 +430,16 @@ def check_boolean_homomorphism(
     mapped projectors, every pairwise union to the join, and complements to
     orthocomplements. The projectors come from one validated backing, so they
     commute and their meets are products, and the joins I minus products of
-    complements. The twelve event sets are derived once per pair of Borel sets, and
-    their projectors come from one classification of the backing's eigenvalues.
+    complements. The twelve rows are read off one table of A and B (_event_table), so they
+    obey set algebra; A's row moves off its spectral_projector only where an endpoint of B
+    lies nearer an eigenvalue, within snap_tol, and B's likewise.
     """
     if not _same_backing(a.backing, b.backing):
         raise BackingMismatch("propositions do not share a backing")
     n = a.backing.dim
     eye = np.eye(n)
-    p = _event_projectors(a.backing, _boolean_events(a.borel, b.borel), snap_tol)
+    inside = _event_table((a.borel, b.borel), a.backing.eigenvalues, snap_tol)
+    p = _projector_sums(a.backing, _BOOLEAN_ROWS[:, inside[0] + 2 * inside[1]])
     complements = eye - p[:2]
     es, fs = np.stack([p[:2], complements], axis=1)
     meets = (es[:, None] @ fs[None, :]).reshape(4, n, n)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .borel import BorelSet, PiecewiseAffineFunction
+from .borel import BorelSet, PiecewiseAffineFunction, _nearest
 from .errors import DimensionMismatch
 from .linalg import SpectralDecomposition, _readonly
 
@@ -59,27 +59,21 @@ class PureState:
 def spectral_projector(
     dec: SpectralDecomposition, events: BorelSet, snap_tol: float = SNAP_TOL
 ) -> np.ndarray:
-    """Sum of the spectral projectors whose eigenvalues lie in the event set.
-
-    An eigenvalue within snap_tol (default 1e-9) of finite endpoints of the event lies on the
-    nearest, the lower on a tie, whose flag decides, so an event and its complement split it.
-    """
+    """Sum of the spectral projectors whose eigenvalues lie in the event set: an eigenvalue
+    within snap_tol (default 1e-9) of its finite endpoints lies on the nearest, the lower on a
+    tie, whose flag decides (in a table of several events, _event_table, any event's nearest)."""
     return _readonly(_event_projectors(dec, (events,), snap_tol)[0])
 
 
-def _event_projectors(
-    dec: SpectralDecomposition, events, snap_tol: float = SNAP_TOL
-) -> np.ndarray:
-    """(k, n, n) stack of the sums of the spectral projectors whose eigenvalues lie in each
-    of the k events.
+def _event_projectors(dec, events, snap_tol: float = SNAP_TOL) -> np.ndarray:
+    """(k, n, n) stack of the spectral projectors of the k events, from one _event_table."""
+    return _projector_sums(dec, _event_table(events, dec.eigenvalues, snap_tol))
 
-    Each eigenvalue is classified against each event (_event_table), and the (k, m) 0/1 mask
-    times the m flattened projectors gives every sum in one matrix product, whose products
-    by 0 and 1 are exact. The mask has at least two rows, so one event takes a matrix
-    product, not the matrix-vector product numpy takes for one row; a row's bits may still
-    depend on the row count (OpenBLAS 0.3.31: not on SkylakeX, Haswell, Katmai; they do on
-    Sandybridge)."""
-    table = _event_table(events, dec.eigenvalues, snap_tol)
+
+def _projector_sums(dec: SpectralDecomposition, table: np.ndarray) -> np.ndarray:
+    """(k, n, n) sums of the projectors the rows of a (k, m) 0/1 table select: one matrix
+    product of at least two rows (never numpy's matrix-vector one), exact in its products by 0
+    and 1; a row's bits hang on the row count with OpenBLAS 0.3.31's Sandybridge kernel."""
     (k, m), n = table.shape, dec.dim
     mask = np.zeros((max(k, 2), m), dtype=np.complex128)
     mask[:k] = table
@@ -88,19 +82,25 @@ def _event_projectors(
 
 def _event_table(events, eigenvalues: np.ndarray, snap_tol: float) -> np.ndarray:
     """Read-only (k, m) bool table: whether each of the m eigenvalues lies in each of the k
-    events, by BorelSet.contains at snap_tol: the nearest endpoint within it decides. The one
-    place events classify eigenvalues.
+    events. The one place events classify eigenvalues, once each: an eigenvalue lies on the
+    nearest finite endpoint of any event within snap_tol, the lower on a tie, and an event
+    holds it iff it holds that point. ~S, S & T and S | T have no endpoints but those of S and
+    T, so sets and their boolean combinations classify by set algebra. A lone event's row is
+    BorelSet.contains at snap_tol, and others move it only where one of their endpoints lies
+    nearer the eigenvalue, within snap_tol.
 
-    An analysis asks again about the same events and spectrum (a quadruple's sector events,
-    a backing shared by many states), so each table is kept by content (_classified, the
-    last 64). The key holds the eigenvalues as floats: equal floats, 0.0 and -0.0 among
-    them, lie in the same events."""
+    Kept by content (_classified, the last 64), as analyses repeat events and spectra (sector
+    events, a backing shared by many states); the key holds the eigenvalues as floats, so
+    equal floats, 0.0 and -0.0 among them, lie in the same events."""
     return _classified(tuple(events), tuple(eigenvalues.tolist()), snap_tol)
 
 
 @lru_cache(maxsize=64)
 def _classified(events: tuple, lams: tuple, snap_tol: float) -> np.ndarray:
-    table = np.array([[e.contains(lam, snap_tol) for lam in lams] for e in events], dtype=bool)
+    grid = sorted({p for e in events for p in e._ends[0]})  # _nearest skips the infinite ones
+    near = [_nearest(grid, lam, snap_tol)[1] for lam in lams]
+    points = [lam if i is None else grid[i] for lam, i in zip(lams, near)]
+    table = np.array([[e.contains(x) for x in points] for e in events], dtype=bool)
     return _readonly(table.reshape(len(events), len(lams)))
 
 

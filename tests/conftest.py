@@ -6,6 +6,8 @@ inputs); the package under test never calls it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import hvsim
@@ -168,6 +170,30 @@ def rand_piecewise_affine(
         if all(b - a == 0.0 or b - a > 1e-6 for a, b in zip(images, images[1:])):
             return g
     raise RuntimeError("could not build a well-separated piecewise-affine map")
+
+
+def grid_table(events, eigenvalues, snap_tol: float = 1e-9) -> list[list[bool]]:
+    """Whether each eigenvalue lies in each event when the events are classified together,
+    by brute force: the eigenvalue moves onto the nearest finite endpoint of any of the events
+    within snap_tol, the lower on a tie, and each event is asked about that one point with no
+    snapping. One event alone gives BorelSet.contains at snap_tol."""
+    ends = {p for e in events for iv in e.intervals for p in (iv.lo, iv.hi) if math.isfinite(p)}
+
+    def snapped(x: float) -> float:
+        near = [p for p in ends if abs(p - x) <= snap_tol]
+        return min(near, key=lambda p: (abs(p - x), p)) if near else x
+
+    points = [snapped(float(x)) for x in eigenvalues]
+    return [[e.contains(x) for x in points] for e in events]
+
+
+def projector_rows(dec, rows) -> np.ndarray:
+    """The spectral projector sums that 0/1 rows over dec's eigenvalues select, by the product
+    _event_projectors takes: a mask of at least two rows times the flattened projectors."""
+    m, n = len(dec.eigenvalues), dec.dim
+    mask = np.zeros((max(len(rows), 2), m), dtype=np.complex128)
+    mask[:len(rows)] = rows
+    return (mask @ dec.projectors.reshape(m, n * n))[:len(rows)].reshape(-1, n, n)
 
 
 def rand_decomposition(rng: np.random.Generator, n: int):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     counted_spans,
+    grid_table,
+    projector_rows,
     rand_borel,
     rand_commuting_family,
     rand_commuting_projectors,
@@ -23,6 +25,7 @@ from hvsim import (
     BorelSet,
     ChshConfig,
     DegenerateLabeling,
+    Interval,
     NotCommuting,
     Proposition,
     PropositionQuadruple,
@@ -41,10 +44,10 @@ from hvsim import (
     proposition_from,
     proposition_projector,
 )
-from hvsim.bell import (SECTOR_SNAP_TOL, SECTOR_SNAP_TOL_MAX, _boolean_events,
-                        _chsh_combination, _joint_sectors, _sector_events)
+from hvsim.bell import (SECTOR_SNAP_TOL, SECTOR_SNAP_TOL_MAX, _BOOLEAN_ROWS, _chsh_combination,
+                        _joint_sectors, _sector_events)
 from hvsim.linalg import MEET_TOL, MEET_TOL_MAX
-from hvsim.quantum import SNAP_TOL, spectral_projector
+from hvsim.quantum import SNAP_TOL, _event_table, spectral_projector
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -554,8 +557,8 @@ def test_boolean_homomorphism_disjoint_events():
 
 
 def _snapped_pair() -> tuple[Proposition, Proposition]:
-    # 1 + 7e-10 snaps into [0, 1] and into [1 + 1.5e-9, 2], whose intersection is empty,
-    # so the product of the two projectors is not the projector of the intersection
+    # 1 + 7e-10 snaps into [0, 1] and into [1 + 1.5e-9, 2] when each set is asked alone, yet
+    # their intersection is empty
     dec = eigh(np.diag([1.0 + 7e-10, 5.0]).astype(complex))
     a = proposition_from(dec, BorelSet.interval(0.0, 1.0, True, True))
     b = proposition_from(dec, BorelSet.interval(1.0 + 1.5e-9, 2.0, True, True))
@@ -573,10 +576,44 @@ def _tilted_points() -> tuple[Proposition, Proposition]:
     return Proposition(dec, BorelSet.point(0.0)), Proposition(dec, BorelSet.point(1.0))
 
 
-def test_boolean_homomorphism_fails_when_snapping_puts_an_eigenvalue_in_both_sets():
+def test_boolean_homomorphism_holds_where_snapping_puts_an_eigenvalue_in_both_sets():
     a, b = _snapped_pair()
+    x = float(a.backing.eigenvalues[0])
     assert (a.borel & b.borel).is_empty
-    assert not check_boolean_homomorphism(a, b)
+    assert a.borel.contains(x, SNAP_TOL) and b.borel.contains(x, SNAP_TOL)
+    # one table decides x once, on 1, its nearest endpoint of either set: in A, not in B
+    inside = _event_table((a.borel, b.borel), a.backing.eigenvalues, SNAP_TOL)
+    assert inside[:, 0].tolist() == [True, False]
+    assert check_boolean_homomorphism(a, b)
+
+
+def test_an_eigenvalue_between_two_sets_endpoints_is_decided_once_per_table():
+    # A = [0, 1], B = [1 + 2e-10, 2], x = 1 + 1e-10: alone, A snaps x onto its closed hi and
+    # B onto its closed lo, though A & B is empty. Both endpoints lie equally far from x in
+    # floats, so one table puts x on the lower, 1: in A, in neither B nor A & B
+    x = 1.0 + 1e-10
+    dec = eigh(np.diag([x, 5.0]).astype(complex))
+    assert dec.eigenvalues[0] == x
+    a = proposition_from(dec, BorelSet.interval(0.0, 1.0, True, True))
+    b = proposition_from(dec, BorelSet.interval(1.0 + 2e-10, 2.0, True, True))
+    assert a.borel.contains(x, SNAP_TOL) and b.borel.contains(x, SNAP_TOL)
+    assert check_boolean_homomorphism(a, b)
+    meet = a.borel & b.borel
+    assert _event_table((a.borel, b.borel, meet), dec.eigenvalues, SNAP_TOL).tolist() == [
+        [True, False], [False, False], [False, False]]
+    # a lone set keeps its own decision, and in a table with A, B's row is the one above
+    np.testing.assert_array_equal(spectral_projector(dec, b.borel), dec.projectors[0])
+    quad = PropositionQuadruple(a, b, a, b).projectors()
+    assert max_abs(quad[1]) == 0.0 and max_abs(quad[0] - dec.projectors[0]) == 0.0
+
+
+def test_boolean_homomorphism_classifies_the_two_sets_in_one_table(monkeypatch):
+    calls, table = [], hvsim.bell._event_table
+    monkeypatch.setattr(hvsim.bell, "_event_table",
+                        lambda events, *rest: calls.append(len(events)) or table(events, *rest))
+    for a, b in (_snapped_pair(), _tilted_points()):
+        assert check_boolean_homomorphism(a, b)
+    assert calls == [2, 2]
 
 
 def test_boolean_homomorphism_that_holds_returns_true_whatever_the_commutator():
@@ -586,9 +623,10 @@ def test_boolean_homomorphism_that_holds_returns_true_whatever_the_commutator():
 
 
 def _loop_residual(a: Proposition, b: Proposition) -> float:
-    """The largest meet, join and complement residual of two propositions, from one
-    spectral_projector call and one 2-D product per event set: the reference for the
-    check's stacked form, which must give the same float.
+    """The largest meet, join and complement residual of two propositions, from one masked
+    product per event set, of its row of the grid oracle (conftest.grid_table) over the
+    twelve sets, and one 2-D product per pair: the reference for the check's stacked form,
+    which must give the same float.
 
     Both forms take their projectors from the same masked matrix product and their meets
     from the same gemm, one call per pair of matrices. So they agree to the bit wherever a
@@ -596,13 +634,17 @@ def _loop_residual(a: Proposition, b: Proposition) -> float:
     SkylakeX, Haswell and Katmai kernels; with its Sandybridge kernel they do depend on it."""
     dec = a.backing
     eye = np.eye(dec.dim)
+    sets_a, sets_b = (a.borel, a.borel.complement()), (b.borel, b.borel.complement())
+    pairs = [(s, t) for s in sets_a for t in sets_b]
+    sets = [*sets_a, *sets_b, *(s & t for s, t in pairs), *(s | t for s, t in pairs)]
+    # equal sets get equal rows, as one grid serves them all
+    rows = dict(zip(sets, grid_table(sets, dec.eigenvalues, SNAP_TOL)))
 
     def eps(events: BorelSet) -> np.ndarray:
-        return spectral_projector(dec, events, SNAP_TOL)
+        return projector_rows(dec, [rows[events]])[0]
 
     ea, eb = eps(a.borel), eps(b.borel)
     es, fs = (ea, eye - ea), (eb, eye - eb)
-    sets_a, sets_b = (a.borel, a.borel.complement()), (b.borel, b.borel.complement())
     residuals = []
     for i, set_a in enumerate(sets_a):
         for j, set_b in enumerate(sets_b):
@@ -637,17 +679,58 @@ def test_boolean_homomorphism_decides_at_the_loop_residual_exactly():
     assert positive > 30
 
 
+# offsets, in units of snap_tol, of a set endpoint from an eigenvalue: two sets' endpoints near
+# one eigenvalue lie within snap_tol of each other, in either order, or just past it
+_OFFSETS = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5)
+_END = st.tuples(st.integers(0, 5), st.sampled_from(_OFFSETS), st.sampled_from((-1.0, 1.0)))
+_CLUSTERED_PIECE = st.tuples(_END, _END, st.sampled_from(("interval", "point", "below", "above")),
+                             st.booleans(), st.booleans())
+
+
+def _clustered_set(lams: list, pieces) -> BorelSet:
+    """A union of intervals, points and half-lines whose endpoints lie near the eigenvalues."""
+    def end(i: int, off: float, sign: float) -> float:
+        return lams[i % len(lams)] + sign * off * SNAP_TOL
+
+    parts = []
+    for first, second, kind, lo_closed, hi_closed in pieces:
+        lo, hi = sorted((end(*first), end(*second)))
+        parts.append({"interval": Interval(lo, hi, lo_closed, hi_closed),
+                      "point": Interval(lo, lo, True, True),
+                      "below": Interval(-math.inf, hi, False, hi_closed),
+                      "above": Interval(lo, math.inf, lo_closed, False)}[kind])
+    return BorelSet(tuple(parts))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       drawn=st.tuples(*[st.lists(_CLUSTERED_PIECE, min_size=1, max_size=3)] * 2))
+def test_boolean_rows_of_clustered_sets_equal_the_truth_table_bit_for_bit(n, seed, drawn):
+    rng = np.random.default_rng(seed)
+    u = rand_unitary(rng, n)
+    dec = eigh((u * rng.integers(-2, 3, size=n).astype(float)) @ u.conj().T)
+    lams = dec.eigenvalues.tolist()
+    a, b = (_clustered_set(lams, pieces) for pieces in drawn)
+    # the twelve sets by BorelSet algebra, classified in one table
+    pairs = [(s, t) for s in (a, ~a) for t in (b, ~b)]
+    sets = (a, b, ~a, ~b, *(s & t for s, t in pairs), *(s | t for s, t in pairs))
+    table = _event_table(sets, dec.eigenvalues, SNAP_TOL)
+    x, y = _event_table((a, b), dec.eigenvalues, SNAP_TOL)
+    assert [x.tolist(), y.tolist()] == grid_table((a, b), lams)
+    # row by row, the table obeys set algebra: each row is its set's formula in A's and B's
+    want = np.array([x, y, ~x, ~y, x & y, x & ~y, ~x & y, ~x & ~y,
+                     x | y, x | ~y, ~x | y, ~x | ~y]).reshape(12, len(lams))
+    np.testing.assert_array_equal(table, want)
+    np.testing.assert_array_equal(_BOOLEAN_ROWS[:, x + 2 * y], want)
+    # alone, each set classifies by its own endpoints
+    for e in sets:
+        alone = _event_table((e,), dec.eigenvalues, SNAP_TOL).tolist()
+        assert alone == [[e.contains(lam, SNAP_TOL) for lam in lams]]
+    assert check_boolean_homomorphism(proposition_from(dec, a), proposition_from(dec, b))
+
+
 def test_boolean_event_sets_equal_a_fresh_construction_and_are_kept():
     rng = np.random.default_rng(167)
-    for a, b in [(rand_borel(rng), rand_borel(rng)) for _ in range(5)] + [
-            (BorelSet.empty(), BorelSet.reals()), (BorelSet.point(1.0), BorelSet.point(1.0))]:
-        sets_a, sets_b = (a, ~a), (b, ~b)
-        pairs = [(s, t) for s in sets_a for t in sets_b]
-        fresh = (a, b, ~a, ~b, *(s & t for s, t in pairs), *(s | t for s, t in pairs))
-        got = _boolean_events(a, b)
-        assert got == fresh
-        # an equal key built anew finds the same sets
-        assert _boolean_events(BorelSet(a.intervals), BorelSet(b.intervals)) is got
     for count in (1, 2, 4):
         fresh = tuple(BorelSet.points([float(m) for m in range(2**count) if m & (1 << k)])
                       for k in range(count))

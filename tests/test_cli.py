@@ -926,6 +926,22 @@ def test_quantile_of_a_spectrum_wider_than_the_float64_range(tmp_path, capsys):
     assert json.loads(out)["results"][0]["values"] == [-1.7e308, 1.7e308]
 
 
+def test_quantile_puts_each_eigenvalue_in_one_atom_when_atoms_lie_within_snap_tol(tmp_path,
+                                                                                    capsys):
+    # eigenvalues 0 and 5e-10, kept apart by a cluster_tol of 1e-12: asked alone, each atom
+    # snaps the other's eigenvalue in too; classified in one table, each snaps onto itself
+    doc = _z_doc(np.diag([0.0, 5e-10]), [0.6, 0.8], tolerances={"cluster_tol": 1e-12})
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["quantile", "--input", str(path), "--operator", "z", "--state", "s"],
+                         capsys)
+    assert (code, err) == (0, "")
+    result = json.loads(out)["results"][0]
+    assert result["values"] == [0.0, 5e-10]
+    assert result["atom_probabilities"] == pytest.approx([0.36, 0.64], rel=0, abs=1e-15)
+    assert result["pushforward_defect"] <= 1e-15 and result["checks"]["pushforward_ok"]
+
+
 def test_an_int_past_float_range_reads_as_an_infinite_endpoint(tmp_path, capsys):
     # json reads the literal 1e400 as inf; an integer literal that large means the same
     doc = json.loads((Path(hvsim.__file__).parent / "fixtures" / "pauli.json").read_text())

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_borel, rand_hermitian, rand_piecewise_affine, rand_state, rand_unitary
+from conftest import (grid_table, projector_rows, rand_borel, rand_hermitian,
+                      rand_piecewise_affine, rand_state, rand_unitary)
 from hvsim import (
     BorelSet,
     ClassicalObservable,
@@ -31,7 +32,7 @@ from hvsim import (
 )
 from hvsim.cli import ProblemFile, Tolerances, run_quantile
 from hvsim.hidden import _fiber_partition
-from hvsim.quantum import SNAP_TOL, _classified, _event_projectors, _event_table
+from hvsim.quantum import SNAP_TOL, _classified, _event_projectors, _event_table, _quadratic_prob
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = PureState([1.0, 1.0])
@@ -91,37 +92,44 @@ def test_event_projectors_equal_spectral_projector_bit_for_bit(n):
                        BorelSet.point(near)]
         got = _event_projectors(dec, events)
         assert got.shape == (len(events), n, n) and got.dtype == np.complex128
-        for g, e in zip(got, events):
-            # one event takes the same matrix product as many, so the bits agree wherever
+        for g, e, row in zip(got, events, grid_table(events, lams)):
+            # one row takes the same matrix product as many, so the bits agree wherever
             # a gemm adds each entry's terms in an order that does not depend on the row count:
             # OpenBLAS 0.3.31's SkylakeX, Haswell and Katmai kernels do, its Sandybridge kernel
             # does not, and there n = 48 fails
-            want = spectral_projector(dec, e)
+            want = projector_rows(dec, [row])[0]
             np.testing.assert_array_equal(g.view(np.int64), want.view(np.int64))
+            # the event alone is that row wherever no other event's endpoint lies nearer
+            if row == [e.contains(lam, SNAP_TOL) for lam in lams]:
+                _assert_same_bits(spectral_projector(dec, e), want)
             # the sum itself, in whatever order BLAS adds it
-            chosen = [p for lam, p in zip(lams, dec.projectors) if e.contains(lam, SNAP_TOL)]
+            chosen = [p for c, p in zip(row, dec.projectors) if c]
             np.testing.assert_allclose(want, sum(chosen, np.zeros((n, n))), rtol=0, atol=1e-13)
 
 
 def _reduced_operator_loop(obs: ClassicalObservable) -> np.ndarray:
-    """reduced_operator with one spectral_projector per outcome: the oracle for the bits
-    of its one _event_projectors call."""
+    """reduced_operator with one masked product per outcome, of its event's row of the grid
+    oracle over all the outcomes' events: the oracle for the bits of its one
+    _event_projectors call."""
     dim = obs.dim
     total = np.zeros((dim, dim), dtype=np.complex128)
     prev = np.zeros((dim, dim), dtype=np.complex128)
-    for u in obs.outcome_values():
-        below = BorelSet.at_most(float(u))
-        events = below if obs.post is None else preimage(obs.post, below)
-        e_u = spectral_projector(obs.backing, events, SNAP_TOL)
+    outcomes = obs.outcome_values()
+    below = [BorelSet.at_most(float(u)) for u in outcomes]
+    events = below if obs.post is None else [preimage(obs.post, b) for b in below]
+    for u, row in zip(outcomes, grid_table(events, obs.backing.eigenvalues, SNAP_TOL)):
+        e_u = projector_rows(obs.backing, [row])[0]
         total += float(u) * (e_u - prev)
         prev = e_u
     return total
 
 
 def _atom_probabilities_loop(dec, state: PureState) -> list[float]:
-    """hv quantile's atom probabilities as one prob per atom: the oracle for their bits."""
-    values = quantile_function(dec, state).values
-    return [prob(dec, state, BorelSet.point(float(v)), snap_tol=SNAP_TOL) for v in values]
+    """hv quantile's atom probabilities as one masked product and quadratic form per atom,
+    of its row of the grid oracle over all the atoms: the oracle for their bits."""
+    atoms = [BorelSet.point(float(v)) for v in quantile_function(dec, state).values]
+    return [_quadratic_prob(projector_rows(dec, [row])[0], state.vector)
+            for row in grid_table(atoms, dec.eigenvalues, SNAP_TOL)]
 
 
 def _assert_same_bits(got, want):
@@ -159,17 +167,8 @@ def test_batched_event_callers_equal_their_per_event_loops_bit_for_bit(n):
                  Proposition(dec, rand_borel(rng, avoid=lams)))
         got = PropositionQuadruple(*props).projectors()
         assert len(got) == 4 and not any(p.flags.writeable for p in got)
-        for p, prop in zip(got, props):
-            _assert_same_bits(p, spectral_projector(dec, prop.borel))
-
-
-def _event_projectors_loop(dec, events) -> np.ndarray:
-    """_event_projectors with its mask built by a contains loop per call, as before the
-    classification was kept: the oracle for its bits."""
-    lams, n = dec.eigenvalues.tolist(), dec.dim
-    mask = np.zeros((max(len(events), 2), len(lams)), dtype=np.complex128)
-    mask[:len(events)] = [[e.contains(lam, SNAP_TOL) for lam in lams] for e in events]
-    return (mask @ dec.projectors.reshape(len(lams), n * n))[:len(events)].reshape(-1, n, n)
+        for p, row in zip(got, grid_table([prop.borel for prop in props], lams)):
+            _assert_same_bits(p, projector_rows(dec, [row])[0])
 
 
 def _fiber_subset_loop(prop: Proposition, state: PureState) -> BorelSet:
@@ -184,11 +183,10 @@ def _fiber_subset_loop(prop: Proposition, state: PureState) -> BorelSet:
 
 def _fiber_signs_loop(quad: PropositionQuadruple, state: PureState) -> list:
     lambdas = quad.backing.eigenvalues[_fiber_partition(quad.backing.weights(state.vector))[0]]
-
-    def side(p: Proposition) -> np.ndarray:
-        return np.array([1 if p.borel.contains(float(lam), SNAP_TOL) else -1 for lam in lambdas])
-
-    return [[side(a) * side(b) for b in (quad.b1, quad.b2)] for a in (quad.a1, quad.a2)]
+    # the four sets are classified together, on the grid of all their endpoints
+    rows = grid_table([p.borel for p in (quad.a1, quad.a2, quad.b1, quad.b2)], lambdas)
+    a1, a2, b1, b2 = (np.where(row, 1, -1) for row in rows)
+    return [[a * b for b in (b1, b2)] for a in (a1, a2)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
@@ -207,7 +205,8 @@ def test_kept_classification_equals_the_contains_loops_bit_for_bit(n):
         quad = PropositionQuadruple(*(Proposition(dec, e) for e in events[1:]))
         h = rand_state(rng, n)
         for _ in range(2):
-            _assert_same_bits(_event_projectors(dec, events), _event_projectors_loop(dec, events))
+            _assert_same_bits(_event_projectors(dec, events),
+                              projector_rows(dec, grid_table(events, lams)))
             for e in events:
                 assert fiber_subset(Proposition(dec, e), h) == _fiber_subset_loop(
                     Proposition(dec, e), h)
@@ -260,11 +259,13 @@ def test_events_with_endpoints_within_snap_tol_of_eigenvalues(n, seed, events):
     kept, cuts = _fiber_partition(dec.weights(h.vector))
     table = _event_table(sets, dec.eigenvalues, SNAP_TOL)
     assert table.dtype == bool and not table.flags.writeable
-    assert table.tolist() == [[e.contains(lam, SNAP_TOL) for lam in lams] for e in sets]
-    for e, got in zip(sets, _event_projectors(dec, sets)):
-        chosen = [e.contains(lam, SNAP_TOL) for lam in lams]
-        want = sum((p for p, c in zip(dec.projectors, chosen) if c), np.zeros((n, n)))
+    assert table.tolist() == grid_table(sets, lams)
+    for e, got, row in zip(sets, _event_projectors(dec, sets), table.tolist()):
+        want = sum((p for p, c in zip(dec.projectors, row) if c), np.zeros((n, n)))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        # alone, the event classifies by its own endpoints
+        chosen = [e.contains(lam, SNAP_TOL) for lam in lams]
+        assert _event_table([e], dec.eigenvalues, SNAP_TOL).tolist() == [chosen]
         # the fiber cells are those of the eigenvalues the event selects, no more and no fewer
         subset = fiber_subset(Proposition(dec, e), h)
         cells = [Interval(cuts[k], cuts[k + 1], False, cuts[k + 1] != 1.0)
